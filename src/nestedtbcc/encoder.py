@@ -384,9 +384,13 @@ def code_from_dict(d: dict) -> TailbitingCode:
             b_tilde=d["B_tilde"], c=d["C"], d_tilde=d["D_tilde"],
         )
         schedule = FreezingSchedule.from_lists(int(d["ell"]), d["frozen"])
+        return TailbitingCode(spec, schedule)
+    except EncoderSpecError:
+        raise
     except KeyError as exc:
         raise EncoderSpecError(f"code spec missing field {exc}") from exc
-    return TailbitingCode(spec, schedule)
+    except (TypeError, ValueError) as exc:
+        raise EncoderSpecError(f"malformed code spec: {exc}") from exc
 
 
 def save_code(code: TailbitingCode, path: str, extra: dict | None = None) -> None:

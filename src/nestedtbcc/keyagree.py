@@ -179,11 +179,7 @@ def reconstruct(
     helper_len = pair.K_vq - pair.K_fec
     if w.n != helper_len:
         raise ValueError(f"helper length {w.n} != K_vq - K_fec = {helper_len}")
-    return reconstruct_one_of_many(pair, y.to_numpy()[None, :], w.to_numpy()[None, :])
-
-
-def reconstruct_one_of_many(pair, y_bits, w_bits, cfg=None) -> BitVector:
-    s_bits = reconstruct_many(pair, y_bits, w_bits, cfg)
+    s_bits = reconstruct_many(pair, y.to_numpy()[None, :], w.to_numpy()[None, :], cfg)
     return BitVector.from_bits(s_bits[0].tolist())
 
 

@@ -238,6 +238,7 @@ def test_criterion_08_end_to_end_correctness():
           f"({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_09_design_pipeline_property_run():
     start = time.perf_counter()
     kwargs = dict(p_A=P_A_REFERENCE, target_pb=1e-3, K_fec=32, n=3, m=6,

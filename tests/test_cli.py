@@ -166,6 +166,29 @@ def test_invalid_input_exit_code(tmp_path):
     assert main(["spectrum", "--code", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", None), ("C", None), ("B_tilde", 3), ("frozen", [["a"]] * 4),
+])
+def test_malformed_code_and_pair_json_exit_code(tmp_path, toy_pair_file, field, value):
+    d = json.loads((tmp_path / "pair.json").read_text())
+    d[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    x = tmp_path / "x.txt"
+    x.write_text("0" * 12 + "\n")
+    for argv in (
+        ["dfree", "--code", str(bad)],
+        ["enroll", "--pair", str(bad), "--x", str(x),
+         "--out-key", str(tmp_path / "k.txt"), "--out-helper", str(tmp_path / "w.txt")],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nestedtbcc.cli", *argv], capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
+
+
 def test_design_failure_exit_code():
     rc = main([
         "design-nested", "--pa", "0.45", "--target-pb", "1e-6",

@@ -21,11 +21,13 @@ from nestedtbcc.keyagree import (
     pair_from_dict,
     pair_to_dict,
     read_bit_lines,
+    reconstruct,
     reconstruct_cs,
     reconstruct_many,
     write_bit_lines,
 )
 from nestedtbcc.trellis import weight_enumerator
+from nestedtbcc.wava import WavaConfig
 
 
 def vec(bits_arr) -> BitVector:
@@ -114,6 +116,22 @@ def test_single_flip_always_corrected():
         y[:, pos] ^= 1
         s_hat = reconstruct_many(pair, y, w_bits)
         assert np.array_equal(s_hat, s_bits), f"flip at {pos} broke a key"
+
+
+def test_reconstruct_passes_the_iteration_budget():
+    # on words where V=1 and V=4 decode differently, the single-word path
+    # must follow the V it was given
+    pair = toy_pair_a()
+    rng = np.random.default_rng(0)
+    y = rng.integers(0, 2, (256, pair.N), dtype=np.uint8)
+    w = rng.integers(0, 2, (256, pair.K_vq - pair.K_fec), dtype=np.uint8)
+    s1 = reconstruct_many(pair, y, w, WavaConfig(1))
+    s4 = reconstruct_many(pair, y, w, WavaConfig(4))
+    rows = np.flatnonzero((s1 != s4).any(axis=1))
+    assert len(rows) > 0
+    for b in rows[:5]:
+        assert reconstruct(pair, vec(y[b]), vec(w[b]), WavaConfig(1)) == vec(s1[b])
+        assert reconstruct(pair, vec(y[b]), vec(w[b]), WavaConfig(4)) == vec(s4[b])
 
 
 def test_enrollment_matches_exhaustive_quantizer():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from conftest import (
     pack_rows,
     random_code,
 )
+from nestedtbcc import wava
 from nestedtbcc.encoder import encode_many, encode_tailbiting
 from nestedtbcc.gf2 import BitVector
 from nestedtbcc.trellis import build_trellis
 from nestedtbcc.wava import WavaConfig, quantize, wava_decode, wava_decode_many
+from wava_reference import reference_decode_many
 
 
 def test_codeword_is_fixed_point(repetition_toy):
@@ -123,3 +127,88 @@ def test_rejects_bad_config_and_length(unit_toy):
         WavaConfig(0)
     with pytest.raises(ValueError, match="length"):
         wava_decode(unit_toy, bits(1, 0, 1))
+
+
+def _assert_same_as_reference(trellis, r, V):
+    new = wava_decode_many(trellis, r, WavaConfig(V))
+    ref = reference_decode_many(trellis, r, V)
+    for field in ("msg_bits", "cw_bits", "distance", "iterations", "converged"):
+        a, b = getattr(new, field), getattr(ref, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def _oracle_words(rng, code, B):
+    # uniform words (quantizer use, sends rows to the exact fallback) and
+    # noisy codewords (error correction), half and half
+    r = rng.integers(0, 2, (B, code.N), dtype=np.uint8)
+    noisy = encode_many(code, rng.integers(0, 2, (B, code.K), dtype=np.uint8))
+    noisy ^= (rng.random((B, code.N)) < 0.08).astype(np.uint8)
+    r[B // 2:] = noisy[B // 2:]
+    return r
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Record how many rows reach the exact fallback."""
+    seen = []
+    exhaustive = wava._exhaustive_constrained
+
+    def spy(kern, r_ints, idx, *rest):
+        seen.append(len(idx))
+        return exhaustive(kern, r_ints, idx, *rest)
+
+    monkeypatch.setattr(wava, "_exhaustive_constrained", spy)
+    return seen
+
+
+def test_matches_reference_decoder(fallback_rows):
+    rng = np.random.default_rng(7)
+    for i in range(48):
+        k = 1 + i % 3
+        m = int(rng.integers(1, 6))
+        n = int(rng.integers(2, 4)) if k == 1 else k + int(rng.integers(0, 2))
+        code = random_code(rng, m=m, k=k, n=n, ell=m + int(rng.integers(0, 5)), freeze_prob=0.4)
+        B = (1, 3, 64)[i % 3]
+        _assert_same_as_reference(build_trellis(code), _oracle_words(rng, code, B), 1 + i % 4)
+    assert sum(fallback_rows) > 0
+    # a batch larger than one sub-batch of the default byte budget
+    code = random_code(rng, m=5, k=3, n=3, ell=8, freeze_prob=0.4)
+    tr = build_trellis(code)
+    B = wava._Kernel(tr).columns(bp=True) + 57
+    _assert_same_as_reference(tr, _oracle_words(rng, code, B), 4)
+
+
+def test_small_byte_budget_gives_identical_results(monkeypatch, fallback_rows):
+    # a few KB forces many sub-batches and many start-state blocks
+    monkeypatch.setattr(wava, "_BUDGET_BYTES", 4096)
+    rng = np.random.default_rng(8)
+    for i in range(12):
+        k = 1 + i % 3
+        code = random_code(rng, m=2 + i % 3, k=k, n=max(k, 2), ell=6, freeze_prob=0.4)
+        tr = build_trellis(code)
+        kern = wava._Kernel(tr)
+        assert kern.columns(bp=True) < 16 and kern.columns(bp=False) < 16
+        _assert_same_as_reference(tr, _oracle_words(rng, code, 80), 1 + i % 4)
+    # the fallback sweeps S >= 4 start states per row: 4 rows fill 16 columns
+    assert max(fallback_rows) >= 4
+
+
+def test_sweep_reuses_its_section_buffers():
+    # the [A, S, C] key temporaries are allocated once per decode call, not
+    # once per section: a second sweep of the same columns on the same kernel
+    # allocates less than half of one of them
+    rng = np.random.default_rng(9)
+    code = random_code(rng, m=4, k=3, n=3, ell=12)
+    kern = wava._Kernel(build_trellis(code))
+    r_ints = wava._bits_to_section_ints(_oracle_words(rng, code, 200), code.spec.n)
+    cols = np.ascontiguousarray(r_ints.T)
+    start = np.zeros((kern.trellis.S, 200), dtype=kern.dtype)
+    kern.sweep(cols, start.copy(), None)
+    key_bytes = kern.buf[1].nbytes
+    tracemalloc.start()
+    try:
+        kern.sweep(cols, start.copy(), None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < key_bytes // 2
