@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -59,15 +60,24 @@ def star(p: float, x: float) -> float:
     return p * (1.0 - x) + (1.0 - p) * x
 
 
+@lru_cache(maxsize=1024)
+def _half_tail_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The p-independent rows of _log_half_tail: i, d - i and log C(d, i)."""
+    i = np.arange((d + 1) // 2, d + 1, dtype=np.float64)
+    rows = (i, d - i, gammaln(d + 1) - gammaln(i + 1) - gammaln(d - i + 1))
+    for r in rows:
+        r.setflags(write=False)
+    return rows
+
+
 def _log_half_tail(d: int, p: float) -> float:
     """log of sum_{i=ceil(d/2)}^{d} C(d,i) p^i (1-p)^(d-i)."""
     if p == 0.0:
         return -math.inf
     if p == 1.0:
         return 0.0
-    i = np.arange((d + 1) // 2, d + 1, dtype=np.float64)
-    logc = gammaln(d + 1) - gammaln(i + 1) - gammaln(d - i + 1)
-    terms = logc + i * math.log(p) + (d - i) * math.log1p(-p)
+    i, d_minus_i, logc = _half_tail_rows(d)
+    terms = logc + i * math.log(p) + d_minus_i * math.log1p(-p)
     mx = float(terms.max())
     return mx + math.log(float(np.exp(terms - mx).sum()))
 

@@ -68,6 +68,8 @@ class FecSearchConfig:
             raise ValueError(f"target_pb must be in (0, 1), got {self.target_pb}")
         if self.K_fec < self.m:
             raise ValueError(f"need K_fec >= m for tailbiting, got {self.K_fec} < {self.m}")
+        if self.d_max is not None and not 0 <= self.d_max <= self.n_block:
+            raise ValueError(f"d_max must be in [0, N={self.n_block}], got {self.d_max}")
 
     @property
     def n_block(self) -> int:

@@ -88,7 +88,6 @@ def bsc_sample(n_bits: int, p: float, rng_state) -> BitVector:
 def _run_counting(
     trial_fn: Callable[[int, int], np.ndarray],
     stop: StopRule,
-    key: tuple[int, ...],
     workers: int,
 ) -> tuple[int, int, float]:
     """Drive chunks of Bernoulli trials until the stop rule cuts.
@@ -168,7 +167,7 @@ def simulate_fer(
         res = wava_decode_many(trellis, r, cfg)
         return (res.msg_bits != msgs).any(axis=1)
 
-    trials, errors, wall = _run_counting(trial_fn, stop, key, workers)
+    trials, errors, wall = _run_counting(trial_fn, stop, workers)
     return _rate_report(trials, errors, key, wall)
 
 
@@ -230,7 +229,7 @@ def simulate_end_to_end(
         s_hat = reconstruct_many(pair, x ^ flips, w_bits, cfg)
         return (s_hat != s_bits).any(axis=1)
 
-    trials, errors, wall = _run_counting(trial_fn, stop, key, workers)
+    trials, errors, wall = _run_counting(trial_fn, stop, workers)
     return _rate_report(trials, errors, key, wall)
 
 

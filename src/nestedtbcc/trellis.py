@@ -4,7 +4,14 @@ The weight enumerator A(X) of a tailbiting code is the trace of the product
 of per-section state transition matrices whose entries are weight monomials;
 it is evaluated here by propagating truncated weight polynomials along the
 trellis, one block of start states at a time, instead of materializing matrix
-powers.
+powers.  Partial-path counts are stored degree-major, row d*S + state of an
+[S*L + 1, G] array for G start states (the last row is zero), so a section is
+one precomputed row gather per edge rank plus adds, over the live degree
+prefix only.  Counts are int32, widen to int64 and then to Python integers
+only when the next section could pass 2^31 - 1 (then 2^62): a bound on every
+entry is multiplied by each section's out-degree and refreshed from the
+largest entry when it would pass the limit.  G is capped so that the three
+buffers fit in _BUDGET_BYTES at int64 width.
 """
 
 from __future__ import annotations
@@ -20,10 +27,11 @@ from scipy.sparse.csgraph import connected_components
 from .encoder import EncoderSpec, TailbitingCode, _layout, _tables
 
 _OVERFLOW_GUARD = 1 << 62
-
-
-class _Overflow(Exception):
-    pass
+# largest entry the enumerator lets each integer dtype reach
+_INT_LIMITS = {np.dtype(np.int32): (1 << 31) - 1, np.dtype(np.int64): _OVERFLOW_GUARD}
+# the weight enumerator's three [S*L + 1, G] buffers, counted at int64 width,
+# fit in this many bytes; it caps the start-state block G
+_BUDGET_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -155,63 +163,93 @@ class WeightSpectrum:
         return sorted(self.coeffs.items())
 
 
-def _propagate_block(
-    trellis: TailbitingTrellis, starts: np.ndarray, L: int, dtype
-) -> np.ndarray:
-    """Propagate weight polynomials for a block of start states.
+def _gathers(view: SectionView, S: int, L: int) -> tuple[list[np.ndarray], int]:
+    """Gather rows of one section view in the degree-major layout.
 
-    Returns P[state, start, deg]: number of partial paths from each start
-    state reaching `state` with accumulated output weight `deg` (< L).
+    Row d*S + dst of the j-th array is the row (d - w)*S + src of the j-th
+    incoming edge (src, weight w) of dst, or the zero row S*L when d < w.
+    Also returns the view's largest edge weight.
     """
-    S = trellis.S
-    G = len(starts)
-    guard = _OVERFLOW_GUARD // max(v.out_degree for v in trellis.sections)
-    P = np.zeros((S, G, L), dtype=dtype)
-    P[starts, np.arange(G), 0] = 1
-    for view in trellis.sections:
-        Pn = np.zeros_like(P)
-        for j in range(view.out_degree):
-            src = view.in_src[:, j]
-            w = view.in_w[:, j]
-            for wv in np.unique(w):
-                wv = int(wv)
-                if wv >= L:
-                    continue
-                m = w == wv
-                if wv:
-                    Pn[m, :, wv:] += P[src[m], :, : L - wv]
-                else:
-                    Pn[m] += P[src[m]]
-        P = Pn
-        if dtype is np.int64 and P.max(initial=0) > guard:
-            raise _Overflow
-    return P
+    d = np.arange(L, dtype=np.int64)[:, None]
+    rows = []
+    for j in range(view.out_degree):
+        w = view.in_w[:, j]
+        rows.append(np.where(d >= w, (d - w) * S + view.in_src[:, j], S * L).ravel())
+    return rows, int(view.in_w.max())
+
+
+def _closed_paths(
+    trellis: TailbitingTrellis, gathers: dict, starts: np.ndarray, L: int,
+    raw: list[np.ndarray],
+) -> np.ndarray:
+    """Closed-path counts by output weight (< L) summed over a block of starts.
+
+    P[d*S + state, g] counts the partial paths from starts[g] that reach
+    `state` with output weight d; the three [S*L + 1, g] buffers (current,
+    next, scratch) are views of the caller's int64 arrays `raw`.  `bound`
+    bounds every entry of P; the module docstring gives the dtype tiers.
+    """
+    S, g = trellis.S, len(starts)
+    R = S * L + 1
+
+    def view(i: int, dtype) -> np.ndarray:
+        return raw[i].view(dtype)[: R * g].reshape(R, g)
+
+    p, q, t = 0, 1, 2
+    P, Q, T = view(p, np.int32), view(q, np.int32), view(t, np.int32)
+    P.fill(0)
+    Q.fill(0)  # rows at or above the live prefix stay zero
+    P[starts, np.arange(g)] = 1
+    live, bound = 1, 1
+    for section in trellis.sections:
+        A = section.out_degree
+        limit = _INT_LIMITS.get(P.dtype)
+        if limit is not None and bound * A > limit:
+            bound = int(P[: live * S].max())
+            if P.dtype == np.int32 and bound * A > limit:
+                view(t, np.int64)[...] = P
+                p, t = t, p
+                P, Q, T = view(p, np.int64), view(q, np.int64), view(t, np.int64)
+                Q.fill(0)
+                limit = _INT_LIMITS[P.dtype]
+            if P.dtype == np.int64 and bound * A > limit:
+                P = P.astype(object)
+                Q, T = np.zeros_like(P), np.empty_like(P)
+        bound *= A
+        rows, max_w = gathers[id(section)]
+        live = min(L, live + max_w)
+        n = live * S
+        np.take(P, rows[0][:n], axis=0, out=Q[:n], mode="clip")
+        for r in rows[1:]:
+            np.take(P, r[:n], axis=0, out=T[:n], mode="clip")
+            Q[:n] += T[:n]
+        P, Q, p, q = Q, P, q, p
+    # summed as Python integers: the total over the block may pass int64
+    return P[np.arange(L)[:, None] * S + starts, np.arange(g)].sum(axis=1, dtype=object)
 
 
 def weight_enumerator(code: TailbitingCode, d_max: int | None = None) -> WeightSpectrum:
     """Distance spectrum of a tailbiting code, exact up to weight d_max.
 
-    Coefficients are exact integers (int64 fast path, arbitrary precision on
-    overflow).  d_max defaults to the full block length N.
+    Coefficients are exact integers (int32 and int64 fast paths, arbitrary
+    precision past int64).  d_max defaults to the full block length N.
     """
     trellis = build_trellis(code)
     if d_max is None:
         d_max = code.N
+    if d_max < 0:
+        raise ValueError(f"d_max={d_max} is negative")
     if d_max > code.N:
         raise ValueError(f"d_max={d_max} exceeds block length N={code.N}")
-    L = d_max + 1
-    # block the start states so the [S, G, L] int64 tensor stays under ~64 MB
-    G = int(max(1, min(trellis.S, (8 << 23) // max(1, trellis.S * L))))
+    S, L = trellis.S, d_max + 1
+    views = {id(v): v for v in trellis.sections}
+    gathers = {key: _gathers(v, S, L) for key, v in views.items()}
+    G = max(1, min(S, _BUDGET_BYTES // (3 * 8 * (S * L + 1))))
+    raw = [np.empty((S * L + 1) * G, dtype=np.int64) for _ in range(3)]
     coeffs: dict[int, int] = {}
-    for lo in range(0, trellis.S, G):
-        starts = np.arange(lo, min(lo + G, trellis.S), dtype=np.int64)
-        try:
-            P = _propagate_block(trellis, starts, L, np.int64)
-        except _Overflow:
-            P = _propagate_block(trellis, starts, L, object)
-        closed = P[starts, np.arange(len(starts)), :].sum(axis=0)
-        for d in range(L):
-            v = int(closed[d])
+    for lo in range(0, S, G):
+        starts = np.arange(lo, min(lo + G, S), dtype=np.int64)
+        for d, v in enumerate(_closed_paths(trellis, gathers, starts, L, raw)):
             if v:
                 coeffs[d] = coeffs.get(d, 0) + v
     return WeightSpectrum(coeffs, d_max, code.N, code.K)

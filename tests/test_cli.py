@@ -189,6 +189,26 @@ def test_malformed_code_and_pair_json_exit_code(tmp_path, toy_pair_file, field, 
         assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--dmax", "-1"],
+    ["spectrum", "--dmax", "-3"],
+    ["design-fec", "--n", "2", "--m", "3", "--kfec", "8", "--target-pb", "1e-2",
+     "--wmax", "2", "--dmax", "-1"],
+])
+def test_negative_truncation_exit_code(tmp_path, argv):
+    code_path = tmp_path / "code.json"
+    save_code(toy_pair_a().fec_code, str(code_path))
+    if argv[0] == "spectrum":
+        argv = argv + ["--code", str(code_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestedtbcc.cli", *argv, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and "d_max" in proc.stderr
+
+
 def test_design_failure_exit_code():
     rc = main([
         "design-nested", "--pa", "0.45", "--target-pb", "1e-6",

@@ -1,5 +1,9 @@
-import numpy as np
+import math
 
+import numpy as np
+import pytest
+
+import nestedtbcc.trellis as trellis_mod
 from conftest import (
     all_messages,
     exhaustive_spectrum,
@@ -15,6 +19,7 @@ from nestedtbcc.encoder import (
 )
 from nestedtbcc.gf2 import BitMatrix
 from nestedtbcc.trellis import build_trellis, free_distance, weight_enumerator
+from spectrum_reference import reference_weight_enumerator
 
 
 def test_trellis_shape_toy(unit_toy):
@@ -82,10 +87,13 @@ def test_hand_checked_enumerators(unit_toy):
 
 def test_zero_observation_matrix_counts_paths():
     spec = EncoderSpec.rate_one_over_n(BitMatrix.zeros(2, 2))
-    code = TailbitingCode.unfrozen(spec, 4)
-    sp = weight_enumerator(code)
-    assert sp.items() == [(0, 2 ** code.K)]
-    assert sp.path_counts
+    # every path has weight 0, so entries reach 2^(K-m): past int32 at K=36,
+    # past int64 at K=70
+    for ell in (4, 36, 70):
+        code = TailbitingCode.unfrozen(spec, ell)
+        sp = weight_enumerator(code)
+        assert sp.items() == [(0, 2 ** code.K)]
+        assert sp.path_counts
 
 
 def test_spectrum_matches_exhaustive_histogram():
@@ -102,6 +110,65 @@ def test_spectrum_matches_exhaustive_histogram():
         if code.K > 14:
             continue
         assert dict(weight_enumerator(code).items()) == exhaustive_spectrum(code)
+
+
+def _truncations(code):
+    m, n = code.spec.m, code.spec.n
+    return sorted({0, min(3, code.N), min(code.N, 4 * m * n), code.N})
+
+
+def test_matches_reference_enumerator():
+    rng = np.random.default_rng(13)
+    frozen_sections = 0
+    for _ in range(40):
+        m = int(rng.integers(1, 7))
+        k = int(rng.integers(1, 4))
+        code = random_code(
+            rng, m=m, k=k, n=int(rng.integers(1, 4)),
+            ell=int(rng.integers(max(2, m), m + 5)), freeze_prob=0.4,
+        )
+        frozen_sections += sum(1 for f in code.schedule.frozen if f)
+        for d_max in _truncations(code):
+            got = weight_enumerator(code, d_max)
+            assert got == reference_weight_enumerator(code, d_max), (m, k, d_max)
+    assert frozen_sections >= 20
+
+
+def _repetition(K):
+    spec = EncoderSpec.rate_one_over_n(BitMatrix.from_rows([[1], [1]]))
+    return TailbitingCode.unfrozen(spec, K)
+
+
+@pytest.mark.parametrize("K", [10, 40, 70])
+def test_repetition_closed_form_through_every_dtype(K):
+    # A_{2d} = C(K, d): int32 only at K=10, past 2^31 (int64) at K=40 and
+    # past 2^63 (object) at K=70
+    sp = weight_enumerator(_repetition(K))
+    assert sp.coeffs == {2 * d: math.comb(K, d) for d in range(K + 1)}
+
+
+def test_small_byte_budget_gives_identical_spectra(monkeypatch):
+    rng = np.random.default_rng(14)
+    frozen = (frozenset({1}), frozenset(), frozenset({1, 2}), frozenset(),
+              frozenset({2}), frozenset())
+    codes = [
+        random_code(rng, m=4, k=1, n=2, ell=6),
+        TailbitingCode(random_spec(rng, m=4, k=3, n=3), FreezingSchedule(6, frozen)),
+        _repetition(40),
+        _repetition(70),
+    ]
+    want = [[weight_enumerator(c, d) for d in _truncations(c)] for c in codes]
+    monkeypatch.setattr(trellis_mod, "_BUDGET_BYTES", 4096)
+    for code, spectra in zip(codes, want):
+        S = 1 << code.spec.m
+        # at d_max = N every code runs in several start-state blocks
+        assert 4096 // (3 * 8 * (S * (code.N + 1) + 1)) < S
+        assert [weight_enumerator(code, d) for d in _truncations(code)] == spectra
+
+
+def test_negative_truncation_is_rejected(unit_toy):
+    with pytest.raises(ValueError, match="negative"):
+        weight_enumerator(unit_toy, -1)
 
 
 def test_truncation_agrees_on_prefix():
