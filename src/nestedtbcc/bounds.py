@@ -104,12 +104,13 @@ def union_bound_pb(spectrum: WeightSpectrum, p_c: float) -> float:
     return math.fsum(terms)
 
 
-def solve_crossover(
-    spectrum: WeightSpectrum,
-    target_pb: float,
-    rel_tol: float = 1e-3,
-    max_iter: int = 200,
-) -> float:
+# solve_crossover stops when the bound is within this fraction of the target,
+# or after this many bisection steps
+CROSSOVER_REL_TOL = 1e-3
+CROSSOVER_MAX_ITER = 200
+
+
+def solve_crossover(spectrum: WeightSpectrum, target_pb: float) -> float:
     """Invert the union bound: the p_c at which the bound equals target_pb.
 
     Bisection on [1e-9, 0.5]; the bound is strictly increasing in p_c.
@@ -127,10 +128,10 @@ def solve_crossover(
     if union_bound_pb(spectrum, lo) >= target_pb:
         return lo
     mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(CROSSOVER_MAX_ITER):
         mid = 0.5 * (lo + hi)
         val = union_bound_pb(spectrum, mid)
-        if abs(val - target_pb) <= rel_tol * target_pb:
+        if abs(val - target_pb) <= CROSSOVER_REL_TOL * target_pb:
             return mid
         if val < target_pb:
             lo = mid

@@ -23,13 +23,13 @@ from .encoder import (
     code_to_dict,
     load_code,
 )
-from .gf2 import Gf2ShapeError
+from .gf2 import BitVector, Gf2ShapeError
 from .keyagree import (
-    enroll,
+    enroll_many,
     load_pair,
     pair_to_dict,
     read_bit_lines,
-    reconstruct,
+    reconstruct_many,
     write_bit_lines,
 )
 from .simulate import StopRule, TrialReport
@@ -216,15 +216,24 @@ def cmd_sim_e2e(args) -> int:
     return 0
 
 
+def _stack(vectors: list[BitVector], width: int) -> np.ndarray:
+    """Lines of a bit file as one uint8 [B, width] array ([0, width] if empty).
+
+    If a line has another length, only the first such line is returned, so
+    the batch call rejects it with its usual length message.
+    """
+    rows = [v for v in vectors if v.n != width][:1] or vectors
+    if not rows:
+        return np.zeros((0, width), dtype=np.uint8)
+    return np.stack([v.to_numpy() for v in rows])
+
+
 def cmd_enroll(args) -> int:
     pair = load_pair(args.pair)
-    xs = read_bit_lines(args.x)
-    keys, helpers = [], []
-    for x in xs:
-        rec = enroll(pair, x, _wava(args))
-        keys.append(rec.secret_key)
-        helpers.append(rec.helper_data)
-        print(f"distortion {rec.distortion:.6g}", file=sys.stderr)
+    x = _stack(read_bit_lines(args.x), pair.N)
+    keys, helpers, dist = enroll_many(pair, x, _wava(args))
+    for d in dist:
+        print(f"distortion {float(d) / pair.N:.6g}", file=sys.stderr)
     write_bit_lines(args.out_key, keys)
     write_bit_lines(args.out_helper, helpers)
     return 0
@@ -236,8 +245,9 @@ def cmd_reconstruct(args) -> int:
     ws = read_bit_lines(args.helper)
     if len(ys) != len(ws):
         raise ValueError(f"{len(ys)} measurements but {len(ws)} helper lines")
-    keys = [reconstruct(pair, y, w, _wava(args)) for y, w in zip(ys, ws)]
-    write_bit_lines(args.out_key, keys)
+    y = _stack(ys, pair.N)
+    w = _stack(ws, pair.K_vq - pair.K_fec)
+    write_bit_lines(args.out_key, reconstruct_many(pair, y, w, _wava(args)))
     return 0
 
 

@@ -10,6 +10,12 @@ machine is fully described by (B~, C, D~).  Indexing is 0-based throughout the
 code: input 0 is the register input (the one that may never be frozen or
 removed), delay cell 0 is the cell fed by it.
 
+One cached transition table per spec (_transitions: next state and output
+per (state, input)) serves the encoder, the trellis and free_distance, and
+encode_many is the one encoder; encode_tailbiting wraps it for one message.
+Because A^m = 0 the wrap-around state depends only on the last m inputs, so
+the first of its two passes runs only the last m sections.
+
 Packed conventions used everywhere in this package:
 
 * state int: bit j  <-> content of delay cell j
@@ -90,9 +96,11 @@ class EncoderSpec:
         )
 
 
-@lru_cache(maxsize=None)
-def _tables(spec: EncoderSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(bu, du, state_out): per input int the B^T/D^T products, per state s.C^T."""
+@lru_cache(maxsize=64)
+def _transitions(spec: EncoderSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(next_state, out_int), read-only int64 [2^m, 2^k]: the machine's one
+    transition table, next_state[s, u] = s.A^T + u.B^T and
+    out_int[s, u] = s.C^T + u.D^T as packed ints."""
     m, k, n = spec.m, spec.k, spec.n
     # column j of B / D as a packed int over rows
     bcols = [1] + [spec.B_tilde.column(j).word for j in range(k - 1)]
@@ -100,23 +108,20 @@ def _tables(spec: EncoderSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bu = np.zeros(1 << k, dtype=np.int64)
     du = np.zeros(1 << k, dtype=np.int64)
     for u in range(1 << k):
-        acc_b = 0
-        acc_d = 0
         for j in range(k):
             if (u >> j) & 1:
-                acc_b ^= bcols[j]
-                acc_d ^= dcols[j]
-        bu[u] = acc_b
-        du[u] = acc_d
-    states = np.arange(1 << m, dtype=np.uint64)
+                bu[u] ^= bcols[j]
+                du[u] ^= dcols[j]
+    states = np.arange(1 << m, dtype=np.int64)
     state_out = np.zeros(1 << m, dtype=np.int64)
     for i in range(n):
-        row = np.uint64(spec.C.row_words[i])
-        parity = (np.bitwise_count(states & row) & 1).astype(np.int64)
-        state_out |= parity << i
-    for a in (bu, du, state_out):
+        parity = np.bitwise_count(states & spec.C.row_words[i]) & 1
+        state_out |= parity.astype(np.int64) << i
+    next_state = ((states[:, None] << 1) & ((1 << m) - 1)) ^ bu[None, :]
+    out_int = state_out[:, None] ^ du[None, :]
+    for a in (next_state, out_int):
         a.setflags(write=False)
-    return bu, du, state_out
+    return next_state, out_int
 
 
 def step(spec: EncoderSpec, s_t: BitVector, u_t: BitVector) -> tuple[BitVector, BitVector]:
@@ -125,11 +130,9 @@ def step(spec: EncoderSpec, s_t: BitVector, u_t: BitVector) -> tuple[BitVector, 
         raise Gf2ShapeError(f"state length {s_t.n} != m={spec.m}")
     if u_t.n != spec.k:
         raise Gf2ShapeError(f"input length {u_t.n} != k={spec.k}")
-    bu, du, state_out = _tables(spec)
-    c = int(state_out[s_t.word]) ^ int(du[u_t.word])
-    mask = (1 << spec.m) - 1
-    s_next = ((s_t.word << 1) & mask) ^ int(bu[u_t.word])
-    return BitVector(c, spec.n), BitVector(s_next, spec.m)
+    next_state, out_int = _transitions(spec)
+    return (BitVector(int(out_int[s_t.word, u_t.word]), spec.n),
+            BitVector(int(next_state[s_t.word, u_t.word]), spec.m))
 
 
 @dataclass(frozen=True)
@@ -202,7 +205,7 @@ class TailbitingCode:
         return self.schedule.effective_dim(self.spec.k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _layout(code: TailbitingCode) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Per-section unfrozen input positions (ascending) and message-bit offsets."""
     positions = []
@@ -216,97 +219,55 @@ def _layout(code: TailbitingCode) -> tuple[tuple[tuple[int, ...], ...], tuple[in
     return tuple(positions), tuple(offsets)
 
 
-def message_to_inputs(code: TailbitingCode, message: BitVector) -> list[int]:
-    """Spread message bits over sections: time-major, input index ascending."""
-    if message.n != code.K:
-        raise Gf2ShapeError(f"message length {message.n} != K={code.K}")
-    positions, offsets = _layout(code)
-    u_ints = []
-    for t in range(code.ell):
-        u = 0
-        for j, pos in enumerate(positions[t]):
-            u |= ((message.word >> (offsets[t] + j)) & 1) << pos
-        u_ints.append(u)
-    return u_ints
-
-
-def inputs_to_message(code: TailbitingCode, u_ints: Sequence[int]) -> BitVector:
-    """Inverse of message_to_inputs (frozen positions must hold 0)."""
-    positions, offsets = _layout(code)
-    word = 0
-    for t in range(code.ell):
-        for j, pos in enumerate(positions[t]):
-            word |= ((u_ints[t] >> pos) & 1) << (offsets[t] + j)
-    return BitVector(word, code.K)
-
-
-def _run(spec: EncoderSpec, start_state: int, u_ints: Sequence[int]) -> tuple[list[int], int]:
-    bu, du, state_out = _tables(spec)
-    mask = (1 << spec.m) - 1
-    s = start_state
-    outs = []
-    for u in u_ints:
-        outs.append(int(state_out[s]) ^ int(du[u]))
-        s = ((s << 1) & mask) ^ int(bu[u])
-    return outs, s
+@lru_cache(maxsize=64)
+def _input_index(code: TailbitingCode) -> np.ndarray:
+    """Read-only [K]: message bit j is input bit t*k + pos of the [ell*k]
+    section-input row (time-major, input index ascending)."""
+    positions, _ = _layout(code)
+    k = code.spec.k
+    idx = np.array([t * k + p for t, ps in enumerate(positions) for p in ps], dtype=np.int64)
+    idx.setflags(write=False)
+    return idx
 
 
 def encode_tailbiting(code: TailbitingCode, message: BitVector) -> BitVector:
-    """Encode with the two-pass tailbiting method.
-
-    A is nilpotent (A^ell = 0 for ell >= m), so the end state does not depend
-    on the start state: pass 1 from the zero state yields the wrap-around
-    state, pass 2 re-encodes from it, giving s_1 = s_{ell+1}.
-    """
-    u_ints = message_to_inputs(code, message)
-    _, wrap = _run(code.spec, 0, u_ints)
-    outs, end = _run(code.spec, wrap, u_ints)
-    if end != wrap:
-        raise AssertionError("tailbiting failed: end state differs from start state")
-    word = 0
-    n = code.spec.n
-    for t, c in enumerate(outs):
-        word |= c << (t * n)
-    return BitVector(word, code.N)
+    """Encode one message (a thin wrapper over encode_many)."""
+    if message.n != code.K:
+        raise Gf2ShapeError(f"message length {message.n} != K={code.K}")
+    return BitVector.from_bits(encode_many(code, message.to_numpy()[None, :])[0].tolist())
 
 
 def encode_many(code: TailbitingCode, messages: np.ndarray) -> np.ndarray:
-    """Vectorized tailbiting encoding of a batch of messages.
+    """Tailbiting encoding of a batch of messages: uint8 [B, K] -> uint8 [B, N].
 
-    messages: uint8 array [B, K] -> uint8 array [B, N].  Bit order matches
-    encode_tailbiting exactly.
+    Pass 1 runs the last m sections from the zero state to find the
+    wrap-around state (A^m = 0), pass 2 encodes all ell sections from it, and
+    the end state must equal the start state.
     """
     messages = np.asarray(messages, dtype=np.uint8)
     if messages.ndim != 2 or messages.shape[1] != code.K:
         raise Gf2ShapeError(f"messages must be [B, {code.K}], got {messages.shape}")
     spec = code.spec
-    bu, du, state_out = _tables(spec)
-    positions, offsets = _layout(code)
-    B = messages.shape[0]
-    mask = (1 << spec.m) - 1
+    k, ell, B = spec.k, code.ell, messages.shape[0]
+    next_state, out_int = (a.ravel() for a in _transitions(spec))
+    bits_in = np.zeros((ell * k, B), dtype=np.int64)
+    bits_in[_input_index(code)] = messages.T
+    # [ell, B] input ints; edge (s, u) is entry s*2^k + u of the raveled tables
+    u_ints = (bits_in.reshape(ell, k, B) << np.arange(k)[:, None]).sum(axis=1)
 
-    u_ints = np.zeros((B, code.ell), dtype=np.int64)
-    for t in range(code.ell):
-        for j, pos in enumerate(positions[t]):
-            u_ints[:, t] |= messages[:, offsets[t] + j].astype(np.int64) << pos
-
-    def sweep(start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = start.copy()
-        outs = np.zeros((B, code.ell), dtype=np.int64)
-        for t in range(code.ell):
-            u = u_ints[:, t]
-            outs[:, t] = state_out[s] ^ du[u]
-            s = ((s << 1) & mask) ^ bu[u]
-        return outs, s
-
-    _, wrap = sweep(np.zeros(B, dtype=np.int64))
-    outs, _ = sweep(wrap)
-
-    n = spec.n
-    bits = np.zeros((B, code.N), dtype=np.uint8)
-    for i in range(n):
-        bits[:, i::n] = (outs >> i) & 1
-    return bits
+    wrap = np.zeros(B, dtype=np.int64)
+    for t in range(ell - spec.m, ell):
+        wrap = next_state[(wrap << k) | u_ints[t]]
+    s = wrap
+    outs = np.empty((ell, B), dtype=np.int64)
+    for t in range(ell):
+        e = (s << k) | u_ints[t]
+        outs[t] = out_int[e]
+        s = next_state[e]
+    if not np.array_equal(s, wrap):
+        raise AssertionError("tailbiting failed: end state differs from start state")
+    bits = (outs.T[:, :, None] >> np.arange(spec.n)) & 1
+    return bits.astype(np.uint8).reshape(B, code.N)
 
 
 def remove_input_column(spec: EncoderSpec, i: int) -> EncoderSpec:
@@ -405,8 +366,3 @@ def save_code(code: TailbitingCode, path: str, extra: dict | None = None) -> Non
 def load_code(path: str) -> TailbitingCode:
     with open(path) as fh:
         return code_from_dict(json.load(fh))
-
-
-def load_code_dict(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .encoder import (
     EncoderSpecError,
     FreezingSchedule,
     TailbitingCode,
-    _layout,
+    _input_index,
     code_from_dict,
     code_to_dict,
     encode_many,
@@ -97,25 +98,30 @@ class NestedCodePair:
         return BitVector(word, self.K_vq)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _fec_code(vq_code: TailbitingCode) -> TailbitingCode:
     spec = fec_restriction(vq_code.spec)
     return TailbitingCode(spec, FreezingSchedule.none(vq_code.ell))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _role_indices(vq_code: TailbitingCode) -> tuple[np.ndarray, np.ndarray]:
     """Message-bit indices of key bits (input 0 per section) and helper bits."""
-    positions, offsets = _layout(vq_code)
-    key, helper = [], []
-    for t in range(vq_code.ell):
-        for j, pos in enumerate(positions[t]):
-            (key if pos == 0 else helper).append(offsets[t] + j)
-    k = np.array(key, dtype=np.int64)
-    h = np.array(helper, dtype=np.int64)
+    is_key = _input_index(vq_code) % vq_code.spec.k == 0
+    k, h = np.flatnonzero(is_key), np.flatnonzero(~is_key)
     k.setflags(write=False)
     h.setflags(write=False)
     return k, h
+
+
+def _rows(bits, name: str, width: int, width_name: str) -> np.ndarray:
+    """bits as a uint8 [B, width] array; ValueError when they are not one."""
+    a = np.asarray(bits, dtype=np.uint8)
+    if a.ndim != 2:
+        raise ValueError(f"{name} bits must be [B, {width_name}], got shape {a.shape}")
+    if a.shape[1] != width:
+        raise ValueError(f"{name} length {a.shape[1]} != {width_name}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -143,8 +149,6 @@ class CsEnrollmentRecord:
 
 def enroll(pair: NestedCodePair, x: BitVector, cfg: WavaConfig | None = None) -> EnrollmentRecord:
     """Quantize x on the high-rate code and split the message into (S, W)."""
-    if x.n != pair.N:
-        raise ValueError(f"identifier length {x.n} != N={pair.N}")
     s_bits, w_bits, dist = enroll_many(pair, x.to_numpy()[None, :], cfg)
     return EnrollmentRecord(
         secret_key=BitVector.from_bits(s_bits[0].tolist()),
@@ -158,6 +162,7 @@ def enroll_many(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch enrollment: returns (key bits [B,K_fec], helper bits [B,K_w],
     quantization Hamming distances [B])."""
+    x_bits = _rows(x_bits, "identifier", pair.N, f"N={pair.N}")
     trellis = build_trellis(pair.vq_code)
     res = wava_decode_many(trellis, x_bits, cfg)
     key_idx, helper_idx = _role_indices(pair.vq_code)
@@ -174,11 +179,6 @@ def reconstruct(
     pair: NestedCodePair, y: BitVector, w: BitVector, cfg: WavaConfig | None = None
 ) -> BitVector:
     """Recover the key from the noisy measurement y and helper data W."""
-    if y.n != pair.N:
-        raise ValueError(f"measurement length {y.n} != N={pair.N}")
-    helper_len = pair.K_vq - pair.K_fec
-    if w.n != helper_len:
-        raise ValueError(f"helper length {w.n} != K_vq - K_fec = {helper_len}")
     s_bits = reconstruct_many(pair, y.to_numpy()[None, :], w.to_numpy()[None, :], cfg)
     return BitVector.from_bits(s_bits[0].tolist())
 
@@ -187,9 +187,12 @@ def reconstruct_many(
     pair: NestedCodePair, y_bits: np.ndarray, w_bits: np.ndarray, cfg: WavaConfig | None = None
 ) -> np.ndarray:
     """Batch reconstruction: returns decoded key bits [B, K_fec]."""
-    y_bits = np.asarray(y_bits, dtype=np.uint8)
-    w_bits = np.asarray(w_bits, dtype=np.uint8)
+    y_bits = _rows(y_bits, "measurement", pair.N, f"N={pair.N}")
+    helper_len = pair.K_vq - pair.K_fec
+    w_bits = _rows(w_bits, "helper", helper_len, f"K_vq - K_fec = {helper_len}")
     B = y_bits.shape[0]
+    if w_bits.shape[0] != B:
+        raise ValueError(f"{B} measurements but {w_bits.shape[0]} helper rows")
     key_idx, helper_idx = _role_indices(pair.vq_code)
     msgs = np.zeros((B, pair.K_vq), dtype=np.uint8)
     msgs[:, helper_idx] = w_bits
@@ -254,7 +257,7 @@ def read_bit_lines(path: str) -> list[BitVector]:
     return out
 
 
-def write_bit_lines(path: str, vectors: list[BitVector]) -> None:
+def write_bit_lines(path: str, vectors: Iterable[Iterable[int]]) -> None:
     with open(path, "w") as fh:
         for v in vectors:
             fh.write("".join(str(b) for b in v))

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +36,9 @@ STREAM_DISTORTION = 4
 STREAM_E2E = 5
 STREAM_CALIBRATION = 6
 STREAM_FREEZE = 7
+
+# probes per crossover calibration: p_A, 0.5, then bisection steps
+CALIBRATION_PROBES = 10
 
 
 def seed_key(seed: int | Sequence[int]) -> tuple[int, ...]:
@@ -85,6 +89,26 @@ def bsc_sample(n_bits: int, p: float, rng_state) -> BitVector:
     return BitVector.from_bits(bits.tolist())
 
 
+def _chunks(
+    chunk_fn: Callable[[int, int], np.ndarray], total: int, workers: int
+) -> Iterator[np.ndarray]:
+    """chunk_fn(i, count) over `total` trials in chunks of CHUNK, in chunk order.
+
+    With workers > 1 the chunks run on a thread pool; closing the generator
+    early cancels the queued chunks without waiting for them.
+    """
+    starts = range(0, total, CHUNK)
+    spans = ((i, min(CHUNK, total - done)) for i, done in enumerate(starts))
+    if workers <= 1:
+        yield from (chunk_fn(i, c) for i, c in spans)
+        return
+    ex = ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield from ex.map(lambda ic: chunk_fn(*ic), spans)
+    finally:
+        ex.shutdown(wait=False, cancel_futures=True)
+
+
 def _run_counting(
     trial_fn: Callable[[int, int], np.ndarray],
     stop: StopRule,
@@ -98,41 +122,18 @@ def _run_counting(
     t0 = time.perf_counter()
     total_trials = 0
     total_errors = 0
-
-    def spans() -> Iterable[tuple[int, int]]:
-        done = 0
-        i = 0
-        while done < stop.max_trials:
-            c = min(CHUNK, stop.max_trials - done)
-            yield i, c
-            done += c
-            i += 1
-
-    def finish() -> tuple[int, int, float]:
-        return total_trials, total_errors, time.perf_counter() - t0
-
-    gen = spans()
-    if workers <= 1:
-        batches: Iterable[np.ndarray] = (trial_fn(i, c) for i, c in gen)
-    else:
-        ex = ThreadPoolExecutor(max_workers=workers)
-        batches = ex.map(lambda ic: trial_fn(*ic), gen)
-    try:
+    with closing(_chunks(trial_fn, stop.max_trials, workers)) as batches:
         for errs in batches:
-            c = len(errs)
             n_err = int(errs.sum())
             if total_errors + n_err >= stop.target_errors:
                 cum = np.cumsum(errs)
                 cut = int(np.searchsorted(cum, stop.target_errors - total_errors))
                 total_trials += cut + 1
                 total_errors += int(cum[cut])
-                return finish()
-            total_trials += c
+                break
+            total_trials += len(errs)
             total_errors += n_err
-        return finish()
-    finally:
-        if workers > 1:
-            ex.shutdown(wait=False, cancel_futures=True)
+    return total_trials, total_errors, time.perf_counter() - t0
 
 
 def _rate_report(trials: int, errors: int, key, wallclock: float) -> TrialReport:
@@ -191,17 +192,7 @@ def simulate_distortion(
         res = wava_decode_many(trellis, x, cfg)
         return res.distance / vq_code.N
 
-    spans = []
-    done = 0
-    while done < trials:
-        spans.append((len(spans), min(CHUNK, trials - done)))
-        done += spans[-1][1]
-    if workers <= 1:
-        parts = [chunk_values(i, c) for i, c in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda ic: chunk_values(*ic), spans))
-    values = np.concatenate(parts)
+    values = np.concatenate(list(_chunks(chunk_values, trials, workers)))
     est = float(values.mean())
     sd = float(values.std(ddof=1)) if trials > 1 else 0.0
     hw = 1.96 * sd / math.sqrt(trials)
@@ -248,7 +239,6 @@ def calibrate_pc(
     cfg: WavaConfig | None = None,
     stop: StopRule = StopRule(),
     seed: int | Sequence[int] = 0,
-    probes: int = 10,
     workers: int = 1,
 ) -> tuple[float, list[dict]]:
     """Largest probed crossover at which the code meets target_pb with 95%
@@ -292,7 +282,7 @@ def calibrate_pc(
         )
     if probe(1, hi):
         return hi, log
-    for i in range(2, probes):
+    for i in range(2, CALIBRATION_PROBES):
         mid = 0.5 * (lo + hi)
         if probe(i, mid):
             lo = mid

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .encoder import EncoderSpec, TailbitingCode, _layout, _tables
+from .encoder import EncoderSpec, TailbitingCode, _transitions
 
 _OVERFLOW_GUARD = 1 << 62
 # largest entry the enumerator lets each integer dtype reach
@@ -67,17 +67,8 @@ class TailbitingTrellis:
         self.N = code.N
         self.K = code.K
 
-        bu, du, state_out = _tables(spec)
-        states = np.arange(self.S, dtype=np.int64)
-        mask = self.S - 1
         # forward tables over the full input alphabet
-        self.next_state = np.empty((self.S, 1 << spec.k), dtype=np.int64)
-        self.out_int = np.empty((self.S, 1 << spec.k), dtype=np.int64)
-        for u in range(1 << spec.k):
-            self.next_state[:, u] = ((states << 1) & mask) ^ bu[u]
-            self.out_int[:, u] = state_out ^ du[u]
-        self.next_state.setflags(write=False)
-        self.out_int.setflags(write=False)
+        self.next_state, self.out_int = _transitions(spec)
 
         views: dict[tuple[int, ...], SectionView] = {}
         self.sections: list[SectionView] = []
@@ -89,8 +80,6 @@ class TailbitingTrellis:
             if adm not in views:
                 views[adm] = self._build_view(np.array(adm, dtype=np.int64))
             self.sections.append(views[adm])
-
-        self.positions, self.offsets = _layout(code)
 
     def _build_view(self, inputs: np.ndarray) -> SectionView:
         S, A = self.S, len(inputs)
@@ -295,16 +284,10 @@ def _dijkstra(S: int, relax_edges, sources: list[tuple[int, int]]) -> np.ndarray
 
 def free_distance(spec: EncoderSpec) -> FreeDistanceReport:
     """Exact d_free and A_free by weight-bounded search over the state graph."""
-    bu, du, state_out = _tables(spec)
+    nxt, out_int = _transitions(spec)
+    out_w = np.bitwise_count(out_int).astype(np.int64)
     S = 1 << spec.m
-    mask = S - 1
     nu = 1 << spec.k
-    states = np.arange(S, dtype=np.int64)
-    nxt = np.empty((S, nu), dtype=np.int64)
-    out_w = np.empty((S, nu), dtype=np.int64)
-    for u in range(nu):
-        nxt[:, u] = ((states << 1) & mask) ^ bu[u]
-        out_w[:, u] = np.bitwise_count((state_out ^ du[u]).astype(np.uint64))
 
     if spec.C.is_zero() and spec.D_tilde.is_zero():
         return FreeDistanceReport(0, None, degenerate=True)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import TailbitingCode
+from .encoder import TailbitingCode, _input_index
 from .gf2 import BitVector
 from .trellis import TailbitingTrellis, build_trellis
 
@@ -267,11 +267,8 @@ def wava_decode_many(
     if not np.array_equal(dist, best_dist):
         raise AssertionError("survivor metric disagrees with recomputed distance")
 
-    msg_bits = np.zeros((B, trellis.K), dtype=np.uint8)
-    for t in range(trellis.ell):
-        off = trellis.offsets[t]
-        for jj, pos in enumerate(trellis.positions[t]):
-            msg_bits[:, off + jj] = ((best_u[:, t] >> pos) & 1).astype(np.uint8)
+    u_bits = ((best_u[:, :, None] >> np.arange(trellis.k)) & 1).reshape(B, trellis.ell * trellis.k)
+    msg_bits = u_bits[:, _input_index(trellis.code)].astype(np.uint8)
     return BatchDecodeResult(msg_bits, cw_bits, dist, iterations, converged)
 
 

@@ -17,7 +17,7 @@ from nestedtbcc.encoder import (
     TailbitingCode,
     encode_many,
 )
-from nestedtbcc.gf2 import BitMatrix, BitVector, sample_uniform_matrix
+from nestedtbcc.gf2 import BitMatrix, BitVector, gf2_vec_mat, sample_uniform_matrix
 
 
 def all_messages(k_bits: int) -> np.ndarray:
@@ -59,20 +59,27 @@ def nearest_codeword_rows(codebook_packed: np.ndarray, r_packed: np.ndarray) -> 
 
 
 def oracle_detours(spec: EncoderSpec, max_len: int = 64) -> tuple[int, int]:
-    """(d_free, A_free) by DFS over first-return detours from the zero state."""
-    from nestedtbcc.encoder import _tables
+    """(d_free, A_free) by DFS over first-return detours from the zero state.
 
-    bu, du, state_out = _tables(spec)
-    mask = (1 << spec.m) - 1
-    nu = 1 << spec.k
+    Transitions come from the spec matrices by vector-matrix products:
+    s' = s.A^T + u.B^T and c = s.C^T + u.D^T with A the down-shift,
+    B = (e1^T | B~) and D = (0 | D~).
+    """
+    m, k, n = spec.m, spec.k, spec.n
+    a_t = BitMatrix.from_rows([[int(i == j + 1) for i in range(m)] for j in range(m)])
+    e1 = [int(i == 0) for i in range(m)]
+    b_t = BitMatrix.from_rows([e1] + spec.B_tilde.transpose().to_lists(), m)
+    c_t = spec.C.transpose()
+    d_t = BitMatrix.from_rows([[0] * n] + spec.D_tilde.transpose().to_lists(), n)
+    nu = 1 << k
     best = [None]
     count = [0]
 
     def weight(s: int, u: int) -> int:
-        return bin(int(state_out[s]) ^ int(du[u])).count("1")
+        return (gf2_vec_mat(BitVector(s, m), c_t) ^ gf2_vec_mat(BitVector(u, k), d_t)).weight()
 
     def advance(s: int, u: int) -> int:
-        return ((s << 1) & mask) ^ int(bu[u])
+        return (gf2_vec_mat(BitVector(s, m), a_t) ^ gf2_vec_mat(BitVector(u, k), b_t)).word
 
     def dfs(state: int, acc: int, depth: int) -> None:
         if depth > max_len:

@@ -10,7 +10,7 @@ from conftest import toy_pair_a
 from nestedtbcc.cli import main
 from nestedtbcc.encoder import load_code, save_code
 from nestedtbcc.gf2 import BitVector
-from nestedtbcc.keyagree import read_bit_lines, save_pair, write_bit_lines
+from nestedtbcc.keyagree import enroll, read_bit_lines, reconstruct, save_pair, write_bit_lines
 
 
 @pytest.fixture
@@ -121,6 +121,67 @@ def test_enroll_reconstruct_files_round_trip(tmp_path, toy_pair_file):
     assert rc == 0
     rec = read_bit_lines(str(out_path))
     assert rec == keys
+
+
+def test_enroll_reconstruct_files_match_per_word_calls(tmp_path, toy_pair_file, capsys):
+    pair = toy_pair_a()
+    rng = np.random.default_rng(10)
+    xs = [BitVector.from_bits(rng.integers(0, 2, pair.N).tolist()) for _ in range(7)]
+    ys = [x ^ BitVector.from_bits((rng.random(pair.N) < 0.1).astype(int).tolist()) for x in xs]
+    recs = [enroll(pair, x) for x in xs]
+    x_path, y_path = tmp_path / "x.txt", tmp_path / "y.txt"
+    write_bit_lines(str(x_path), xs)
+    write_bit_lines(str(y_path), ys)
+
+    key_path, helper_path = tmp_path / "key.txt", tmp_path / "helper.txt"
+    capsys.readouterr()
+    assert main(["enroll", "--pair", toy_pair_file, "--x", str(x_path),
+                 "--out-key", str(key_path), "--out-helper", str(helper_path)]) == 0
+    assert capsys.readouterr().err == "".join(f"distortion {r.distortion:.6g}\n" for r in recs)
+    assert read_bit_lines(str(key_path)) == [r.secret_key for r in recs]
+    assert read_bit_lines(str(helper_path)) == [r.helper_data for r in recs]
+
+    out_path = tmp_path / "rec.txt"
+    assert main(["reconstruct", "--pair", toy_pair_file, "--y", str(y_path),
+                 "--helper", str(helper_path), "--out-key", str(out_path)]) == 0
+    assert read_bit_lines(str(out_path)) == [
+        reconstruct(pair, y, r.helper_data) for y, r in zip(ys, recs)
+    ]
+
+
+def test_enroll_reconstruct_empty_files(tmp_path, toy_pair_file):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    key_path, helper_path = tmp_path / "key.txt", tmp_path / "helper.txt"
+    assert main(["enroll", "--pair", toy_pair_file, "--x", str(empty),
+                 "--out-key", str(key_path), "--out-helper", str(helper_path)]) == 0
+    assert key_path.read_text() == "" and helper_path.read_text() == ""
+    out_path = tmp_path / "rec.txt"
+    assert main(["reconstruct", "--pair", toy_pair_file, "--y", str(empty),
+                 "--helper", str(empty), "--out-key", str(out_path)]) == 0
+    assert out_path.read_text() == ""
+
+
+@pytest.mark.parametrize("cmd, lines, message", [
+    ("enroll", {"x": ["0" * 12, "1" * 11]}, "identifier length 11 != N=12"),
+    ("reconstruct", {"y": ["0" * 12, "1" * 11], "helper": ["0" * 4, "1" * 4]},
+     "measurement length 11 != N=12"),
+    ("reconstruct", {"y": ["0" * 12, "1" * 12], "helper": ["0" * 4, "1" * 3]},
+     "helper length 3 != K_vq - K_fec = 4"),
+])
+def test_ragged_bit_file_exit_code(tmp_path, toy_pair_file, cmd, lines, message):
+    argv = [cmd, "--pair", toy_pair_file, "--out-key", str(tmp_path / "k.txt")]
+    if cmd == "enroll":
+        argv += ["--out-helper", str(tmp_path / "w.txt")]
+    for name, rows in lines.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(r + "\n" for r in rows))
+        argv += [f"--{name}", str(path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestedtbcc.cli", *argv], capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_evaluate_cli(tmp_path, toy_pair_file):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import all_messages, bits, codeword_set, random_code, random_spec
+from encoder_reference import encode_reference, message_to_inputs
+from nestedtbcc import encoder, keyagree
 from nestedtbcc.encoder import (
     EncoderSpec,
     EncoderSpecError,
@@ -20,7 +22,8 @@ from nestedtbcc.encoder import (
     step,
 )
 from nestedtbcc.gf2 import BitMatrix, BitVector, sample_uniform_matrix
-from nestedtbcc.trellis import weight_enumerator
+from nestedtbcc.keyagree import NestedCodePair
+from nestedtbcc.trellis import build_trellis, free_distance, weight_enumerator
 
 
 def test_step_examples():
@@ -47,22 +50,69 @@ def test_encode_tailbiting_examples(unit_toy):
 
 
 def test_tailbiting_state_closes():
-    # replaying the encoder from the wrap state must end where it started
+    # clocking step over the sections from the wrap state must end where it
+    # started and emit the codeword
     rng = np.random.default_rng(3)
     for _ in range(10):
         code = random_code(rng, m=3, k=2, n=2, ell=5, freeze_prob=0.3)
-        msg = BitVector.from_bits(rng.integers(0, 2, code.K).tolist())
-        cw = encode_tailbiting(code, msg)
-        from nestedtbcc.encoder import _run, message_to_inputs
+        msg = rng.integers(0, 2, code.K)
+        cw = encode_tailbiting(code, BitVector.from_bits(msg.tolist()))
+        u_vecs = [BitVector(u, code.spec.k) for u in message_to_inputs(code, msg)]
 
-        u_ints = message_to_inputs(code, msg)
-        _, wrap = _run(code.spec, 0, u_ints)
-        outs, end = _run(code.spec, wrap, u_ints)
-        assert end == wrap
+        s = BitVector.zeros(code.spec.m)
+        for u in u_vecs:
+            _, s = step(code.spec, s, u)
+        wrap = s
+        outs = []
+        for u in u_vecs:
+            c, s = step(code.spec, s, u)
+            outs.append(c)
+        assert s == wrap
         word = 0
         for t, c in enumerate(outs):
-            word |= c << (t * code.spec.n)
+            word |= c.word << (t * code.spec.n)
         assert BitVector(word, code.N) == cw
+
+
+@pytest.mark.parametrize("B", [0, 1, 37])
+def test_matches_reference_encoder(B):
+    rng = np.random.default_rng(41 + B)
+    for m in range(1, 7):
+        for k in range(1, 4):
+            # ell == m: pass 1 covers every section
+            for ell in (m, m + int(rng.integers(1, 12))):
+                code = random_code(rng, m, k, int(rng.integers(1, 4)), ell, freeze_prob=0.4)
+                msgs = rng.integers(0, 2, (B, code.K), dtype=np.uint8)
+                got = encode_many(code, msgs)
+                assert got.dtype == np.uint8 and got.shape == (B, code.N)
+                assert np.array_equal(got, encode_reference(code, msgs))
+
+
+def test_encode_many_checks_the_wrap(monkeypatch):
+    # a state map that is not a shift never forgets its start state
+    code = TailbitingCode.unfrozen(EncoderSpec.rate_one_over_n(BitMatrix.from_rows([[1, 1]])), 3)
+    _, out_int = encoder._transitions(code.spec)
+    rotate = np.tile((np.arange(4)[:, None] + 1) % 4, (1, 2))
+    monkeypatch.setattr(encoder, "_transitions", lambda spec: (rotate, out_int))
+    with pytest.raises(AssertionError, match="end state differs"):
+        encode_many(code, np.zeros((2, code.K), dtype=np.uint8))
+
+
+def test_code_keyed_caches_are_bounded():
+    rng = np.random.default_rng(43)
+    codes = set()
+    while len(codes) < 100:
+        codes.add(random_code(rng, m=3, k=2, n=3, ell=4))
+    for code in codes:
+        free_distance(code.spec)
+        build_trellis(code)
+        encode_many(code, np.zeros((1, code.K), dtype=np.uint8))
+        pair = NestedCodePair(code)
+        pair.split_message(BitVector.zeros(code.K))
+        pair.fec_code
+    for cache in (encoder._transitions, encoder._layout, encoder._input_index,
+                  build_trellis, keyagree._fec_code, keyagree._role_indices):
+        assert 0 < cache.cache_info().currsize <= 64
 
 
 def test_linearity_exhaustive():

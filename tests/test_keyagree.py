@@ -221,6 +221,34 @@ def test_cs_model_round_trip_and_pad_semantics():
         assert (reconstruct_cs(pair, x, rec_flip) ^ s_prime).to_tuple() == (1, 0, 0, 0)
 
 
+def test_batch_functions_reject_wrong_shapes():
+    pair = toy_pair_a()
+    x = np.zeros((5, pair.N), dtype=np.uint8)
+    w = np.zeros((5, pair.K_vq - pair.K_fec), dtype=np.uint8)
+    with pytest.raises(ValueError, match=r"identifier bits must be \[B, N=12\]"):
+        enroll_many(pair, x[0])
+    with pytest.raises(ValueError, match="identifier length 11 != N=12"):
+        enroll_many(pair, x[:, 1:])
+    with pytest.raises(ValueError, match=r"measurement bits must be \[B, N=12\]"):
+        reconstruct_many(pair, x[0], w)
+    with pytest.raises(ValueError, match="measurement length 13 != N=12"):
+        reconstruct_many(pair, np.zeros((5, 13), dtype=np.uint8), w)
+    with pytest.raises(ValueError, match="helper bits must be"):
+        reconstruct_many(pair, x, w[0])
+    with pytest.raises(ValueError, match="helper length 3 != K_vq - K_fec = 4"):
+        reconstruct_many(pair, x, w[:, 1:])
+    # one helper row is not broadcast over five measurements
+    with pytest.raises(ValueError, match="5 measurements but 1 helper rows"):
+        reconstruct_many(pair, x, w[:1])
+    # the single-word wrappers keep their messages
+    with pytest.raises(ValueError, match="identifier length 11 != N=12"):
+        enroll(pair, BitVector.zeros(11))
+    with pytest.raises(ValueError, match="measurement length 11 != N=12"):
+        reconstruct(pair, BitVector.zeros(11), BitVector.zeros(4))
+    with pytest.raises(ValueError, match="helper length 5 != K_vq - K_fec = 4"):
+        reconstruct(pair, BitVector.zeros(12), BitVector.zeros(5))
+
+
 def test_rate_accounting():
     pair = toy_pair_c()
     rec = enroll(pair, BitVector.zeros(pair.N))

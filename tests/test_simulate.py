@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -116,6 +117,24 @@ def test_fer_early_stop_is_exact(repetition_toy):
         errs.extend((res.msg_bits != msgs).any(axis=1).tolist())
         i += 1
     assert sum(errs[: rep.trials]) == 25 and errs[rep.trials - 1]
+
+
+def test_distortion_deterministic_across_workers():
+    code = toy_pair_a().vq_code
+    trials = 2 * CHUNK + 5
+    a = simulate_distortion(code, trials=trials, seed=14, workers=1)
+    b = simulate_distortion(code, trials=trials, seed=14, workers=3)
+    assert a.trials == trials
+    assert dataclasses.replace(a, wallclock=0.0) == dataclasses.replace(b, wallclock=0.0)
+    # chunk i draws from stream (seed, STREAM_DISTORTION, i)
+    from nestedtbcc.simulate import STREAM_DISTORTION
+
+    tr = build_trellis(code)
+    dist = []
+    for i, count in enumerate((CHUNK, CHUNK, 5)):
+        x = (chunk_rng(seed_key(14), STREAM_DISTORTION, i).random((count, code.N)) < 0.5)
+        dist.append(wava_decode_many(tr, x.astype(np.uint8)).distance / code.N)
+    assert a.event_count == float(np.concatenate(dist).sum())
 
 
 def test_distortion_rate_one_code_is_zero():

@@ -1,6 +1,7 @@
 """Reference WAVA decoder: the row-major implementation that the packed-key
 kernel in ``nestedtbcc.wava`` replaced, kept unchanged (apart from taking V
-directly) as a test oracle.
+directly and reading the input layout from ``encoder._layout``) as a test
+oracle.
 
 Metrics are batch-major ``[B, S]``; each section builds ``[B, S, A]``
 candidates and takes ``argmin`` over the edge axis (first minimum, i.e. the
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from nestedtbcc.encoder import _layout
 from nestedtbcc.wava import BatchDecodeResult
 
 _LARGE = 1 << 40
@@ -212,8 +214,9 @@ def reference_decode_many(trellis, r_bits: np.ndarray, V: int = 4) -> BatchDecod
         raise AssertionError("survivor metric disagrees with recomputed distance")
 
     msg_bits = np.zeros((B, trellis.K), dtype=np.uint8)
+    positions, offsets = _layout(trellis.code)
     for t in range(trellis.ell):
-        off = trellis.offsets[t]
-        for jj, pos in enumerate(trellis.positions[t]):
+        off = offsets[t]
+        for jj, pos in enumerate(positions[t]):
             msg_bits[:, off + jj] = ((best_u[:, t] >> pos) & 1).astype(np.uint8)
     return BatchDecodeResult(msg_bits, cw_bits, dist, iterations, converged)
