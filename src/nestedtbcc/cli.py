@@ -83,15 +83,15 @@ def _wava(args) -> WavaConfig:
     return WavaConfig(max_iterations=args.v)
 
 
-def _add_common(p, stop=False, v=False):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+def _add_common(p, stop=False, sim=False):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     if stop:
         p.add_argument("--max-trials", type=int, default=10_000_000)
         p.add_argument("--target-errors", type=int, default=50)
-    if v:
+    if sim:  # Monte Carlo subcommands
         p.add_argument("--v", type=int, default=4, help="max WAVA iterations")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--workers", type=int, default=1)
 
 
 def cmd_design_fec(args) -> int:
@@ -170,6 +170,8 @@ def _load_spectrum_csv(path: str) -> WeightSpectrum:
     coeffs: dict[int, int] = {}
     with open(path, newline="") as fh:
         for r in csv.DictReader(fh):
+            if r.get("d") is None or r.get("A_d") is None:
+                raise ValueError(f"{path}: row {r} lacks a d or A_d field")
             coeffs[int(r["d"])] = int(r["A_d"])
     if not coeffs:
         raise ValueError(f"{path}: empty spectrum")
@@ -297,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-pb", type=float, required=True)
     p.add_argument("--wmax", type=int, default=1000)
     p.add_argument("--dmax", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(fn=cmd_design_fec)
 
@@ -304,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True, help="parent code JSON")
     p.add_argument("--kvq", type=int, required=True)
     p.add_argument("--wmax", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(fn=cmd_design_vq)
 
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--wmax", type=int, default=1000)
     p.add_argument("--distortion-trials", type=int, default=4096)
-    _add_common(p, stop=True, v=True)
+    _add_common(p, stop=True, sim=True)
     p.set_defaults(fn=cmd_design_nested)
 
     p = sub.add_parser("spectrum", help="weight enumerator CSV (d, A_d)")
@@ -340,19 +344,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim-fer", help="Monte Carlo block-error rate")
     p.add_argument("--code", required=True)
     p.add_argument("--pc", type=float, required=True)
-    _add_common(p, stop=True, v=True)
+    _add_common(p, stop=True, sim=True)
     p.set_defaults(fn=cmd_sim_fer)
 
     p = sub.add_parser("sim-distortion", help="Monte Carlo quantizer distortion")
     p.add_argument("--code", required=True)
     p.add_argument("--trials", type=int, default=4096)
-    _add_common(p, v=True)
+    _add_common(p, sim=True)
     p.set_defaults(fn=cmd_sim_distortion)
 
     p = sub.add_parser("sim-e2e", help="Monte Carlo end-to-end key error rate")
     p.add_argument("--pair", required=True)
     p.add_argument("--pa", type=float, required=True)
-    _add_common(p, stop=True, v=True)
+    _add_common(p, stop=True, sim=True)
     p.set_defaults(fn=cmd_sim_e2e)
 
     p = sub.add_parser("enroll", help="enroll identifier words from a bit file")
@@ -378,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-ref", type=int, default=None,
                    help="list size for the reference polar complexity column")
     p.add_argument("--distortion-trials", type=int, default=4096)
-    _add_common(p, stop=True, v=True)
+    _add_common(p, stop=True, sim=True)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("region", help="rate-region boundary CSV")

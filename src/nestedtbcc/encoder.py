@@ -152,8 +152,8 @@ class FreezingSchedule:
         for t, fs in enumerate(self.frozen):
             if 0 in fs:
                 raise EncoderSpecError(f"input 0 frozen at t={t}; the register input stays free")
-            if any(i < 0 for i in fs):
-                raise EncoderSpecError(f"negative input index at t={t}")
+            if any(type(i) is not int or i < 1 for i in fs):
+                raise EncoderSpecError(f"input indices at t={t} must be positive integers: {fs}")
 
     @staticmethod
     def none(ell: int) -> "FreezingSchedule":
@@ -165,9 +165,6 @@ class FreezingSchedule:
 
     def effective_dim(self, k: int) -> int:
         return sum(k - len(f) for f in self.frozen)
-
-    def freeze_count(self) -> int:
-        return sum(len(f) for f in self.frozen)
 
 
 @dataclass(frozen=True)
@@ -340,11 +337,13 @@ def code_to_dict(code: TailbitingCode) -> dict:
 
 def code_from_dict(d: dict) -> TailbitingCode:
     try:
+        m, k, n, ell = (d[f] for f in ("m", "k", "n", "ell"))
+        if any(type(v) is not int for v in (m, k, n, ell)):
+            raise EncoderSpecError(f"non-integer m, k, n or ell: {m!r}, {k!r}, {n!r}, {ell!r}")
         spec = EncoderSpec.from_lists(
-            m=int(d["m"]), k=int(d["k"]), n=int(d["n"]),
-            b_tilde=d["B_tilde"], c=d["C"], d_tilde=d["D_tilde"],
+            m=m, k=k, n=n, b_tilde=d["B_tilde"], c=d["C"], d_tilde=d["D_tilde"],
         )
-        schedule = FreezingSchedule.from_lists(int(d["ell"]), d["frozen"])
+        schedule = FreezingSchedule.from_lists(ell, d["frozen"])
         return TailbitingCode(spec, schedule)
     except EncoderSpecError:
         raise

@@ -12,11 +12,13 @@ only when the next section could pass 2^31 - 1 (then 2^62): a bound on every
 entry is multiplied by each section's out-degree and refreshed from the
 largest entry when it would pass the limit.  G is capped so that the three
 buffers fit in _BUDGET_BYTES at int64 width.
+
+free_distance relaxes one edge list of the state graph min-plus (weights to
+and from state 0) and counts detours over its edges grouped by branch weight.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -261,151 +263,85 @@ class FreeDistanceReport:
     divergent: bool = False
 
 
-def _dijkstra(S: int, relax_edges, sources: list[tuple[int, int]]) -> np.ndarray:
-    """Plain Dijkstra over states 1..S-1; sources are (state, weight) seeds."""
-    INF = np.iinfo(np.int64).max
-    dist = np.full(S, INF, dtype=np.int64)
-    heap = []
-    for s, w in sources:
-        if w < dist[s]:
-            dist[s] = w
-            heapq.heappush(heap, (w, s))
-    while heap:
-        w, s = heapq.heappop(heap)
-        if w > dist[s]:
-            continue
-        for t, we in relax_edges(s):
-            nw = w + we
-            if nw < dist[t]:
-                dist[t] = nw
-                heapq.heappush(heap, (nw, int(t)))
-    return dist
+def _relax(dist: np.ndarray, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> None:
+    """Min-plus Bellman-Ford in place: dist[dst] = min(dist[dst], dist[src] + w)
+    over every edge, repeated until no entry changes (weights are >= 0)."""
+    while True:
+        prev = dist.copy()
+        np.minimum.at(dist, dst, dist[src] + w)
+        if np.array_equal(dist, prev):
+            return
 
 
 def free_distance(spec: EncoderSpec) -> FreeDistanceReport:
     """Exact d_free and A_free by weight-bounded search over the state graph."""
-    nxt, out_int = _transitions(spec)
-    out_w = np.bitwise_count(out_int).astype(np.int64)
-    S = 1 << spec.m
-    nu = 1 << spec.k
-
     if spec.C.is_zero() and spec.D_tilde.is_zero():
         return FreeDistanceReport(0, None, degenerate=True)
+    nxt, out_int = _transitions(spec)
+    out_w = np.bitwise_count(out_int).astype(np.int64)
+    S, nu = 1 << spec.m, 1 << spec.k
 
-    # forward pass: cheapest way to reach each nonzero state after leaving 0
-    seeds = []
-    direct = []  # single-edge detours 0 -> 0 with u != 0
-    for u in range(1, nu):
-        t, w = int(nxt[0, u]), int(out_w[0, u])
-        if t == 0:
-            direct.append(w)
-        else:
-            seeds.append((t, w))
+    # leaving state 0 by a nonzero input: a one-edge detour or a seed
+    t0, w0 = nxt[0, 1:], out_w[0, 1:]
+    direct, seed_dst, seed_w = w0[t0 == 0], t0[t0 != 0], w0[t0 != 0]
+    # every edge out of a nonzero state, split into inner and return edges
+    src = np.repeat(np.arange(1, S, dtype=np.int64), nu)
+    dst, w = nxt[1:].ravel(), out_w[1:].ravel()
+    inner = dst != 0
+    src_in, dst_in, w_in = src[inner], dst[inner], w[inner]
+    ret_src, ret_w = src[~inner], w[~inner]
 
-    def fwd_edges(s: int):
-        for u in range(nu):
-            t = int(nxt[s, u])
-            if t != 0:
-                yield t, int(out_w[s, u])
-
-    dist_from = _dijkstra(S, fwd_edges, seeds)
-
-    # backward pass: cheapest completion from each nonzero state back to 0
-    radj: list[list[tuple[int, int]]] = [[] for _ in range(S)]
-    for s in range(1, S):
-        for u in range(nu):
-            radj[int(nxt[s, u])].append((s, int(out_w[s, u])))
-
-    def bwd_edges(s: int):
-        for p, we in radj[s]:
-            yield p, we
-
-    dist_to = _dijkstra(S, bwd_edges, [(p, w) for p, w in radj[0]])
-
-    INF = np.iinfo(np.int64).max
-    best = min(direct, default=INF)
-    for s in range(1, S):
-        if dist_from[s] < INF and dist_to[s] < INF:
-            best = min(best, int(dist_from[s] + dist_to[s]))
-    d_free = int(best)
+    # cheapest way to reach each nonzero state after leaving 0, and cheapest
+    # completion from it back to 0; unreached states keep INF (INF + INF fits)
+    INF = np.iinfo(np.int64).max // 2
+    dist_from = np.full(S, INF, dtype=np.int64)
+    np.minimum.at(dist_from, seed_dst, seed_w)
+    _relax(dist_from, src_in, dst_in, w_in)
+    dist_to = np.full(S, INF, dtype=np.int64)
+    np.minimum.at(dist_to, ret_src, ret_w)
+    _relax(dist_to, dst_in, src_in, w_in)
+    through = dist_from + dist_to
+    d_free = int(min(direct.min(initial=INF), through.min()))
     if d_free == 0:
         return FreeDistanceReport(0, None, degenerate=True)
 
     # a zero-weight cycle on a minimal detour makes A_free infinite
-    zr, zc = [], []
-    zero_self = np.zeros(S, dtype=bool)
-    for s in range(1, S):
-        for u in range(nu):
-            t = int(nxt[s, u])
-            if t != 0 and out_w[s, u] == 0:
-                if t == s:
-                    zero_self[s] = True
-                zr.append(s)
-                zc.append(t)
-    if zr:
+    zero = w_in == 0
+    if zero.any():
+        zr, zc = src_in[zero], dst_in[zero]
         g = csr_matrix((np.ones(len(zr), dtype=np.int8), (zr, zc)), shape=(S, S))
         ncomp, labels = connected_components(g, directed=True, connection="strong")
-        sizes = np.bincount(labels, minlength=ncomp)
-        on_cycle = zero_self | (sizes[labels] >= 2)
+        on_cycle = np.bincount(labels, minlength=ncomp)[labels] >= 2
+        on_cycle[zr[zr == zc]] = True
         on_cycle[0] = False
-        z = np.flatnonzero(on_cycle)
-        if len(z) and np.any(
-            (dist_from[z] < INF) & (dist_to[z] < INF)
-            & (dist_from[z] + dist_to[z] <= d_free)
-        ):
+        if np.any(on_cycle & (through <= d_free)):
             return FreeDistanceReport(d_free, None, divergent=True)
 
     # count minimal first-return detours with a (state, weight)-bounded DP;
     # mass that cannot complete within the remaining budget is pruned, which
     # both keeps the count exact and guarantees the frontier dies out
     W = d_free
-    wrange = np.arange(W + 1, dtype=np.int64)
-    can_finish = dist_to[:, None] <= (W - wrange)[None, :]
+    can_finish = dist_to[:, None] <= W - np.arange(W + 1)
     f = np.zeros((S, W + 1), dtype=np.int64)
-    a_free = sum(1 for w in direct if w == d_free)
-    for t, w in seeds:
-        if w <= W:
-            f[t, w] += 1
+    ok = seed_w <= W
+    np.add.at(f, (seed_dst[ok], seed_w[ok]), 1)
     f *= can_finish
-    # pre-group inner edges by (input, branch weight) and completion edges
-    inner_groups = []
-    comp_src = []
-    comp_rem = []
-    for u in range(nu):
-        s_all = np.arange(1, S, dtype=np.int64)
-        to = nxt[s_all, u]
-        w = out_w[s_all, u]
-        done = to == 0
-        rem = W - w[done]
-        ok = rem >= 0
-        comp_src.append(s_all[done][ok])
-        comp_rem.append(rem[ok])
-        s_in = s_all[~done]
-        w_in = w[~done]
-        for wv in np.unique(w_in):
-            wv = int(wv)
-            sel = s_in[w_in == wv]
-            inner_groups.append((wv, sel, nxt[sel, u]))
-    comp_src = np.concatenate(comp_src) if comp_src else np.empty(0, dtype=np.int64)
-    comp_rem = np.concatenate(comp_rem) if comp_rem else np.empty(0, dtype=np.int64)
-    max_steps = S * (W + 1) + 2
-    for _ in range(max_steps):
+    a_free = int(np.count_nonzero(direct == W))
+    ok = ret_w <= W
+    ret_src, ret_col = ret_src[ok], W - ret_w[ok]
+    # inner edges grouped by branch weight (at most n + 1 groups)
+    groups = [(v, src_in[w_in == v], dst_in[w_in == v]) for v in range(min(W, spec.n) + 1)]
+    for _ in range(S * (W + 1) + 2):
         # completions into state 0 at exact weight d_free
-        if len(comp_src):
-            a_free += int(f[comp_src, comp_rem].sum())
+        a_free += int(f[ret_src, ret_col].sum())
         if not f.any():
             break
         fn = np.zeros_like(f)
-        for wv, sel, dst in inner_groups:
-            if wv > W:
-                continue
-            if wv:
-                np.add.at(fn[:, wv:], dst, f[sel, : W + 1 - wv])
-            else:
-                np.add.at(fn, dst, f[sel])
+        for v, s, t in groups:
+            np.add.at(fn[:, v:], t, f[s, : W + 1 - v])
         f = fn * can_finish
         if f.max(initial=0) > _OVERFLOW_GUARD // nu:
             raise RuntimeError("detour count exceeds the int64 budget")
     else:
         raise AssertionError("detour DP failed to terminate")
-    return FreeDistanceReport(d_free, int(a_free))
+    return FreeDistanceReport(d_free, a_free)

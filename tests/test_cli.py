@@ -1,12 +1,17 @@
+import argparse
 import csv
+import inspect
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import toy_pair_a
+from nestedtbcc import cli
 from nestedtbcc.cli import main
 from nestedtbcc.encoder import load_code, save_code
 from nestedtbcc.gf2 import BitVector
@@ -229,6 +234,7 @@ def test_invalid_input_exit_code(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("m", None), ("C", None), ("B_tilde", 3), ("frozen", [["a"]] * 4),
+    ("frozen", [[1.5]] * 4), ("m", 2.7),
 ])
 def test_malformed_code_and_pair_json_exit_code(tmp_path, toy_pair_file, field, value):
     d = json.loads((tmp_path / "pair.json").read_text())
@@ -303,3 +309,141 @@ def test_design_nested_cli_smoke(tmp_path):
 
     pair = load_pair(str(out))
     assert pair.K_vq > pair.K_fec == 8
+
+
+def test_every_option_reaches_its_handler():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    helpers = {"_stop(args)": cli._stop, "_wava(args)": cli._wava}
+    for name, p in sub.choices.items():
+        src = inspect.getsource(p.get_default("fn"))
+        src += "".join(inspect.getsource(h) for call, h in helpers.items() if call in src)
+        for action in p._actions:
+            if action.dest != "help":
+                assert f"args.{action.dest}" in src, (name, action.option_strings)
+
+
+def test_unread_option_is_rejected(tmp_path):
+    code_path = tmp_path / "code.json"
+    save_code(toy_pair_a().fec_code, str(code_path))
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--code", str(code_path), "--workers", "2"])
+    assert exc.value.code == 2
+
+
+def test_spectrum_csv_row_without_a_field_exit_code(tmp_path, capsys):
+    path = tmp_path / "spectrum.csv"
+    path.write_text("d,A_d\n0,1\n3\n")
+    assert main(["bound", "--spectrum", str(path), "--pc", "0.1"]) == 2
+    assert "lacks a d or A_d field" in capsys.readouterr().err
+
+
+# Fuzzing the file readers: every call returns 0 or 2 and raises nothing.
+# Generated codes keep m, k, n <= 4 and ell <= 8, so no trellis is large.
+
+_FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats(-2, 8) | st.text(max_size=2),
+    lambda c: st.lists(c, max_size=4) | st.dictionaries(st.text(max_size=2), c, max_size=2),
+    max_leaves=6,
+)
+
+
+def _mutate(draw, value):
+    """Replace `value`, or one element at some depth inside it, by any JSON value."""
+    if isinstance(value, list) and value and draw(st.booleans()):
+        i = draw(st.integers(0, len(value) - 1))
+        value[i] = _mutate(draw, value[i])
+        return value
+    return draw(_json)
+
+
+@st.composite
+def _code_dicts(draw):
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+    ell = draw(st.integers(m, 8))
+
+    def bits(rows, cols):
+        return [[draw(st.integers(0, 1)) for _ in range(cols)] for _ in range(rows)]
+
+    d = {
+        "m": m, "k": k, "n": n, "B_tilde": bits(m, k - 1), "C": bits(n, m),
+        "D_tilde": bits(n, k - 1), "ell": ell,
+        "frozen": [sorted(draw(st.sets(st.integers(1, k - 1)))) if k > 1 else []
+                   for _ in range(ell)],
+        "provenance": {},
+    }
+    key = draw(st.sampled_from(sorted(d)))
+    action = draw(st.sampled_from(["keep", "delete", "mutate"]))
+    if action == "delete":
+        del d[key]
+    elif action == "mutate":
+        d[key] = _mutate(draw, d[key])
+    return d, ell * n
+
+
+def _assert_exit_0_or_2(argv):
+    assert main(argv) in (0, 2), argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    save_pair(toy_pair_a(), str(path / "pair.json"))
+    return path
+
+
+@_FUZZ
+@given(code=_code_dicts(), x=st.lists(st.integers(0, 1), min_size=32, max_size=32))
+def test_fuzz_code_and_pair_json(fuzz_dir, code, x):
+    d, n_block = code  # n_block: the block length before the mutation
+    bad = fuzz_dir / "code.json"
+    bad.write_text(json.dumps(d))
+    x_path = fuzz_dir / "x.txt"
+    x_path.write_text("".join(map(str, x[:n_block])) + "\n")
+    out = str(fuzz_dir / "out")
+    _assert_exit_0_or_2(["dfree", "--code", str(bad), "--out", out])
+    _assert_exit_0_or_2(["spectrum", "--code", str(bad), "--out", out])
+    _assert_exit_0_or_2(["enroll", "--pair", str(bad), "--x", str(x_path),
+                         "--out-key", out, "--out-helper", out + ".w"])
+
+
+_cell = st.integers(-3, 40).map(str) | st.text(alphabet="0123456789-.,xe \"\n", max_size=4)
+
+
+@_FUZZ
+@given(
+    header=st.sampled_from([["d", "A_d"], ["A_d", "d"], ["d"], ["x", "A_d"], []]),
+    rows=st.lists(st.lists(_cell, max_size=3), max_size=5),
+    raw=st.none() | st.binary(max_size=24),
+)
+def test_fuzz_spectrum_csv(fuzz_dir, header, rows, raw):
+    path = fuzz_dir / "spectrum.csv"
+    if raw is None:
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+    else:
+        path.write_bytes(raw)
+    _assert_exit_0_or_2(["bound", "--spectrum", str(path), "--pc", "0.1",
+                         "--out", str(fuzz_dir / "out")])
+
+
+_lines = st.lists(
+    st.text("01", min_size=12, max_size=12) | st.text("01", min_size=4, max_size=4)
+    | st.text(st.characters(codec="utf-8"), max_size=14),
+    max_size=3,
+).map(lambda ls: "".join(line + "\n" for line in ls).encode())
+
+
+@_FUZZ
+@given(x=_lines | st.binary(max_size=30), y=_lines, w=_lines)
+def test_fuzz_bit_files(fuzz_dir, x, y, w):
+    paths = {}
+    for name, content in (("x", x), ("y", y), ("w", w)):
+        paths[name] = fuzz_dir / f"{name}.txt"
+        paths[name].write_bytes(content)
+    pair, out = str(fuzz_dir / "pair.json"), str(fuzz_dir / "out")
+    _assert_exit_0_or_2(["enroll", "--pair", pair, "--x", str(paths["x"]),
+                         "--out-key", out, "--out-helper", out + ".w"])
+    _assert_exit_0_or_2(["reconstruct", "--pair", pair, "--y", str(paths["y"]),
+                         "--helper", str(paths["w"]), "--out-key", out])

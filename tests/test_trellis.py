@@ -18,7 +18,8 @@ from nestedtbcc.encoder import (
     encode_many,
 )
 from nestedtbcc.gf2 import BitMatrix
-from nestedtbcc.trellis import build_trellis, free_distance, weight_enumerator
+from nestedtbcc.trellis import FreeDistanceReport, build_trellis, free_distance, weight_enumerator
+from free_distance_reference import reference_free_distance
 from spectrum_reference import reference_weight_enumerator
 
 
@@ -221,6 +222,11 @@ def test_free_distance_examples():
     rep2 = free_distance(spec2)
     assert (rep2.d_free, rep2.a_free) == (3, 1)
 
+    # C = (1 1): state 3 keeps output 0 on input 1, a zero-weight self-loop
+    # on the weight-2 detour 0 -> 1 -> 3 -> 2 -> 0
+    spec3 = EncoderSpec.rate_one_over_n(BitMatrix.from_rows([[1, 1]]))
+    assert free_distance(spec3) == FreeDistanceReport(2, None, divergent=True)
+
 
 def test_free_distance_degenerate_flag():
     spec = EncoderSpec(
@@ -245,6 +251,23 @@ def test_free_distance_against_dfs_oracle():
         assert (rep.d_free, rep.a_free) == (d, a)
         checked += 1
     assert checked >= 10
+
+
+def test_matches_reference_free_distance():
+    rng = np.random.default_rng(15)
+    kinds = {"ordinary": 0, "degenerate": 0, "divergent": 0}
+    for i in range(2000):
+        m, k, n = int(rng.integers(1, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        spec = random_spec(rng, m, k, n)
+        if i % 4 == 0:  # sparse taps: long detours and zero-weight cycles
+            C = BitMatrix.from_rows((rng.random((n, m)) < 0.15).astype(int).tolist(), m)
+            spec = EncoderSpec(m=m, k=k, n=n, B_tilde=spec.B_tilde, C=C,
+                               D_tilde=BitMatrix.zeros(n, k - 1))
+        got = free_distance(spec)
+        assert got == reference_free_distance(spec), spec
+        kinds["degenerate" if got.degenerate else "divergent" if got.divergent
+              else "ordinary"] += 1
+    assert min(kinds.values()) >= 100, kinds
 
 
 def test_dfree_lower_bounds_min_weight_at_long_lengths():
