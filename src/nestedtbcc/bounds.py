@@ -105,15 +105,28 @@ def union_bound_pb(spectrum: WeightSpectrum, p_c: float) -> float:
 
 
 # solve_crossover stops when the bound is within this fraction of the target,
-# or after this many bisection steps
+# or after this many bisection steps; it never returns less than the floor
 CROSSOVER_REL_TOL = 1e-3
 CROSSOVER_MAX_ITER = 200
+CROSSOVER_FLOOR = 1e-9
+
+
+def above_band(pb: float, target_pb: float) -> bool:
+    """True when a bound value lies above solve_crossover's tolerance band.
+
+    This is the comparison that moves the bisection's upper end down, so a
+    caller that reasons about where the solve can land compares the same
+    floats.
+    """
+    return pb - target_pb > CROSSOVER_REL_TOL * target_pb
 
 
 def solve_crossover(spectrum: WeightSpectrum, target_pb: float) -> float:
     """Invert the union bound: the p_c at which the bound equals target_pb.
 
-    Bisection on [1e-9, 0.5]; the bound is strictly increasing in p_c.
+    Bisection on [CROSSOVER_FLOOR, 0.5]; the bound is strictly increasing in
+    p_c.  Returns CROSSOVER_FLOOR when the bound there already reaches the
+    target, and the lower end of the bracket if the band is never hit.
     """
     if target_pb <= 0.0:
         raise ValueError(f"target must be positive, got {target_pb}")
@@ -124,20 +137,19 @@ def solve_crossover(spectrum: WeightSpectrum, target_pb: float) -> float:
         raise ValueError(
             f"target {target_pb} unreachable: bound at p=0.5 is {top}"
         )
-    lo, hi = 1e-9, 0.5
+    lo, hi = CROSSOVER_FLOOR, 0.5
     if union_bound_pb(spectrum, lo) >= target_pb:
         return lo
-    mid = 0.5 * (lo + hi)
     for _ in range(CROSSOVER_MAX_ITER):
         mid = 0.5 * (lo + hi)
         val = union_bound_pb(spectrum, mid)
-        if abs(val - target_pb) <= CROSSOVER_REL_TOL * target_pb:
-            return mid
-        if val < target_pb:
+        if above_band(val, target_pb):
+            hi = mid
+        elif target_pb - val > CROSSOVER_REL_TOL * target_pb:
             lo = mid
         else:
-            hi = mid
-    return mid
+            return mid
+    return lo
 
 
 def distortion_limit(p_c: float, p_A: float) -> float:

@@ -105,6 +105,7 @@ def cmd_design_fec(args) -> int:
         "seed": args.seed, "w_max": args.wmax, "target_pb": args.target_pb,
         "p_c_union_bound": res.p_c, "p_c_recheck": res.p_c_recheck,
         "recheck_moved": res.recheck_moved, "skipped_candidates": res.skipped,
+        "pruned_candidates": res.pruned,
         "spectrum_head": dict(res.spectrum.items()[:16]),
     }
     _write_json(args.out, out)
@@ -172,7 +173,10 @@ def _load_spectrum_csv(path: str) -> WeightSpectrum:
         for r in csv.DictReader(fh):
             if r.get("d") is None or r.get("A_d") is None:
                 raise ValueError(f"{path}: row {r} lacks a d or A_d field")
-            coeffs[int(r["d"])] = int(r["A_d"])
+            d, a_d = int(r["d"]), int(r["A_d"])
+            if d < 0 or a_d <= 0:
+                raise ValueError(f"{path}: row {r} needs d >= 0 and A_d > 0")
+            coeffs[d] = a_d
     if not coeffs:
         raise ValueError(f"{path}: empty spectrum")
     d_max = max(coeffs)

@@ -9,6 +9,32 @@ toward the smaller multiplicity.  The nested procedure chains stage 1, a
 Monte Carlo crossover calibration, and incremental stage-2 extensions until
 the measured distortion fits the budget (p_c - p_A)/(1 - 2 p_A), then prunes
 rate by freezing time steps of the last added input.
+
+Stage 1 prunes candidates that cannot win, and picks the same winner as the
+unpruned search.  Once an incumbent with crossover p_inc exists, a candidate
+is first enumerated only up to a third of the truncation weight.  It is
+rejected, without the full enumeration and without a solve, when the union
+bound of that short spectrum at p_inc lies above solve_crossover's tolerance
+band (bounds.above_band) by a margin of PRUNE_MARGIN.  This is exact:
+
+- the short spectrum is exact up to its weight, so its union-bound terms are
+  a prefix of the full spectrum's (the same floats, summed by a correctly
+  rounded fsum), and the full bound is at least the short one at every p;
+- the bound does not decrease in p, so the full bound lies above the band at
+  every bisection probe at or above p_inc (the margin covers the rounding of
+  the log/exp evaluation between probes), each such probe moves the upper
+  end of the bracket down, and the solve returns a value below p_inc: a
+  probe below it, or the lower end of the bracket when the iterations run
+  out, or the floor CROSSOVER_FLOOR;
+- the same bound at p = 0.5 rules out the solve's 0.5 and "unreachable"
+  exits, and a candidate strictly below p_inc loses under ">=".
+
+No pruning happens while p_inc is the floor itself: a candidate whose bound
+reaches the target there also solves to the floor, ties, and wins.  A short
+spectrum with A_0 != 1 already shows the candidate degenerate (A_0 is exact
+at any truncation); one with no nonzero weight proves nothing and goes to the
+full enumeration.  Candidates that survive are enumerated and solved exactly
+as without pruning.
 """
 
 from __future__ import annotations
@@ -19,7 +45,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import distortion_limit, solve_crossover
+from .bounds import (
+    CROSSOVER_FLOOR,
+    above_band,
+    distortion_limit,
+    solve_crossover,
+    union_bound_pb,
+)
 from .encoder import (
     EncoderSpec,
     FreezingSchedule,
@@ -84,27 +116,65 @@ class FecSearchConfig:
 
 @dataclass(frozen=True)
 class FecSearchResult:
+    """Winner of the subcode search.
+
+    candidate_log holds (w, p_c) for every candidate w in draw order: the
+    solved crossover for a scored candidate, None for a skipped (degenerate)
+    one and -inf for a pruned one, whose crossover is below the incumbent's
+    at its turn.  skipped + pruned + scored = w_max.
+    """
+
     C: BitMatrix
     p_c: float
     spectrum: WeightSpectrum
     code: TailbitingCode
     candidate_log: tuple[tuple[int, float | None], ...]
     skipped: int
+    pruned: int
     p_c_recheck: float
     recheck_moved: bool
 
 
+# A short bound must clear the band top by this relative margin before it
+# prunes: far more than the relative rounding error of union_bound_pb
+# (about 1e-12), so the full bound stays above the band at every larger probe.
+PRUNE_MARGIN = 1e-6
+
+
+def _loses(short: WeightSpectrum, p_inc: float, target_pb: float) -> bool:
+    """True when the short spectrum proves a crossover below p_inc."""
+    if short.d_min() is None:
+        return False
+    pb = union_bound_pb(short, p_inc)
+    return above_band(pb * (1.0 - PRUNE_MARGIN), target_pb)
+
+
 def search_fec(cfg: FecSearchConfig) -> FecSearchResult:
-    """Random search for the observation matrix of a rate-1/n subcode."""
+    """Random search for the observation matrix of a rate-1/n subcode.
+
+    Candidates that provably lose are pruned (see the module docstring).
+    """
     key = seed_key(cfg.seed)
+    d_short = cfg.truncation // 3
     best_pc = -1.0
     best: tuple[BitMatrix, WeightSpectrum, TailbitingCode] | None = None
     log: list[tuple[int, float | None]] = []
-    skipped = 0
+    skipped = pruned = 0
     for w in range(1, cfg.w_max + 1):
         c_mat = sample_uniform_matrix(cfg.n, cfg.m, key + (STREAM_FEC_CAND, w))
         spec = EncoderSpec.rate_one_over_n(c_mat)
         code = TailbitingCode.unfrozen(spec, cfg.K_fec)
+        # no pruning at the floor: a candidate that also solves to it ties
+        if best_pc > CROSSOVER_FLOOR and d_short < cfg.truncation:
+            short = weight_enumerator(code, d_short)
+            if short.a(0) != 1:
+                log.append((w, None))
+                skipped += 1
+                continue
+            if _loses(short, best_pc, cfg.target_pb):
+                log.append((w, -math.inf))
+                pruned += 1
+                continue
         spectrum = weight_enumerator(code, cfg.truncation)
         if spectrum.a(0) != 1 or spectrum.d_min() is None:
             # non-injective (a nonzero message encodes to zero) or no
@@ -129,7 +199,9 @@ def search_fec(cfg: FecSearchConfig) -> FecSearchResult:
     if d2 > cfg.truncation:
         p2 = solve_crossover(weight_enumerator(code, d2), cfg.target_pb)
     moved = abs(p2 - best_pc) > 0.01 * best_pc
-    return FecSearchResult(c_mat, best_pc, spectrum, code, tuple(log), skipped, p2, moved)
+    return FecSearchResult(
+        c_mat, best_pc, spectrum, code, tuple(log), skipped, pruned, p2, moved
+    )
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ def test_design_fec_and_spectrum_and_dfree_and_bound(tmp_path):
     loaded = json.loads(code_path.read_text())
     assert loaded["k"] == 1 and loaded["ell"] == 8
     assert "p_c_union_bound" in loaded["provenance"]
+    prov = loaded["provenance"]
+    assert prov["skipped_candidates"] + prov["pruned_candidates"] <= 8
     code = load_code(str(code_path))
     assert code.N == 16
 
@@ -336,6 +338,24 @@ def test_spectrum_csv_row_without_a_field_exit_code(tmp_path, capsys):
     path.write_text("d,A_d\n0,1\n3\n")
     assert main(["bound", "--spectrum", str(path), "--pc", "0.1"]) == 2
     assert "lacks a d or A_d field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["-2,3", "3,0", "3,-1"])
+def test_spectrum_csv_row_out_of_range_exit_code(tmp_path, row):
+    # a negative weight used to be dropped silently, a count of 0 or less
+    # ended in a bare "math domain error"
+    path = tmp_path / "spectrum.csv"
+    path.write_text(f"d,A_d\n0,1\n{row}\n4,2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestedtbcc.cli", "bound", "--spectrum", str(path),
+         "--pc", "0.1", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    d, a_d = row.split(",")
+    assert proc.stderr.startswith("error:") and "needs d >= 0 and A_d > 0" in proc.stderr
+    assert f"'d': '{d}', 'A_d': '{a_d}'" in proc.stderr
 
 
 # Fuzzing the file readers: every call returns 0 or 2 and raises nothing.

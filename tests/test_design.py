@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import all_messages, codeword_set
-from nestedtbcc.bounds import distortion_limit, solve_crossover
+from nestedtbcc import bounds
+from nestedtbcc.bounds import CROSSOVER_FLOOR, distortion_limit, solve_crossover
 from nestedtbcc.design import (
     DesignFailure,
     FecSearchConfig,
@@ -20,6 +23,7 @@ from nestedtbcc.gf2 import sample_uniform_matrix
 from nestedtbcc.keyagree import pair_to_dict
 from nestedtbcc.simulate import STREAM_FEC_CAND, StopRule, seed_key, simulate_distortion
 from nestedtbcc.trellis import free_distance, weight_enumerator
+from search_fec_reference import reference_search_fec
 
 
 def test_search_fec_single_candidate_is_deterministic():
@@ -37,14 +41,100 @@ def test_search_fec_single_candidate_is_deterministic():
 def test_search_fec_returns_argmax_of_log():
     cfg = FecSearchConfig(n=3, m=3, K_fec=8, target_pb=1e-3, w_max=60, seed=6)
     res = search_fec(cfg)
-    scored = [p for _, p in res.candidate_log if p is not None]
+    # pruned candidates are logged as -inf and are not scored
+    scored = [p for _, p in res.candidate_log if p is not None and p != -math.inf]
     assert res.p_c == max(scored)
+    assert res.skipped + res.pruned + len(scored) == cfg.w_max
     # ties keep the last candidate: the winner index is the last argmax
     winners = [w for w, p in res.candidate_log if p == res.p_c]
     assert winners, "winner must appear in the log"
     # recompute the winner's matrix from its index and confirm it is returned
     w_last = winners[-1]
     assert res.C == sample_uniform_matrix(3, 3, seed_key(6) + (STREAM_FEC_CAND, w_last))
+
+
+def _assert_matches_reference(cfg: FecSearchConfig) -> int:
+    """Pruned search equals the unpruned oracle; returns the pruned count."""
+    res, ref = search_fec(cfg), reference_search_fec(cfg)
+    assert res.C == ref.C
+    assert res.p_c == ref.p_c
+    assert res.spectrum == ref.spectrum
+    assert res.skipped == ref.skipped
+    assert (res.p_c_recheck, res.recheck_moved) == (ref.p_c_recheck, ref.recheck_moved)
+    assert [w for w, _ in res.candidate_log] == list(range(1, cfg.w_max + 1))
+    oracle = dict(ref.candidate_log)
+    scored, incumbent = 0, -1.0
+    for w, p in res.candidate_log:
+        if p is None:
+            assert oracle[w] is None
+        elif p == -math.inf:
+            # a pruned candidate is strictly below the incumbent at its turn
+            assert oracle[w] is not None and oracle[w] < incumbent
+        else:
+            assert p == oracle[w]
+            scored += 1
+            incumbent = max(incumbent, p)
+    assert res.skipped + res.pruned + scored == cfg.w_max
+    return res.pruned
+
+
+def test_pruned_search_matches_reference():
+    rng = np.random.default_rng(2026)
+    pruned = 0
+    for i in range(24):
+        m = int(rng.integers(2, 7))
+        cfg = FecSearchConfig(
+            n=int(rng.integers(2, 4)), m=m, K_fec=int(rng.integers(m, 2 * m + 5)),
+            target_pb=float(rng.choice([1e-1, 1e-2, 1e-3])),
+            w_max=int(rng.integers(20, 61)), seed=(i, 2026),
+        )
+        pruned += _assert_matches_reference(cfg)
+    assert pruned >= 100, "pruning must fire for the comparison to mean anything"
+
+
+def test_pruned_search_matches_reference_when_bisection_runs_out(monkeypatch):
+    # three steps seldom reach the band, so most solves take the iteration
+    # exit; pruning must stay exact there too
+    monkeypatch.setattr(bounds, "CROSSOVER_MAX_ITER", 3)
+    pruned = 0
+    for seed in range(4):
+        pruned += _assert_matches_reference(FecSearchConfig(
+            n=3, m=4, K_fec=10, target_pb=1e-1, w_max=30, seed=seed,
+        ))
+    assert pruned > 0
+
+
+def test_candidate_is_not_pruned_against_its_own_crossover():
+    # an equal code ties with the incumbent and wins under ">=", so neither
+    # its short nor its full spectrum may prune it at its own crossover
+    from nestedtbcc.design import _loses
+
+    rng = np.random.default_rng(31)
+    for target in (1e-1, 1e-2, 1e-3) * 10:
+        m, n = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        cfg = FecSearchConfig(n=n, m=m, K_fec=2 * m + 2, target_pb=target, w_max=1)
+        code = TailbitingCode.unfrozen(
+            EncoderSpec.rate_one_over_n(sample_uniform_matrix(n, m, rng)), cfg.K_fec
+        )
+        full = weight_enumerator(code, cfg.truncation)
+        if full.a(0) != 1 or full.d_min() is None:
+            continue
+        p_c = solve_crossover(full, target)
+        for d in (cfg.truncation // 3, cfg.truncation):
+            assert not _loses(weight_enumerator(code, d), p_c, target)
+
+
+def test_search_fec_no_pruning_at_the_floor():
+    # at this target every candidate's bound reaches it at the bisection
+    # floor, so all scored candidates tie there and the last one wins
+    cfg = FecSearchConfig(n=3, m=3, K_fec=8, target_pb=1e-200, w_max=30, seed=6)
+    res = search_fec(cfg)
+    assert res.pruned == 0
+    scored = [(w, p) for w, p in res.candidate_log if p is not None]
+    assert len(scored) == cfg.w_max - res.skipped
+    assert all(p == CROSSOVER_FLOOR for _, p in scored)
+    assert scored[-1][0] == cfg.w_max
+    assert res.C == sample_uniform_matrix(3, 3, seed_key(6) + (STREAM_FEC_CAND, cfg.w_max))
 
 
 def test_search_fec_winner_is_injective():
