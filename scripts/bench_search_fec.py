@@ -1,8 +1,8 @@
 """Time the pruned subcode search against the unpruned reference loop.
 
-    python3 scripts/bench_search_fec.py [--runs 3] [--out BENCH_search_fec.json]
+    python3 scripts/bench_search_fec.py [--out BENCH_search_fec.json]
 
-Two points, each timed as the median of ``--runs`` runs of both searches,
+Two points, each timed as the median of ``RUNS`` runs of both searches,
 run back to back in one process with one BLAS thread:
 
 - ``criterion-9``: the acceptance design's search (n=3, m=6, K_fec=32,
@@ -39,6 +39,7 @@ import numpy  # noqa: E402
 from nestedtbcc.design import FecSearchConfig, search_fec  # noqa: E402
 from search_fec_reference import reference_search_fec  # noqa: E402
 
+RUNS = 3
 POINTS = {
     "criterion-9": [FecSearchConfig(n=3, m=6, K_fec=32, target_pb=1e-3, w_max=500, seed=2024)],
     "design-m6": [FecSearchConfig(n=3, m=6, K_fec=32, target_pb=0.1, w_max=20, seed=(7, i))
@@ -63,7 +64,7 @@ def _time(search, cfgs) -> float:
     return (time.perf_counter() - t0) / len(cfgs)
 
 
-def bench_point(cfgs: list[FecSearchConfig], runs: int) -> dict:
+def bench_point(cfgs: list[FecSearchConfig]) -> dict:
     counts = {"pruned": 0, "skipped": 0, "scored": 0}
     for cfg in cfgs:
         res, ref = search_fec(cfg), reference_search_fec(cfg)
@@ -74,7 +75,7 @@ def bench_point(cfgs: list[FecSearchConfig], runs: int) -> dict:
         counts["skipped"] += res.skipped
         counts["scored"] += sum(p is not None and p != -math.inf for _, p in res.candidate_log)
     pruned_s, reference_s = [], []
-    for _ in range(runs):
+    for _ in range(RUNS):
         pruned_s.append(_time(search_fec, cfgs))
         reference_s.append(_time(reference_search_fec, cfgs))
     cfg = cfgs[0]
@@ -93,20 +94,16 @@ def bench_point(cfgs: list[FecSearchConfig], runs: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--out", default=str(ROOT / "BENCH_search_fec.json"))
     args = ap.parse_args(argv)
-    if args.runs < 1:
-        ap.error("--runs must be at least 1")
     out = {
-        "command": "python3 scripts/bench_search_fec.py"
-                   + ("" if args.runs == 3 else f" --runs {args.runs}"),
+        "command": "python3 scripts/bench_search_fec.py",
         "machine": _machine(),
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "runs": args.runs,
-        "points": {name: bench_point(cfgs, args.runs) for name, cfgs in POINTS.items()},
+        "runs": RUNS,
+        "points": {name: bench_point(cfgs) for name, cfgs in POINTS.items()},
     }
     Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
     for name, pt in out["points"].items():

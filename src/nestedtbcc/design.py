@@ -164,8 +164,9 @@ def search_fec(cfg: FecSearchConfig) -> FecSearchResult:
         c_mat = sample_uniform_matrix(cfg.n, cfg.m, key + (STREAM_FEC_CAND, w))
         spec = EncoderSpec.rate_one_over_n(c_mat)
         code = TailbitingCode.unfrozen(spec, cfg.K_fec)
-        # no pruning at the floor: a candidate that also solves to it ties
-        if best_pc > CROSSOVER_FLOOR and d_short < cfg.truncation:
+        # no pruning at the floor: a candidate that also solves to it ties;
+        # a short spectrum without a nonzero weight cannot prune
+        if best_pc > CROSSOVER_FLOOR and d_short >= 1:
             short = weight_enumerator(code, d_short)
             if short.a(0) != 1:
                 log.append((w, None))
