@@ -20,14 +20,37 @@ Determinism rules (all ties): incoming edges are ranked by input int (the
 input tuple read little-endian) then source state; tailbiting candidates by
 block distance then end-state index.  If no candidate emerges after the last
 iteration -- or a zero-distance path exists that no candidate matched -- the
-best path constrained to start AND end at s is extracted for every state s
-and the winner (smallest distance, then smallest s) returned, so a valid
-codeword always comes back; this fallback sweeps (start state, word) columns.
+exact fallback returns the best path constrained to start AND end at the same
+state s, the winner over all s by smallest distance, then smallest s, so a
+valid codeword always comes back.
+
+Exact fallback: the constrained distance d[s] of a word is one sweep of the
+(start state s, word) column, and a two-phase search sweeps only the columns
+that can still win.  Two sweeps per word from zero start metrics bound every
+d[s] from below: fwd[s], the forward end metric at s, is the best metric of
+any path that ends at s, and h0[s], the end metric at s of a sweep over the
+out-edges from the last section back to the first, is the best metric of any
+path that starts at s.  The constrained path ends at s and starts at s, so
+LB[s] = max(fwd[s], h0[s]) <= d[s].  Columns are then swept in rounds; each
+round sweeps, per word, the columns of lowest (LB, s) that can still win,
+given (bd, bs), the best (distance, state) swept so far: one per word in the
+first round of a wide block, twice as many in each later round.  A column can
+still win while LB < bd, or LB == bd and s < bs, since a tie goes to the
+smaller s; and only while LB is below the distance of the word's candidate,
+which an equal distance does not replace.  The search ends when no such
+column is left: every unswept column then has d >= LB > bd, or d >= LB == bd
+and s > bs, so (bd, bs) is the exact winner.  A sweep's cost does not fall
+below its fixed numpy-call overhead, so the first round takes at least the
+columns a narrow sweep covers for about that cost, and a block of words
+whose columns all fit in one such sweep skips the bounds and sweeps them all
+at once.  The [S, words] bound and distance arrays are built for blocks of
+words that keep them within the byte budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,6 +60,9 @@ from .trellis import TailbitingTrellis, build_trellis
 
 _LARGE = 1 << 40
 _BUDGET_BYTES = 8 << 20
+# a section of a sweep narrower than this many keys (columns x A x S) costs
+# about as much as its fixed numpy-call overhead
+_NARROW_KEYS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -62,12 +88,13 @@ class DecodeResult:
 class BatchDecodeResult:
     """Vectorized decode output; row b corresponds to input word b."""
 
-    def __init__(self, msg_bits, cw_bits, distance, iterations, converged):
+    def __init__(self, msg_bits, cw_bits, distance, iterations, converged, fallback=None):
         self.msg_bits = msg_bits        # uint8 [B, K]
         self.cw_bits = cw_bits          # uint8 [B, N]
         self.distance = distance        # int64 [B]
         self.iterations = iterations    # int64 [B]
         self.converged = converged      # bool  [B]
+        self.fallback = fallback        # bool  [B]: the row reached the exact search
 
 
 def _bits_to_section_ints(bits: np.ndarray, n: int) -> np.ndarray:
@@ -86,13 +113,13 @@ def _ints_to_bits(ints: np.ndarray, n: int) -> np.ndarray:
     return bits
 
 
-class _Kernel:
-    """Packed-key add-compare-select tables of one trellis."""
+class _Tables:
+    """Packed-key add-compare-select tables of one trellis.  They hold no reference to
+    the trellis, so that caching them keeps no trellis alive."""
 
     def __init__(self, trellis: TailbitingTrellis):
-        self.trellis = trellis
         S, N, n = trellis.S, trellis.N, trellis.n
-        A = max(v.out_degree for v in trellis.sections)
+        self.A = A = max(v.out_degree for v in trellis.sections)
         self.ob = S.bit_length() - 1                 # origin field: m bits
         self.sh = self.ob + (A - 1).bit_length()     # metric field starts here
         self.jmask = (1 << (self.sh - self.ob)) - 1
@@ -116,7 +143,39 @@ class _Kernel:
                                     view.in_out.T * A + np.arange(view.out_degree)[:, None], edge)
         self.sections = [tables[id(v)] for v in trellis.sections]
         self.key_col_bytes = (2 * A * S + (A << n)) * np.dtype(self.dtype).itemsize
-        self.sizes, self.buf = (A << n, A * S, A * S), [np.empty(0, self.dtype)] * 3
+        self.sizes = (A << n, A * S, A * S)
+        # what the reverse tables are built from: the full transition tables and
+        # each section's admissible inputs (one array per distinct view)
+        self.transitions = trellis.next_state, trellis.out_int
+        self.inputs = [v.inputs for v in trellis.sections]
+
+    @cached_property
+    def reverse(self) -> list[tuple]:
+        """The sections last to first, over out-edges: successors [A, S] and lut rows [A, S].
+        Swept from zero keys they end, at state s, with the best metric from s at t=0."""
+        (next_state, out_int), tables = self.transitions, {}
+        for u in self.inputs:
+            if id(u) not in tables:
+                tables[id(u)] = (np.ascontiguousarray(next_state[:, u].T),
+                                 out_int[:, u].T * self.A + np.arange(len(u))[:, None], None)
+        return [tables[id(u)] for u in reversed(self.inputs)]
+
+
+@lru_cache(maxsize=64)
+def _tables(code: TailbitingCode) -> _Tables:
+    return _Tables(build_trellis(code))
+
+
+class _Kernel:
+    """The cached tables of one trellis and the key buffers of one decode call."""
+
+    def __init__(self, trellis: TailbitingTrellis):
+        self.trellis = trellis
+        self.tab = _tables(trellis.code)
+        self.buf = [np.empty(0, self.tab.dtype)] * 3
+
+    def __getattr__(self, name):   # the table fields: sh, dtype, bp_dtype, sections, ...
+        return getattr(self.tab, name)
 
     def columns(self, bp: bool) -> int:
         """Columns per block so that one block's temporaries fit the budget."""
@@ -125,33 +184,39 @@ class _Kernel:
         per_col += bp * ell * S * np.dtype(self.bp_dtype).itemsize
         return max(1, _BUDGET_BYTES // per_col)
 
-    def sweep(self, r_cols: np.ndarray, P: np.ndarray, bp: np.ndarray | None) -> np.ndarray:
+    def sweep(self, r_cols: np.ndarray, P: np.ndarray, bp: np.ndarray | None,
+              reverse: bool = False) -> np.ndarray:
         """One Viterbi sweep of packed keys P [S, C] (row-major, updated in place) over blocks
-        r_cols [ell, C]; bp[t] receives the key bits from j up, truncated to bp's width."""
-        S, C, clear = self.trellis.S, P.shape[1], ~(self.jmask << self.ob)
-        if len(self.buf[0]) < self.sizes[0] * C:   # buffers outlive the sweep; free old first
-            self.buf[:] = [np.empty(0, self.dtype)] * 3
-            self.buf[:] = [np.empty(size * C, self.dtype) for size in self.sizes]
-        lut_r = self.buf[0][:self.sizes[0] * C].reshape(-1, C)
-        keys, preds = (b[:self.sizes[1] * C].reshape(-1, S, C) for b in self.buf[1:])
-        for t, (src, lut_rows, _) in enumerate(self.sections):
+        r_cols [ell, C], or over the reversed sections and blocks when reverse; bp[t]
+        receives the key bits from j up, truncated to bp's width."""
+        tab = self.tab
+        S, C, clear = self.trellis.S, P.shape[1], ~(tab.jmask << tab.ob)
+        sections = tab.reverse if reverse else tab.sections
+        if reverse:
+            r_cols = r_cols[::-1]
+        if len(self.buf[0]) < tab.sizes[0] * C:   # buffers outlive the sweep; free old first
+            self.buf[:] = [np.empty(0, tab.dtype)] * 3
+            self.buf[:] = [np.empty(size * C, tab.dtype) for size in tab.sizes]
+        lut_r = self.buf[0][:tab.sizes[0] * C].reshape(-1, C)
+        keys, preds = (b[:tab.sizes[1] * C].reshape(-1, S, C) for b in self.buf[1:])
+        for t, (src, lut_rows, _) in enumerate(sections):
             key, pred = keys[:len(src)], preds[:len(src)]
-            self.lut.take(r_cols[t], axis=1, out=lut_r, mode="clip")    # [A << n, C]
+            tab.lut.take(r_cols[t], axis=1, out=lut_r, mode="clip")     # [A << n, C]
             lut_r.take(lut_rows, axis=0, out=key, mode="clip")         # branch metric | j
             key += P.take(src, axis=0, out=pred, mode="clip")          # + metric | origin
             np.minimum.reduce(key, axis=0, out=P)
             if bp is not None:
-                np.right_shift(P, self.ob, out=bp[t], casting="unsafe")
+                np.right_shift(P, tab.ob, out=bp[t], casting="unsafe")
             P &= clear
         return P
 
     def traceback(self, bp: np.ndarray, s: np.ndarray, cols: np.ndarray):
         """Follow backpointers from state s[c] in column cols[c] of bp [ell, S, C];
         returns (start states, u_ints [c, ell], out_ints [c, ell])."""
-        k, n = self.trellis.k, self.trellis.n
-        path = np.empty((len(self.sections), len(cols)), dtype=np.int64)
-        for t in range(len(self.sections) - 1, -1, -1):
-            path[t] = self.sections[t][2][s, bp[t, s, cols] & self.jmask]
+        k, n, sections, jmask = self.trellis.k, self.trellis.n, self.tab.sections, self.tab.jmask
+        path = np.empty((len(sections), len(cols)), dtype=np.int64)
+        for t in range(len(sections) - 1, -1, -1):
+            path[t] = sections[t][2][s, bp[t, s, cols] & jmask]
             s = path[t] >> (k + n)
         return s, ((path >> n) & ((1 << k) - 1)).T, (path & ((1 << n) - 1)).T
 
@@ -163,31 +228,58 @@ class _Kernel:
         end = self.sweep(np.ascontiguousarray(r_ints[rows].T), P, bp)
         return (end[starts, cols] >> self.sh).astype(np.int64)
 
+    def bounds(self, r_ints, rows) -> np.ndarray:
+        """Lower bound [S, len(rows)] on every constrained s -> s metric: the larger of the best
+        metric of a path that ends at s and of a path that starts at s."""
+        r_cols = np.ascontiguousarray(r_ints[rows].T)
+        shape = (self.trellis.S, len(rows))
+        fwd = self.sweep(r_cols, np.zeros(shape, self.dtype), None)
+        bwd = self.sweep(r_cols, np.zeros(shape, self.dtype), None, reverse=True)
+        return (np.maximum(fwd, bwd) >> self.sh).astype(np.int64)
 
-def _exhaustive_constrained(kern, r_ints, idx, best_u, best_out, best_dist):
-    """Exact search over start states for the rows in idx (rare fallback): for each
-    state s the best path constrained to start and end at s; the winner (smallest
-    distance, then smallest s) replaces the candidate when strictly better or when none exists."""
-    S, Bf, ell = kern.trellis.S, len(idx), kern.trellis.ell
-    dist = np.empty(S * Bf, dtype=np.int64)          # column c = (s, row) = divmod(c, Bf)
-    step = kern.columns(bp=False)
-    for lo in range(0, S * Bf, step):
-        c = np.arange(lo, min(lo + step, S * Bf))
-        dist[c] = kern.constrained(r_ints, idx[c % Bf], c // Bf)
-    dist = dist.reshape(S, Bf)
-    win_state, win_dist = dist.argmin(axis=0), dist.min(axis=0)
-    improved = win_dist < best_dist[idx]
-    rows = np.flatnonzero(improved)
-    step = kern.columns(bp=True)
-    for lo in range(0, len(rows), step):
-        blk = rows[lo:lo + step]
-        bp = np.empty((ell, S, len(blk)), dtype=kern.bp_dtype)
-        kern.constrained(r_ints, idx[blk], win_state[blk], bp)
-        start, best_u[idx[blk]], best_out[idx[blk]] = kern.traceback(
-            bp, win_state[blk], np.arange(len(blk)))
-        if not np.array_equal(start, win_state[blk]):
-            raise AssertionError("constrained traceback left the start state")
-    best_dist[idx[improved]] = win_dist[improved]
+
+def _two_phase_search(kern, r_ints, idx, best_u, best_out, best_dist):
+    """Exact search over start states for the rows in idx (rare fallback): the best path
+    constrained to start and end at s, for the states s whose lower bound can still win
+    (module docstring); the winner (smallest distance, then smallest s) replaces the
+    candidate when strictly better or when none exists.  Returns the mask of replaced rows."""
+    S, ell = kern.trellis.S, kern.trellis.ell
+    states = np.arange(S)[:, None]
+    step, bp_step = kern.columns(bp=False), kern.columns(bp=True)
+    narrow = max(1, _NARROW_KEYS // (kern.A * S))   # columns a sweep takes almost for free
+    improved = np.zeros(len(idx), dtype=bool)
+    for lo in range(0, len(idx), step):         # row blocks keep the [S, rows] arrays in budget
+        rows = idx[lo:lo + step]
+        best = best_dist[rows]
+        # bounds cost two sweeps: not worth it when one narrow sweep takes every column
+        wide = S * len(rows) > narrow
+        lb = kern.bounds(r_ints, rows) if wide else np.zeros((S, len(rows)), dtype=np.int64)
+        dist = np.full(lb.shape, _LARGE, dtype=np.int64)   # _LARGE: column not swept
+        todo = lb < best                                   # columns that can still win
+        rank = max(1, narrow // len(rows))
+        while todo.any():
+            # this round: per row, the `rank` of them with the lowest (bound, state)
+            key = np.where(todo, lb * S + states, _LARGE)
+            todo &= key <= np.partition(key, min(rank, S) - 1, axis=0)[min(rank, S) - 1]
+            s, c = np.nonzero(todo)
+            pick = np.argsort(lb[s, c], kind="stable")[:step]
+            s, c = s[pick], c[pick]
+            dist[s, c] = kern.constrained(r_ints, rows[c], s)
+            bd, bs = dist.min(axis=0), dist.argmin(axis=0)
+            todo = (dist == _LARGE) & (lb < best) & ((lb < bd) | ((lb == bd) & (states < bs)))
+            rank *= 2
+        win_state, win_dist = dist.argmin(axis=0), dist.min(axis=0)
+        won = np.flatnonzero(win_dist < best)
+        for wlo in range(0, len(won), bp_step):
+            blk = won[wlo:wlo + bp_step]
+            bp = np.empty((ell, S, len(blk)), dtype=kern.bp_dtype)
+            kern.constrained(r_ints, rows[blk], win_state[blk], bp)
+            start, best_u[rows[blk]], best_out[rows[blk]] = kern.traceback(
+                bp, win_state[blk], np.arange(len(blk)))
+            if not np.array_equal(start, win_state[blk]):
+                raise AssertionError("constrained traceback left the start state")
+        best_dist[rows[won]] = win_dist[won]
+        improved[lo + won] = True
     return improved
 
 
@@ -259,7 +351,7 @@ def wava_decode_many(
     need = (best_dist >= _LARGE) | ((min_metric_iter1 == 0) & (best_dist > 0))
     idx = np.flatnonzero(need)
     if len(idx):
-        improved = _exhaustive_constrained(kern, r_ints, idx, best_u, best_out, best_dist)
+        improved = _two_phase_search(kern, r_ints, idx, best_u, best_out, best_dist)
         converged[idx[improved]] = False
 
     cw_bits = _ints_to_bits(best_out, trellis.n)
@@ -269,7 +361,7 @@ def wava_decode_many(
 
     u_bits = ((best_u[:, :, None] >> np.arange(trellis.k)) & 1).reshape(B, trellis.ell * trellis.k)
     msg_bits = u_bits[:, _input_index(trellis.code)].astype(np.uint8)
-    return BatchDecodeResult(msg_bits, cw_bits, dist, iterations, converged)
+    return BatchDecodeResult(msg_bits, cw_bits, dist, iterations, converged, need)
 
 
 def wava_decode(trellis: TailbitingTrellis | TailbitingCode, r: BitVector,
@@ -284,12 +376,3 @@ def wava_decode(trellis: TailbitingTrellis | TailbitingCode, r: BitVector,
     cw_word = int.from_bytes(np.packbits(res.cw_bits[0], bitorder="little").tobytes(), "little")
     return DecodeResult(BitVector(msg_word, trellis.K), BitVector(cw_word, trellis.N),
                         int(res.distance[0]), int(res.iterations[0]), bool(res.converged[0]))
-
-
-def quantize(
-    trellis: TailbitingTrellis | TailbitingCode,
-    x: BitVector,
-    cfg: WavaConfig | None = None,
-) -> DecodeResult:
-    """Nearest-codeword quantization: same machinery, distance/N is distortion."""
-    return wava_decode(trellis, x, cfg)

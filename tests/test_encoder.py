@@ -5,7 +5,7 @@ import pytest
 
 from conftest import all_messages, bits, codeword_set, random_code, random_spec
 from encoder_reference import encode_reference, message_to_inputs
-from nestedtbcc import encoder, keyagree
+from nestedtbcc import encoder, keyagree, wava
 from nestedtbcc.encoder import (
     EncoderSpec,
     EncoderSpecError,
@@ -107,11 +107,12 @@ def test_code_keyed_caches_are_bounded():
         free_distance(code.spec)
         build_trellis(code)
         encode_many(code, np.zeros((1, code.K), dtype=np.uint8))
+        wava.wava_decode_many(build_trellis(code), np.ones((1, code.N), dtype=np.uint8))
         pair = NestedCodePair(code)
         pair.split_message(BitVector.zeros(code.K))
         pair.fec_code
     for cache in (encoder._transitions, encoder._layout, encoder._input_index,
-                  build_trellis, keyagree._fec_code, keyagree._role_indices):
+                  build_trellis, keyagree._fec_code, keyagree._role_indices, wava._tables):
         assert 0 < cache.cache_info().currsize <= 64
 
 

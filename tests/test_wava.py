@@ -14,7 +14,8 @@ from nestedtbcc import wava
 from nestedtbcc.encoder import encode_many, encode_tailbiting
 from nestedtbcc.gf2 import BitVector
 from nestedtbcc.trellis import build_trellis
-from nestedtbcc.wava import WavaConfig, quantize, wava_decode, wava_decode_many
+from nestedtbcc.wava import WavaConfig, wava_decode, wava_decode_many
+from wava_fallback_reference import exhaustive_constrained
 from wava_reference import reference_decode_many
 
 
@@ -105,9 +106,9 @@ def test_monotone_iteration_budget():
 def test_quantize_examples(unit_toy):
     for msg_bits in ([0, 0], [1, 0], [0, 1], [1, 1]):
         cw = encode_tailbiting(unit_toy, BitVector.from_bits(msg_bits))
-        assert quantize(unit_toy, cw).distance == 0
+        assert wava_decode(unit_toy, cw).distance == 0
         comp = BitVector.from_bits([1 - b for b in cw])
-        assert quantize(unit_toy, comp).distance <= 1
+        assert wava_decode(unit_toy, comp).distance <= 1
 
 
 def test_quantize_mean_distortion_matches_oracle():
@@ -151,17 +152,19 @@ def _oracle_words(rng, code, B):
 def fallback_rows(monkeypatch):
     """Record how many rows reach the exact fallback."""
     seen = []
-    exhaustive = wava._exhaustive_constrained
+    search = wava._two_phase_search
 
     def spy(kern, r_ints, idx, *rest):
         seen.append(len(idx))
-        return exhaustive(kern, r_ints, idx, *rest)
+        return search(kern, r_ints, idx, *rest)
 
-    monkeypatch.setattr(wava, "_exhaustive_constrained", spy)
+    monkeypatch.setattr(wava, "_two_phase_search", spy)
     return seen
 
 
-def test_matches_reference_decoder(fallback_rows):
+def _oracle_cases():
+    """(trellis, words, V): 48 random frozen codes, then a batch larger than one
+    sub-batch of the default byte budget."""
     rng = np.random.default_rng(7)
     for i in range(48):
         k = 1 + i % 3
@@ -169,13 +172,25 @@ def test_matches_reference_decoder(fallback_rows):
         n = int(rng.integers(2, 4)) if k == 1 else k + int(rng.integers(0, 2))
         code = random_code(rng, m=m, k=k, n=n, ell=m + int(rng.integers(0, 5)), freeze_prob=0.4)
         B = (1, 3, 64)[i % 3]
-        _assert_same_as_reference(build_trellis(code), _oracle_words(rng, code, B), 1 + i % 4)
-    assert sum(fallback_rows) > 0
-    # a batch larger than one sub-batch of the default byte budget
+        yield build_trellis(code), _oracle_words(rng, code, B), 1 + i % 4
     code = random_code(rng, m=5, k=3, n=3, ell=8, freeze_prob=0.4)
     tr = build_trellis(code)
-    B = wava._Kernel(tr).columns(bp=True) + 57
-    _assert_same_as_reference(tr, _oracle_words(rng, code, B), 4)
+    yield tr, _oracle_words(rng, code, wava._Kernel(tr).columns(bp=True) + 57), 4
+
+
+def test_matches_reference_decoder(fallback_rows):
+    for tr, r, V in _oracle_cases():
+        _assert_same_as_reference(tr, r, V)
+    assert sum(fallback_rows) > 0
+
+
+def test_fallback_flag_marks_the_rows_of_the_exact_search(fallback_rows):
+    flagged = 0
+    for tr, r, V in _oracle_cases():
+        res = wava_decode_many(tr, r, WavaConfig(V))
+        assert res.fallback.dtype == bool and res.fallback.shape == (len(r),)
+        flagged += int(res.fallback.sum())
+    assert flagged == sum(fallback_rows) > 0
 
 
 def test_small_byte_budget_gives_identical_results(monkeypatch, fallback_rows):
@@ -212,3 +227,64 @@ def test_sweep_reuses_its_section_buffers():
     finally:
         tracemalloc.stop()
     assert peak < key_bytes // 2
+
+
+def _tie_words(rng, code, B):
+    # uniform words, plus the all-zero and all-one words and words that repeat
+    # one block in every section, where many start states reach the same distance
+    r = rng.integers(0, 2, (B, code.N), dtype=np.uint8)
+    r[0], r[1] = 0, 1
+    n = code.spec.n
+    for b in range(2, B // 2):
+        r[b] = np.tile(rng.integers(0, 2, n, dtype=np.uint8), code.N // n)
+    return r
+
+
+class _CountingKernel(wava._Kernel):
+    """A kernel that counts the columns of its distance sweeps (no backpointers)."""
+
+    swept = 0
+
+    def constrained(self, r_ints, rows, starts, bp=None):
+        self.swept += len(rows) if bp is None else 0
+        return super().constrained(r_ints, rows, starts, bp)
+
+
+def test_fallback_matches_exhaustive(monkeypatch):
+    rng = np.random.default_rng(10)
+    budget, narrow, swept, columns = wava._BUDGET_BYTES, wava._NARROW_KEYS, 0, 0
+    for i in range(48):
+        # every fourth case splits the bound arrays and every sweep into blocks
+        monkeypatch.setattr(wava, "_BUDGET_BYTES", 4096 if i % 4 == 0 else budget)
+        # at the default most of these small blocks are swept whole in one round;
+        # at 1 every block is bounded and the first round sweeps one column per row
+        monkeypatch.setattr(wava, "_NARROW_KEYS", narrow if i % 4 == 3 else 1)
+        m, k = 1 + (i // 3) % 6, 1 + i % 3
+        code = random_code(rng, m=m, k=k, n=max(k, int(rng.integers(1, 4))),
+                           ell=m + int(rng.integers(0, 4)), freeze_prob=0.4)
+        tr, B, S = build_trellis(code), 40, 1 << m
+        r_ints = wava._bits_to_section_ints(_tie_words(rng, code, B), code.spec.n)
+        idx = np.flatnonzero(rng.random(B) < 0.8)
+        kern = wava._Kernel(tr)
+        if i % 4 == 0:
+            assert kern.columns(bp=False) < len(idx)
+        # the exact constrained distance of every column, and its lower bound
+        dist = kern.constrained(r_ints, np.tile(idx, S), np.repeat(np.arange(S), len(idx)))
+        dist = dist.reshape(S, len(idx))
+        assert np.all(kern.bounds(r_ints, idx) <= dist)
+        # rows arrive without a candidate or with one a little off the winner
+        best_dist = np.full(B, wava._LARGE, dtype=np.int64)
+        near = np.maximum(dist.min(axis=0) + rng.integers(-1, 2, len(idx)), 0)
+        best_dist[idx] = np.where(rng.random(len(idx)) < 0.5, near, wava._LARGE)
+        out, counting = [], _CountingKernel(tr)
+        for kern, search in ((counting, wava._two_phase_search),
+                             (wava._Kernel(tr), exhaustive_constrained)):
+            best = (np.zeros((B, tr.ell), dtype=np.int64), np.zeros((B, tr.ell), dtype=np.int64),
+                    best_dist.copy())
+            out.append((search(kern, r_ints, idx, *best), *best))
+        for field, a, b in zip(("improved", "best_u", "best_out", "best_dist"), *out):
+            assert np.array_equal(a, b), (i, field)
+        swept += counting.swept
+        columns += S * len(idx)
+    # the bounds pruned columns: the test does not pass by sweeping them all
+    assert swept < columns
