@@ -44,7 +44,7 @@ from nestedtbcc.encoder import EncoderSpec, TailbitingCode  # noqa: E402
 from nestedtbcc.gf2 import sample_uniform_matrix  # noqa: E402
 from nestedtbcc.keyagree import pair_from_dict  # noqa: E402
 from nestedtbcc.trellis import build_trellis  # noqa: E402
-from wava_fallback_reference import exhaustive_constrained  # noqa: E402
+from wava_fallback_reference import CountingKernel, exhaustive_constrained  # noqa: E402
 
 RUNS = 3
 PAIR_SEEDS = tuple(range(1, 11))
@@ -66,17 +66,6 @@ def _machine() -> str:
     return platform.processor() or platform.machine()
 
 
-class _Counting(wava._Kernel):
-    """A kernel that counts the columns of its distance sweeps (no backpointers)."""
-
-    columns_swept = 0
-
-    def constrained(self, r_ints, rows, starts, bp=None):
-        if bp is None:
-            self.columns_swept += len(rows)
-        return super().constrained(r_ints, rows, starts, bp)
-
-
 def _capture(trellis, words) -> list[tuple]:
     """The arguments of every fallback call of one decode, copied before the call."""
     calls = []
@@ -95,10 +84,10 @@ def _capture(trellis, words) -> list[tuple]:
 
 def _replay(trellis, search, call) -> tuple[float, int, tuple]:
     r_ints, idx, best_u, best_out, best_dist = (a.copy() for a in call)
-    kern = _Counting(trellis)
+    kern = CountingKernel(trellis)
     t0 = time.perf_counter()
     improved = search(kern, r_ints, idx, best_u, best_out, best_dist)
-    return time.perf_counter() - t0, kern.columns_swept, (improved, best_u, best_out, best_dist)
+    return time.perf_counter() - t0, kern.swept, (improved, best_u, best_out, best_dist)
 
 
 def bench_pair_m6() -> dict:

@@ -31,20 +31,16 @@ d[s] from below: fwd[s], the forward end metric at s, is the best metric of
 any path that ends at s, and h0[s], the end metric at s of a sweep over the
 out-edges from the last section back to the first, is the best metric of any
 path that starts at s.  The constrained path ends at s and starts at s, so
-LB[s] = max(fwd[s], h0[s]) <= d[s].  Columns are then swept in rounds; each
-round sweeps, per word, the columns of lowest (LB, s) that can still win,
-given (bd, bs), the best (distance, state) swept so far: one per word in the
-first round of a wide block, twice as many in each later round.  A column can
-still win while LB < bd, or LB == bd and s < bs, since a tie goes to the
-smaller s; and only while LB is below the distance of the word's candidate,
-which an equal distance does not replace.  The search ends when no such
-column is left: every unswept column then has d >= LB > bd, or d >= LB == bd
-and s > bs, so (bd, bs) is the exact winner.  A sweep's cost does not fall
-below its fixed numpy-call overhead, so the first round takes at least the
-columns a narrow sweep covers for about that cost, and a block of words
-whose columns all fit in one such sweep skips the bounds and sweeps them all
-at once.  The [S, words] bound and distance arrays are built for blocks of
-words that keep them within the byte budget.
+LB[s] = max(fwd[s], h0[s]) <= d[s].  Columns are then swept in rounds, given
+(bd, bs), the best (distance, state) swept so far: the first round sweeps,
+per word, the column of lowest (LB, s); each later round sweeps every column
+that can still win.  A column can still win while LB < bd, or LB == bd and
+s < bs, since a tie goes to the smaller s; and only while LB is below the
+distance of the word's candidate, which an equal distance does not replace.
+The search ends when no such column is left: every unswept column then has
+d >= LB > bd, or d >= LB == bd and s > bs, so (bd, bs) is the exact winner.
+The [S, words] bound and distance arrays are built for blocks of words that
+keep them within the byte budget.
 """
 
 from __future__ import annotations
@@ -60,9 +56,6 @@ from .trellis import TailbitingTrellis, build_trellis
 
 _LARGE = 1 << 40
 _BUDGET_BYTES = 8 << 20
-# a section of a sweep narrower than this many keys (columns x A x S) costs
-# about as much as its fixed numpy-call overhead
-_NARROW_KEYS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -161,7 +154,10 @@ class _Tables:
         return [tables[id(u)] for u in reversed(self.inputs)]
 
 
-@lru_cache(maxsize=64)
+# two codes: a key-agreement run alternates between a pair's quantizer and FEC
+# code; a design decodes each code it makes in one stretch and never again, and
+# 64 entries of such tables raised a design run's peak RSS by about 0.7 MB
+@lru_cache(maxsize=2)
 def _tables(code: TailbitingCode) -> _Tables:
     return _Tables(build_trellis(code))
 
@@ -174,14 +170,11 @@ class _Kernel:
         self.tab = _tables(trellis.code)
         self.buf = [np.empty(0, self.tab.dtype)] * 3
 
-    def __getattr__(self, name):   # the table fields: sh, dtype, bp_dtype, sections, ...
-        return getattr(self.tab, name)
-
     def columns(self, bp: bool) -> int:
         """Columns per block so that one block's temporaries fit the budget."""
         S, ell = self.trellis.S, self.trellis.ell
-        per_col = self.key_col_bytes + 8 * (ell + 8 * S)   # keys, blocks, [S, C] metrics
-        per_col += bp * ell * S * np.dtype(self.bp_dtype).itemsize
+        per_col = self.tab.key_col_bytes + 8 * (ell + 8 * S)   # keys, blocks, [S, C] metrics
+        per_col += bp * ell * S * np.dtype(self.tab.bp_dtype).itemsize
         return max(1, _BUDGET_BYTES // per_col)
 
     def sweep(self, r_cols: np.ndarray, P: np.ndarray, bp: np.ndarray | None,
@@ -222,20 +215,20 @@ class _Kernel:
 
     def constrained(self, r_ints, rows, starts, bp=None) -> np.ndarray:
         """Metric of the best path from starts[c] back to starts[c] on word rows[c]."""
-        cols = np.arange(len(rows))
-        P = np.full((self.trellis.S, len(rows)), (self.trellis.N + 1) << self.sh, dtype=self.dtype)
+        cols, tab = np.arange(len(rows)), self.tab
+        P = np.full((self.trellis.S, len(rows)), (self.trellis.N + 1) << tab.sh, dtype=tab.dtype)
         P[starts, cols] = 0
         end = self.sweep(np.ascontiguousarray(r_ints[rows].T), P, bp)
-        return (end[starts, cols] >> self.sh).astype(np.int64)
+        return (end[starts, cols] >> tab.sh).astype(np.int64)
 
     def bounds(self, r_ints, rows) -> np.ndarray:
         """Lower bound [S, len(rows)] on every constrained s -> s metric: the larger of the best
         metric of a path that ends at s and of a path that starts at s."""
         r_cols = np.ascontiguousarray(r_ints[rows].T)
-        shape = (self.trellis.S, len(rows))
-        fwd = self.sweep(r_cols, np.zeros(shape, self.dtype), None)
-        bwd = self.sweep(r_cols, np.zeros(shape, self.dtype), None, reverse=True)
-        return (np.maximum(fwd, bwd) >> self.sh).astype(np.int64)
+        shape, tab = (self.trellis.S, len(rows)), self.tab
+        fwd = self.sweep(r_cols, np.zeros(shape, tab.dtype), None)
+        bwd = self.sweep(r_cols, np.zeros(shape, tab.dtype), None, reverse=True)
+        return (np.maximum(fwd, bwd) >> tab.sh).astype(np.int64)
 
 
 def _two_phase_search(kern, r_ints, idx, best_u, best_out, best_dist):
@@ -246,33 +239,26 @@ def _two_phase_search(kern, r_ints, idx, best_u, best_out, best_dist):
     S, ell = kern.trellis.S, kern.trellis.ell
     states = np.arange(S)[:, None]
     step, bp_step = kern.columns(bp=False), kern.columns(bp=True)
-    narrow = max(1, _NARROW_KEYS // (kern.A * S))   # columns a sweep takes almost for free
     improved = np.zeros(len(idx), dtype=bool)
     for lo in range(0, len(idx), step):         # row blocks keep the [S, rows] arrays in budget
         rows = idx[lo:lo + step]
         best = best_dist[rows]
-        # bounds cost two sweeps: not worth it when one narrow sweep takes every column
-        wide = S * len(rows) > narrow
-        lb = kern.bounds(r_ints, rows) if wide else np.zeros((S, len(rows)), dtype=np.int64)
+        lb = kern.bounds(r_ints, rows)
         dist = np.full(lb.shape, _LARGE, dtype=np.int64)   # _LARGE: column not swept
-        todo = lb < best                                   # columns that can still win
-        rank = max(1, narrow // len(rows))
+        todo = (states == lb.argmin(axis=0)) & (lb < best)  # round 1: the lowest bound per row
         while todo.any():
-            # this round: per row, the `rank` of them with the lowest (bound, state)
-            key = np.where(todo, lb * S + states, _LARGE)
-            todo &= key <= np.partition(key, min(rank, S) - 1, axis=0)[min(rank, S) - 1]
             s, c = np.nonzero(todo)
             pick = np.argsort(lb[s, c], kind="stable")[:step]
             s, c = s[pick], c[pick]
             dist[s, c] = kern.constrained(r_ints, rows[c], s)
             bd, bs = dist.min(axis=0), dist.argmin(axis=0)
+            # the columns that can still win
             todo = (dist == _LARGE) & (lb < best) & ((lb < bd) | ((lb == bd) & (states < bs)))
-            rank *= 2
         win_state, win_dist = dist.argmin(axis=0), dist.min(axis=0)
         won = np.flatnonzero(win_dist < best)
         for wlo in range(0, len(won), bp_step):
             blk = won[wlo:wlo + bp_step]
-            bp = np.empty((ell, S, len(blk)), dtype=kern.bp_dtype)
+            bp = np.empty((ell, S, len(blk)), dtype=kern.tab.bp_dtype)
             kern.constrained(r_ints, rows[blk], win_state[blk], bp)
             start, best_u[rows[blk]], best_out[rows[blk]] = kern.traceback(
                 bp, win_state[blk], np.arange(len(blk)))
@@ -294,7 +280,7 @@ def wava_decode_many(
     B, S, V = r_bits.shape[0], trellis.S, cfg.max_iterations
     r_ints = _bits_to_section_ints(r_bits, trellis.n)
     kern = _Kernel(trellis)
-    states = np.arange(S)[:, None]
+    tab, states = kern.tab, np.arange(S)[:, None]
 
     best_dist = np.full(B, _LARGE, dtype=np.int64)
     best_u = np.zeros((B, trellis.ell), dtype=np.int64)
@@ -309,11 +295,11 @@ def wava_decode_many(
         r_cols = np.ascontiguousarray(r_ints[g].T)
         M = np.zeros((S, len(g)), dtype=np.int64)
         prev_tuple = np.full((len(g), 3), -1)
-        bp_block = np.empty((trellis.ell, S, len(g)), dtype=kern.bp_dtype)
+        bp_block = np.empty((trellis.ell, S, len(g)), dtype=tab.bp_dtype)
         for v in range(1, V + 1):
             cols, bp = np.arange(len(g)), bp_block[:, :, :len(g)]
-            end = kern.sweep(r_cols, ((M << kern.sh) | states).astype(kern.dtype), bp)
-            Mend = (end >> kern.sh).astype(np.int64)
+            end = kern.sweep(r_cols, ((M << tab.sh) | states).astype(tab.dtype), bp)
+            Mend = (end >> tab.sh).astype(np.int64)
             origin = (end & (S - 1)).astype(np.int64)
             blockdist = Mend - np.take_along_axis(M, origin, axis=0)
             tb = origin == states

@@ -15,7 +15,7 @@ from nestedtbcc.encoder import encode_many, encode_tailbiting
 from nestedtbcc.gf2 import BitVector
 from nestedtbcc.trellis import build_trellis
 from nestedtbcc.wava import WavaConfig, wava_decode, wava_decode_many
-from wava_fallback_reference import exhaustive_constrained
+from wava_fallback_reference import CountingKernel, exhaustive_constrained
 from wava_reference import reference_decode_many
 
 
@@ -217,7 +217,7 @@ def test_sweep_reuses_its_section_buffers():
     kern = wava._Kernel(build_trellis(code))
     r_ints = wava._bits_to_section_ints(_oracle_words(rng, code, 200), code.spec.n)
     cols = np.ascontiguousarray(r_ints.T)
-    start = np.zeros((kern.trellis.S, 200), dtype=kern.dtype)
+    start = np.zeros((kern.trellis.S, 200), dtype=kern.tab.dtype)
     kern.sweep(cols, start.copy(), None)
     key_bytes = kern.buf[1].nbytes
     tracemalloc.start()
@@ -240,25 +240,12 @@ def _tie_words(rng, code, B):
     return r
 
 
-class _CountingKernel(wava._Kernel):
-    """A kernel that counts the columns of its distance sweeps (no backpointers)."""
-
-    swept = 0
-
-    def constrained(self, r_ints, rows, starts, bp=None):
-        self.swept += len(rows) if bp is None else 0
-        return super().constrained(r_ints, rows, starts, bp)
-
-
 def test_fallback_matches_exhaustive(monkeypatch):
     rng = np.random.default_rng(10)
-    budget, narrow, swept, columns = wava._BUDGET_BYTES, wava._NARROW_KEYS, 0, 0
+    budget, swept, columns = wava._BUDGET_BYTES, 0, 0
     for i in range(48):
         # every fourth case splits the bound arrays and every sweep into blocks
         monkeypatch.setattr(wava, "_BUDGET_BYTES", 4096 if i % 4 == 0 else budget)
-        # at the default most of these small blocks are swept whole in one round;
-        # at 1 every block is bounded and the first round sweeps one column per row
-        monkeypatch.setattr(wava, "_NARROW_KEYS", narrow if i % 4 == 3 else 1)
         m, k = 1 + (i // 3) % 6, 1 + i % 3
         code = random_code(rng, m=m, k=k, n=max(k, int(rng.integers(1, 4))),
                            ell=m + int(rng.integers(0, 4)), freeze_prob=0.4)
@@ -276,7 +263,7 @@ def test_fallback_matches_exhaustive(monkeypatch):
         best_dist = np.full(B, wava._LARGE, dtype=np.int64)
         near = np.maximum(dist.min(axis=0) + rng.integers(-1, 2, len(idx)), 0)
         best_dist[idx] = np.where(rng.random(len(idx)) < 0.5, near, wava._LARGE)
-        out, counting = [], _CountingKernel(tr)
+        out, counting = [], CountingKernel(tr)
         for kern, search in ((counting, wava._two_phase_search),
                              (wava._Kernel(tr), exhaustive_constrained)):
             best = (np.zeros((B, tr.ell), dtype=np.int64), np.zeros((B, tr.ell), dtype=np.int64),

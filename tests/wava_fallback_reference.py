@@ -4,10 +4,13 @@
 search: it sweeps every (start state, word) column of every row that reaches
 it, then keeps the winner (smallest distance, then smallest start state).
 ``wava._two_phase_search`` must return the same ``improved`` mask and leave
-the same ``best_u``, ``best_out`` and ``best_dist``.
+the same ``best_u``, ``best_out`` and ``best_dist``.  ``CountingKernel``
+counts the columns a search sweeps.
 """
 
 import numpy as np
+
+from nestedtbcc import wava
 
 
 def exhaustive_constrained(kern, r_ints, idx, best_u, best_out, best_dist):
@@ -27,7 +30,7 @@ def exhaustive_constrained(kern, r_ints, idx, best_u, best_out, best_dist):
     step = kern.columns(bp=True)
     for lo in range(0, len(rows), step):
         blk = rows[lo:lo + step]
-        bp = np.empty((ell, S, len(blk)), dtype=kern.bp_dtype)
+        bp = np.empty((ell, S, len(blk)), dtype=kern.tab.bp_dtype)
         kern.constrained(r_ints, idx[blk], win_state[blk], bp)
         start, best_u[idx[blk]], best_out[idx[blk]] = kern.traceback(
             bp, win_state[blk], np.arange(len(blk)))
@@ -35,3 +38,13 @@ def exhaustive_constrained(kern, r_ints, idx, best_u, best_out, best_dist):
             raise AssertionError("constrained traceback left the start state")
     best_dist[idx[improved]] = win_dist[improved]
     return improved
+
+
+class CountingKernel(wava._Kernel):
+    """A kernel that counts the columns of its distance sweeps (no backpointers)."""
+
+    swept = 0
+
+    def constrained(self, r_ints, rows, starts, bp=None):
+        self.swept += len(rows) if bp is None else 0
+        return super().constrained(r_ints, rows, starts, bp)
