@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .trellis import WeightSpectrum
 
@@ -64,7 +63,7 @@ def star(p: float, x: float) -> float:
 def _half_tail_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The p-independent rows of _log_half_tail: i, d - i and log C(d, i)."""
     i = np.arange((d + 1) // 2, d + 1, dtype=np.float64)
-    rows = (i, d - i, gammaln(d + 1) - gammaln(i + 1) - gammaln(d - i + 1))
+    rows = (i, d - i, np.array([math.log(math.comb(d, int(j))) for j in i]))
     for r in rows:
         r.setflags(write=False)
     return rows
@@ -191,6 +190,12 @@ def quantizer_rate_approx(n_block: int, q: float) -> float:
     return 1.0 - binary_entropy(q) + math.log2(n_block) / (2.0 * n_block)
 
 
+def log2_ball_size(n_block: int, q: float) -> float:
+    """log2 of sum_{j<=floor(Nq)} C(N,j), a Hamming ball summed in exact integers."""
+    j_max = min(n_block, int(math.floor(n_block * q + 1e-9)))
+    return math.log2(sum(math.comb(n_block, j) for j in range(j_max + 1)))
+
+
 def quantizer_converse_feasible(n_block: int, r_q: float, q: float) -> bool:
     """Converse for vector quantization at blocklength N:
     feasible iff sum_{j<=floor(Nq)} C(N,j) >= 2^{N(1-R_q)} (exact integers)."""
@@ -198,12 +203,10 @@ def quantizer_converse_feasible(n_block: int, r_q: float, q: float) -> bool:
         raise ValueError(f"need N >= 1, got {n_block}")
     if not 0.0 <= r_q <= 1.0 or not 0.0 <= q <= 1.0:
         raise ValueError(f"R_q and q must be in [0, 1], got {r_q}, {q}")
-    j_max = min(n_block, int(math.floor(n_block * q + 1e-9)))
-    lhs = sum(math.comb(n_block, j) for j in range(j_max + 1))
     exponent = n_block * (1.0 - r_q)
     if exponent <= 0.0:
         return True
-    return math.log2(lhs) >= exponent - 1e-12
+    return log2_ball_size(n_block, q) >= exponent - 1e-12
 
 
 @dataclass(frozen=True)

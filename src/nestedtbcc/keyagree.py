@@ -74,14 +74,12 @@ class NestedCodePair:
 
     def split_message(self, msg: BitVector) -> tuple[BitVector, BitVector]:
         """Message -> (key bits, helper bits), time-major within each part."""
+        if msg.n != self.K_vq:
+            raise ValueError(f"expected message length K_vq={self.K_vq}, got {msg.n}")
+        bits = msg.to_numpy()
         key_idx, helper_idx = _role_indices(self.vq_code)
-        s = 0
-        for j, i in enumerate(key_idx):
-            s |= ((msg.word >> int(i)) & 1) << j
-        w = 0
-        for j, i in enumerate(helper_idx):
-            w |= ((msg.word >> int(i)) & 1) << j
-        return BitVector(s, len(key_idx)), BitVector(w, len(helper_idx))
+        key, helper = bits[key_idx].tolist(), bits[helper_idx].tolist()
+        return BitVector.from_bits(key), BitVector.from_bits(helper)
 
     def merge_message(self, s: BitVector, w: BitVector) -> BitVector:
         key_idx, helper_idx = _role_indices(self.vq_code)
@@ -90,12 +88,10 @@ class NestedCodePair:
                 f"expected key length {len(key_idx)} and helper length {len(helper_idx)}, "
                 f"got {s.n} and {w.n}"
             )
-        word = 0
-        for j, i in enumerate(key_idx):
-            word |= ((s.word >> j) & 1) << int(i)
-        for j, i in enumerate(helper_idx):
-            word |= ((w.word >> j) & 1) << int(i)
-        return BitVector(word, self.K_vq)
+        bits = np.zeros(self.K_vq, dtype=np.uint8)
+        bits[key_idx] = s.to_numpy()
+        bits[helper_idx] = w.to_numpy()
+        return BitVector.from_bits(bits.tolist())
 
 
 @lru_cache(maxsize=64)

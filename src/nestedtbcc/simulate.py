@@ -18,7 +18,14 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .bounds import ComplexityEstimate, complexity_estimates, gs_region_point, key_storage_ratio
+from .bounds import (
+    ComplexityEstimate,
+    complexity_estimates,
+    gs_region_point,
+    key_storage_ratio,
+    log2_ball_size,
+    quantizer_rate_approx,
+)
 from .encoder import TailbitingCode, encode_many
 from .gf2 import BitVector, as_generator
 from .keyagree import NestedCodePair, enroll_many, reconstruct_many
@@ -382,8 +389,6 @@ def region_aux_series(
     Points are (x, y) pairs: the boundary and converse series use x = R_w,
     y = R_s; the quantizer series use x = q, y = rate.
     """
-    from .bounds import quantizer_rate_approx
-
     series: dict[str, list[tuple[float, float]]] = {}
     series["gs_boundary"] = [(r_w, r_s) for _, r_s, r_w in region_curve(p_A, q_grid)]
     series["sw_line"] = [(w, 1.0 - w) for w in np.linspace(0.0, 1.0, len(q_grid) or 2)]
@@ -393,9 +398,7 @@ def region_aux_series(
         for q in q_grid:
             if 0.0 < q <= 0.5:
                 approx.append((float(q), quantizer_rate_approx(n_block, q)))
-            j_max = min(n_block, int(math.floor(n_block * q + 1e-9)))
-            lhs = sum(math.comb(n_block, j) for j in range(j_max + 1))
-            converse.append((float(q), 1.0 - math.log2(lhs) / n_block))
+            converse.append((float(q), 1.0 - log2_ball_size(n_block, q) / n_block))
         series["quantizer_rate_approx"] = approx
         series["quantizer_converse_min_rate"] = converse
     return series

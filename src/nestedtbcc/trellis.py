@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .encoder import EncoderSpec, TailbitingCode, _transitions
 
@@ -146,9 +144,6 @@ class WeightSpectrum:
     def d_min(self) -> int | None:
         nz = [d for d, v in self.coeffs.items() if d >= 1 and v > 0]
         return min(nz) if nz else None
-
-    def total(self) -> int:
-        return sum(self.coeffs.values())
 
     def items(self) -> list[tuple[int, int]]:
         return sorted(self.coeffs.items())
@@ -305,17 +300,18 @@ def free_distance(spec: EncoderSpec) -> FreeDistanceReport:
     if d_free == 0:
         return FreeDistanceReport(0, None, degenerate=True)
 
-    # a zero-weight cycle on a minimal detour makes A_free infinite
-    zero = w_in == 0
-    if zero.any():
-        zr, zc = src_in[zero], dst_in[zero]
-        g = csr_matrix((np.ones(len(zr), dtype=np.int8), (zr, zc)), shape=(S, S))
-        ncomp, labels = connected_components(g, directed=True, connection="strong")
-        on_cycle = np.bincount(labels, minlength=ncomp)[labels] >= 2
-        on_cycle[zr[zr == zc]] = True
-        on_cycle[0] = False
-        if np.any(on_cycle & (through <= d_free)):
+    # a zero-weight cycle on a minimal detour makes A_free infinite.  dist_from
+    # and dist_to, and so through, are constant along a zero-weight cycle, so
+    # such a cycle lies wholly among the states with through == d_free, and a
+    # directed graph has a cycle iff in-degree-zero peeling leaves an edge
+    on_min = through == d_free
+    zero = (w_in == 0) & on_min[src_in] & on_min[dst_in]
+    zs, zd = src_in[zero], dst_in[zero]
+    while len(zs):
+        live = np.isin(zs, zd)
+        if live.all():
             return FreeDistanceReport(d_free, None, divergent=True)
+        zs, zd = zs[live], zd[live]
 
     # count minimal first-return detours with a (state, weight)-bounded DP;
     # mass that cannot complete within the remaining budget is pruned, which

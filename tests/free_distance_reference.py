@@ -5,6 +5,8 @@ replaced, kept unchanged as a test oracle.
 The forward and backward passes walk generator closures over the state
 graph one edge at a time; zero-weight edges are collected by a Python double
 loop.  The new implementation must return the same ``FreeDistanceReport``.
+``has_zero_weight_cycle`` finds a zero-weight cycle wherever it lies, so a
+test can count the cycles that the divergence check must ignore.
 """
 
 from __future__ import annotations
@@ -40,6 +42,23 @@ def _dijkstra(S: int, relax_edges, sources: list[tuple[int, int]]) -> np.ndarray
                 dist[t] = nw
                 heapq.heappush(heap, (nw, int(t)))
     return dist
+
+
+def has_zero_weight_cycle(spec: EncoderSpec) -> bool:
+    """Whether the zero-weight edges between nonzero states hold a cycle,
+    on a minimal detour or not: a self-loop or a strongly connected
+    component of two or more states."""
+    nxt, out_int = _transitions(spec)
+    S = 1 << spec.m
+    src = np.repeat(np.arange(S), nxt.shape[1])
+    dst = nxt.ravel()
+    zero = (np.bitwise_count(out_int).ravel() == 0) & (src != 0) & (dst != 0)
+    zr, zc = src[zero], dst[zero]
+    if np.any(zr == zc):
+        return True
+    g = csr_matrix((np.ones(len(zr), dtype=np.int8), (zr, zc)), shape=(S, S))
+    _, labels = connected_components(g, directed=True, connection="strong")
+    return bool(np.bincount(labels).max() >= 2)
 
 
 def reference_free_distance(spec: EncoderSpec) -> FreeDistanceReport:

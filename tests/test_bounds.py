@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestedtbcc.bounds import (
     ChannelParams,
+    _half_tail_rows,
     binary_entropy,
     complexity_estimates,
     distortion_limit,
@@ -58,6 +60,16 @@ def test_union_bound_hand_value():
     sp = spectrum_of({0: 1, 3: 1})
     assert abs(union_bound_pb(sp, 0.1) - 0.028) < 1e-12
     assert union_bound_pb(sp, 0.0) == 0.0
+
+
+def test_half_tail_rows_are_log_binomials():
+    # up to 1536, the block length of the paper's geometry at m=11
+    for d in [*range(1, 130), 191, 383, 384, 767, 768, 1535, 1536]:
+        i, d_minus_i, logc = _half_tail_rows.__wrapped__(d)
+        j = list(range((d + 1) // 2, d + 1))
+        assert i.tolist() == j and d_minus_i.tolist() == [d - x for x in j]
+        exact = np.array([math.log(math.comb(d, x)) for x in j])
+        assert np.allclose(logc, exact, rtol=1e-12, atol=0.0), d
 
 
 def test_union_bound_monotone():

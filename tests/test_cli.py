@@ -2,8 +2,10 @@ import argparse
 import csv
 import inspect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +296,17 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "design-nested" in proc.stdout
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the package's only runtime dependency; scipy is a test extra
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, nestedtbcc, nestedtbcc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_design_nested_cli_smoke(tmp_path):

@@ -53,6 +53,10 @@ def test_split_merge_round_trip():
         s, w = pair.split_message(msg)
         assert s.n == pair.K_fec and w.n == pair.K_vq - pair.K_fec
         assert pair.merge_message(s, w) == msg
+    with pytest.raises(ValueError, match="expected message length"):
+        pair.split_message(BitVector.zeros(pair.K_vq - 1))
+    with pytest.raises(ValueError, match="expected key length"):
+        pair.merge_message(s, BitVector.zeros(w.n + 1))
 
 
 def test_encode_splits_linearly():
