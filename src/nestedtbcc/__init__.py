@@ -4,7 +4,6 @@ randomized design search, the enroll/reconstruct pipeline, and analytic
 bounds, plus a batch CLI (``nestedtbcc``)."""
 
 from .bounds import (
-    ChannelParams,
     ComplexityEstimate,
     RateTuple,
     binary_entropy,
@@ -22,7 +21,6 @@ from .bounds import (
 from .design import (
     DesignFailure,
     FecSearchConfig,
-    VqSearchConfig,
     design_nested,
     search_fec,
     search_vq_extension,
@@ -46,7 +44,6 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     Gf2ShapeError,
-    gf2_mat_mul,
     gf2_vec_mat,
     sample_uniform_matrix,
 )
@@ -64,7 +61,6 @@ from .keyagree import (
 from .simulate import (
     StopRule,
     TrialReport,
-    bsc_sample,
     calibrate_pc,
     evaluate,
     region_curve,

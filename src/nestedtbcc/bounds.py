@@ -19,22 +19,6 @@ from .trellis import WeightSpectrum
 
 
 @dataclass(frozen=True)
-class ChannelParams:
-    """Measurement BSC crossover p_A and design (artificial) crossover p_c."""
-
-    p_A: float
-    p_c: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_A <= 0.5:
-            raise ValueError(f"p_A must be in [0, 0.5], got {self.p_A}")
-        if not 0.0 <= self.p_c <= 0.5:
-            raise ValueError(f"p_c must be in [0, 0.5], got {self.p_c}")
-        if self.p_A > self.p_c:
-            raise ValueError(f"need p_A <= p_c, got p_A={self.p_A} > p_c={self.p_c}")
-
-
-@dataclass(frozen=True)
 class RateTuple:
     """Key rate, privacy-leakage rate, and storage rate in bits/symbol."""
 

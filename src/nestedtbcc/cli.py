@@ -114,11 +114,7 @@ def cmd_design_fec(args) -> int:
 
 def cmd_design_vq(args) -> int:
     parent = load_code(args.code)
-    spec = parent.spec
-    res = design.search_vq_extension(design.VqSearchConfig(
-        m=spec.m, k_vq=args.kvq, k_fec=spec.k, w_max=args.wmax, seed=args.seed,
-        C=spec.C, B_tilde_s=spec.B_tilde, D_tilde_s=spec.D_tilde,
-    ))
+    res = design.search_vq_extension(parent.spec, args.kvq, args.wmax, seed=args.seed)
     code = TailbitingCode.unfrozen(res.spec, parent.ell)
     out = code_to_dict(code)
     out["provenance"] = {

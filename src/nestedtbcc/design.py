@@ -206,89 +206,48 @@ def search_fec(cfg: FecSearchConfig) -> FecSearchResult:
 
 
 @dataclass(frozen=True)
-class VqSearchConfig:
-    m: int
-    k_vq: int
-    k_fec: int
-    w_max: int
-    seed: int | Sequence[int] = 0
-    C: BitMatrix = None          # n x m
-    B_tilde_s: BitMatrix = None  # m x (k_fec - 1)
-    D_tilde_s: BitMatrix = None  # n x (k_fec - 1)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k_fec < self.k_vq:
-            raise ValueError(f"need k_vq > k_fec >= 1, got {self.k_vq}, {self.k_fec}")
-        if self.w_max < 1:
-            raise ValueError(f"need w_max >= 1, got {self.w_max}")
-        for name, mat, shape in (
-            ("C", self.C, (None, self.m)),
-            ("B_tilde_s", self.B_tilde_s, (self.m, self.k_fec - 1)),
-            ("D_tilde_s", self.D_tilde_s, (None, self.k_fec - 1)),
-        ):
-            if mat is None:
-                raise ValueError(f"{name} matrix is required")
-            if shape[0] is not None and mat.nrows != shape[0]:
-                raise ValueError(f"{name} must have {shape[0]} rows, got {mat.nrows}")
-            if mat.ncols != shape[1]:
-                raise ValueError(f"{name} must have {shape[1]} columns, got {mat.ncols}")
-
-    @property
-    def n(self) -> int:
-        return self.C.nrows
-
-
-@dataclass(frozen=True)
 class VqSearchResult:
-    B_tilde_q: BitMatrix
-    D_tilde_q: BitMatrix
     d_free: int
     a_free: float  # inf when the winner's multiplicity diverges
     spec: EncoderSpec
     candidate_log: tuple[tuple[int, int, float], ...]
 
 
-def _extend_spec(cfg: VqSearchConfig, b_block: BitMatrix, d_block: BitMatrix) -> EncoderSpec:
-    spec = EncoderSpec(
-        m=cfg.m, k=cfg.k_fec, n=cfg.n,
-        B_tilde=cfg.B_tilde_s, C=cfg.C, D_tilde=cfg.D_tilde_s,
-    )
+def _extend_spec(spec: EncoderSpec, b_block: BitMatrix, d_block: BitMatrix) -> EncoderSpec:
     for j in range(b_block.ncols):
         spec = append_input_column(spec, b_block.column(j), d_block.column(j))
     return spec
 
 
-def search_vq_extension(cfg: VqSearchConfig) -> VqSearchResult:
-    """Random column-block search for a supercode with large free distance."""
-    key = seed_key(cfg.seed)
-    cols = cfg.k_vq - cfg.k_fec
-    zero_b = BitMatrix.zeros(cfg.m, cols)
-    zero_d = BitMatrix.zeros(cfg.n, cols)
-    best_b, best_d = zero_b, zero_d
+def search_vq_extension(
+    parent: EncoderSpec, k_vq: int, w_max: int, seed: int | Sequence[int] = 0
+) -> VqSearchResult:
+    """Random column-block search for a k_vq-input supercode of `parent` with
+    large free distance.  Keeps `parent` extended by zero columns when no
+    candidate reaches d_free >= 1."""
+    if k_vq <= parent.k:
+        raise ValueError(f"need k_vq > k = {parent.k} of the parent, got {k_vq}")
+    if w_max < 1:
+        raise ValueError(f"need w_max >= 1, got {w_max}")
+    key = seed_key(seed)
+    cols = k_vq - parent.k
+    best = _extend_spec(parent, BitMatrix.zeros(parent.m, cols), BitMatrix.zeros(parent.n, cols))
     best_dfree = 0
     best_afree = 0.0
     log: list[tuple[int, int, float]] = []
-    for w in range(1, cfg.w_max + 1):
+    for w in range(1, w_max + 1):
         rng = np.random.default_rng(key + (STREAM_VQ_CAND, w))
-        b_block = sample_uniform_matrix(cfg.m, cols, rng)
-        d_block = sample_uniform_matrix(cfg.n, cols, rng)
-        spec = _extend_spec(cfg, b_block, d_block)
+        b_block = sample_uniform_matrix(parent.m, cols, rng)
+        d_block = sample_uniform_matrix(parent.n, cols, rng)
+        spec = _extend_spec(parent, b_block, d_block)
         rep = free_distance(spec)
         a = math.inf if (rep.divergent or rep.a_free is None) else float(rep.a_free)
         log.append((w, rep.d_free, a))
         if rep.d_free > best_dfree or (rep.d_free == best_dfree and a < best_afree):
             best_dfree = rep.d_free
             best_afree = a
-            best_b, best_d = b_block, d_block
-    spec = _extend_spec(cfg, best_b, best_d)
-    return VqSearchResult(
-        B_tilde_q=spec.B_tilde,
-        D_tilde_q=spec.D_tilde,
-        d_free=best_dfree,
-        a_free=best_afree,
-        spec=spec,
-        candidate_log=tuple(log),
-    )
+            best = spec
+    return VqSearchResult(best_dfree, best_afree, best, tuple(log))
 
 
 def _evenly_spaced_steps(ell: int, count: int) -> list[int]:
@@ -352,27 +311,18 @@ def design_nested(
     # grow one input at a time until the measured distortion fits the budget
     spec = fec.code.spec
     ext_log: list[dict] = []
-    chosen: TailbitingCode | None = None
-    q_bar = math.inf
     for k_target in range(2, n + 1):
-        res = search_vq_extension(VqSearchConfig(
-            m=m, k_vq=k_target, k_fec=k_target - 1, w_max=w_max,
-            seed=key + (k_target,),
-            C=spec.C, B_tilde_s=spec.B_tilde, D_tilde_s=spec.D_tilde,
-        ))
+        res = search_vq_extension(spec, k_target, w_max, seed=key + (k_target,))
         spec = res.spec
-        code = TailbitingCode.unfrozen(spec, ell)
-        rep = simulate_distortion(code, cfg, distortion_trials,
+        rep = simulate_distortion(TailbitingCode.unfrozen(spec, ell), cfg, distortion_trials,
                                   key + (k_target,), workers)
         ext_log.append({
             "k": k_target, "d_free": res.d_free, "a_free": res.a_free,
             "q_bar": rep.estimate, "q_halfwidth": rep.confidence_halfwidth,
         })
         if rep.estimate <= q_max:
-            chosen = code
-            q_bar = rep.estimate
             break
-    if chosen is None:
+    else:
         raise DesignFailure(
             f"distortion budget q_max={q_max:.6g} unreachable even at rate 1 "
             f"(k_vq = n = {n}); last measured q_bar={ext_log[-1]['q_bar']:.6g}"
@@ -387,16 +337,15 @@ def design_nested(
         ).estimate
 
     lo, hi = 0, ell - 1
-    q_lo = q_bar
+    q_bar = rep.estimate
     while lo < hi:
         mid = (lo + hi + 1) // 2
         qm = q_of(mid)
         if qm <= q_max:
-            lo, q_lo = mid, qm
+            lo, q_bar = mid, qm
         else:
             hi = mid - 1
-    final_code = _frozen_code(spec, ell, _evenly_spaced_steps(ell, lo)) if lo else chosen
-    q_bar = q_lo
+    final_code = _frozen_code(spec, ell, _evenly_spaced_steps(ell, lo))
 
     report = NestedDesignReport(
         p_c_union=fec.p_c,

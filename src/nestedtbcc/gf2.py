@@ -114,10 +114,6 @@ class BitMatrix:
         return BitMatrix((0,) * nrows, ncols)
 
     @staticmethod
-    def identity(n: int) -> "BitMatrix":
-        return BitMatrix(tuple(1 << i for i in range(n)), n)
-
-    @staticmethod
     def from_numpy(a: np.ndarray) -> "BitMatrix":
         a = np.asarray(a)
         if a.ndim != 2:
@@ -188,26 +184,6 @@ def gf2_vec_mat(v: BitVector, m: BitMatrix) -> BitVector:
         w >>= 1
         i += 1
     return BitVector(acc, m.ncols)
-
-
-def gf2_mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2)."""
-    if a.ncols != b.nrows:
-        raise Gf2ShapeError(
-            f"dimension mismatch: {a.nrows}x{a.ncols} matrix times {b.nrows}x{b.ncols} matrix"
-        )
-    rows = []
-    for w in a.row_words:
-        acc = 0
-        i = 0
-        ww = w
-        while ww:
-            if ww & 1:
-                acc ^= b.row_words[i]
-            ww >>= 1
-            i += 1
-        rows.append(acc)
-    return BitMatrix(tuple(rows), b.ncols)
 
 
 def as_generator(rng_state: int | np.random.Generator | Sequence[int]) -> np.random.Generator:

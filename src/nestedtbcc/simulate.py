@@ -27,7 +27,6 @@ from .bounds import (
     quantizer_rate_approx,
 )
 from .encoder import TailbitingCode, encode_many
-from .gf2 import BitVector, as_generator
 from .keyagree import NestedCodePair, enroll_many, reconstruct_many
 from .trellis import build_trellis
 from .wava import WavaConfig, wava_decode_many
@@ -85,15 +84,6 @@ class TrialReport:
     confidence_halfwidth: float
     seed: tuple[int, ...]
     wallclock: float
-
-
-def bsc_sample(n_bits: int, p: float, rng_state) -> BitVector:
-    """An i.i.d. Bernoulli(p) flip pattern, deterministic in rng_state."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"crossover must be in [0, 1], got {p}")
-    rng = as_generator(rng_state)
-    bits = (rng.random(n_bits) < p).astype(np.uint8)
-    return BitVector.from_bits(bits.tolist())
 
 
 def _chunks(

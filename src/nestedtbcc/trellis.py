@@ -14,7 +14,9 @@ largest entry when it would pass the limit.  G is capped so that the three
 buffers fit in _BUDGET_BYTES at int64 width.
 
 free_distance relaxes one edge list of the state graph min-plus (weights to
-and from state 0) and counts detours over its edges grouped by branch weight.
+and from state 0) and keeps the tight edges, those that lie on a detour of
+weight d_free.  A cycle among them makes A_free infinite; otherwise they form
+a DAG and A_free is a count of paths through it.
 """
 
 from __future__ import annotations
@@ -269,9 +271,8 @@ def _relax(dist: np.ndarray, src: np.ndarray, dst: np.ndarray, w: np.ndarray) ->
 
 
 def free_distance(spec: EncoderSpec) -> FreeDistanceReport:
-    """Exact d_free and A_free by weight-bounded search over the state graph."""
-    if spec.C.is_zero() and spec.D_tilde.is_zero():
-        return FreeDistanceReport(0, None, degenerate=True)
+    """Exact d_free and A_free: min-plus distances to and from state 0, then a
+    count of the detours that use only edges of minimal detours."""
     nxt, out_int = _transitions(spec)
     out_w = np.bitwise_count(out_int).astype(np.int64)
     S, nu = 1 << spec.m, 1 << spec.k
@@ -300,44 +301,37 @@ def free_distance(spec: EncoderSpec) -> FreeDistanceReport:
     if d_free == 0:
         return FreeDistanceReport(0, None, degenerate=True)
 
-    # a zero-weight cycle on a minimal detour makes A_free infinite.  dist_from
-    # and dist_to, and so through, are constant along a zero-weight cycle, so
-    # such a cycle lies wholly among the states with through == d_free, and a
-    # directed graph has a cycle iff in-degree-zero peeling leaves an edge
+    # a detour weighs d_free iff every edge on it is tight: both ends have
+    # through == d_free and dist_from grows by the edge's weight.  A cycle of
+    # tight edges therefore weighs zero and lies on a minimal detour, which
+    # makes A_free infinite; a directed graph has a cycle iff in-degree-zero
+    # peeling leaves an edge
     on_min = through == d_free
-    zero = (w_in == 0) & on_min[src_in] & on_min[dst_in]
-    zs, zd = src_in[zero], dst_in[zero]
+    tight = on_min[src_in] & on_min[dst_in] & (dist_from[src_in] + w_in == dist_from[dst_in])
+    ts, td = src_in[tight], dst_in[tight]
+    zs, zd = ts, td
     while len(zs):
         live = np.isin(zs, zd)
         if live.all():
             return FreeDistanceReport(d_free, None, divergent=True)
         zs, zd = zs[live], zd[live]
 
-    # count minimal first-return detours with a (state, weight)-bounded DP;
-    # mass that cannot complete within the remaining budget is pruned, which
-    # both keeps the count exact and guarantees the frontier dies out
-    W = d_free
-    can_finish = dist_to[:, None] <= W - np.arange(W + 1)
-    f = np.zeros((S, W + 1), dtype=np.int64)
-    ok = seed_w <= W
-    np.add.at(f, (seed_dst[ok], seed_w[ok]), 1)
-    f *= can_finish
-    a_free = int(np.count_nonzero(direct == W))
-    ok = ret_w <= W
-    ret_src, ret_col = ret_src[ok], W - ret_w[ok]
-    # inner edges grouped by branch weight (at most n + 1 groups)
-    groups = [(v, src_in[w_in == v], dst_in[w_in == v]) for v in range(min(W, spec.n) + 1)]
-    for _ in range(S * (W + 1) + 2):
+    # count tight paths from tight seeds to tight returns; the tight edges
+    # form a DAG on the S - 1 nonzero states, so the frontier dies out
+    seed = on_min[seed_dst] & (seed_w == dist_from[seed_dst])
+    f = np.bincount(seed_dst[seed], minlength=S).astype(np.int64)
+    ret = ret_src[on_min[ret_src] & (dist_to[ret_src] == ret_w)]
+    a_free = int(np.count_nonzero(direct == d_free))
+    for _ in range(S):
         # completions into state 0 at exact weight d_free
-        a_free += int(f[ret_src, ret_col].sum())
+        a_free += int(f[ret].sum())
         if not f.any():
             break
         fn = np.zeros_like(f)
-        for v, s, t in groups:
-            np.add.at(fn[:, v:], t, f[s, : W + 1 - v])
-        f = fn * can_finish
-        if f.max(initial=0) > _OVERFLOW_GUARD // nu:
+        np.add.at(fn, td, f[ts])
+        f = fn
+        if f.max() > _OVERFLOW_GUARD // nu:
             raise RuntimeError("detour count exceeds the int64 budget")
     else:
-        raise AssertionError("detour DP failed to terminate")
+        raise AssertionError("detour count failed to terminate")
     return FreeDistanceReport(d_free, a_free)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestedtbcc.bounds import (
-    ChannelParams,
     _half_tail_rows,
     binary_entropy,
     complexity_estimates,
@@ -165,12 +164,6 @@ def test_quantizer_converse_monotone():
         assert feas == sorted(feas)  # False..True, never back
         feas_r = [quantizer_converse_feasible(n, r, 0.05) for r in [i / 50 for i in range(51)]]
         assert feas_r == sorted(feas_r)
-
-
-def test_channel_params_ordering():
-    ChannelParams(0.01, 0.05)
-    with pytest.raises(ValueError):
-        ChannelParams(0.1, 0.05)
 
 
 def test_complexity_table_values():

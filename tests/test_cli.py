@@ -280,6 +280,23 @@ def test_negative_truncation_exit_code(tmp_path, argv):
     assert proc.stderr.startswith("error:") and "d_max" in proc.stderr
 
 
+@pytest.mark.parametrize("kvq, wmax, message", [
+    ("1", "4", "need k_vq > k = 1"),
+    ("2", "0", "need w_max >= 1"),
+])
+def test_design_vq_bad_arguments_exit_code(tmp_path, kvq, wmax, message):
+    code_path = tmp_path / "code.json"
+    save_code(toy_pair_a().fec_code, str(code_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestedtbcc.cli", "design-vq", "--code", str(code_path),
+         "--kvq", kvq, "--wmax", wmax, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+
+
 def test_design_failure_exit_code():
     rc = main([
         "design-nested", "--pa", "0.45", "--target-pb", "1e-6",

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import all_messages, codeword_set
-from nestedtbcc import bounds
+from nestedtbcc import bounds, design
 from nestedtbcc.bounds import CROSSOVER_FLOOR, distortion_limit, solve_crossover
 from nestedtbcc.design import (
     DesignFailure,
     FecSearchConfig,
-    VqSearchConfig,
     design_nested,
     search_fec,
     search_vq_extension,
@@ -19,10 +18,10 @@ from nestedtbcc.encoder import (
     TailbitingCode,
     encode_many,
 )
-from nestedtbcc.gf2 import sample_uniform_matrix
+from nestedtbcc.gf2 import BitMatrix, sample_uniform_matrix
 from nestedtbcc.keyagree import pair_to_dict
 from nestedtbcc.simulate import STREAM_FEC_CAND, StopRule, seed_key, simulate_distortion
-from nestedtbcc.trellis import free_distance, weight_enumerator
+from nestedtbcc.trellis import FreeDistanceReport, free_distance, weight_enumerator
 from search_fec_reference import reference_search_fec
 
 
@@ -159,11 +158,9 @@ def test_search_fec_all_degenerate_fails():
 def test_search_vq_extension_deterministic_and_dominant():
     base = search_fec(FecSearchConfig(n=2, m=3, K_fec=8, target_pb=1e-2, w_max=10, seed=8))
     spec = base.code.spec
-    cfg = VqSearchConfig(m=3, k_vq=2, k_fec=1, w_max=40, seed=9,
-                         C=spec.C, B_tilde_s=spec.B_tilde, D_tilde_s=spec.D_tilde)
-    res = search_vq_extension(cfg)
-    again = search_vq_extension(cfg)
-    assert res.B_tilde_q == again.B_tilde_q and res.D_tilde_q == again.D_tilde_q
+    res = search_vq_extension(spec, 2, 40, seed=9)
+    again = search_vq_extension(spec, 2, 40, seed=9)
+    assert res.spec == again.spec
     # the winner dominates every logged candidate in (d_free, -A_free) order
     for _, d, a in res.candidate_log:
         assert (res.d_free, -res.a_free) >= (d, -a)
@@ -175,14 +172,24 @@ def test_search_vq_extension_deterministic_and_dominant():
 def test_search_vq_extension_keeps_parent_as_subcode():
     base = search_fec(FecSearchConfig(n=2, m=3, K_fec=8, target_pb=1e-2, w_max=5, seed=10))
     spec = base.code.spec
-    res = search_vq_extension(VqSearchConfig(
-        m=3, k_vq=2, k_fec=1, w_max=10, seed=11,
-        C=spec.C, B_tilde_s=spec.B_tilde, D_tilde_s=spec.D_tilde,
-    ))
+    res = search_vq_extension(spec, 2, 10, seed=11)
     ell = 4
     parent_set = codeword_set(TailbitingCode.unfrozen(spec, ell))
     child_set = codeword_set(TailbitingCode.unfrozen(res.spec, ell))
     assert parent_set <= child_set
+
+
+def test_search_vq_extension_without_a_usable_candidate_keeps_zero_columns(monkeypatch):
+    # every candidate degenerate: the parent comes back extended by zero
+    # columns, not the first or the last candidate drawn
+    spec = EncoderSpec.rate_one_over_n(sample_uniform_matrix(2, 3, 4))
+    monkeypatch.setattr(design, "free_distance",
+                        lambda s: FreeDistanceReport(0, None, degenerate=True))
+    res = search_vq_extension(spec, 3, 5, seed=12)
+    assert (res.d_free, res.a_free) == (0, 0.0)
+    assert len(res.candidate_log) == 5
+    assert res.spec == EncoderSpec(m=3, k=3, n=2, B_tilde=BitMatrix.zeros(3, 2), C=spec.C,
+                                   D_tilde=BitMatrix.zeros(2, 2))
 
 
 def test_design_nested_toy_pipeline():

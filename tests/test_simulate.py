@@ -19,7 +19,6 @@ from nestedtbcc.simulate import (
     CHUNK,
     CalibrationError,
     StopRule,
-    bsc_sample,
     calibrate_pc,
     chunk_rng,
     derived_rate_fields,
@@ -34,17 +33,6 @@ from nestedtbcc.simulate import (
 from nestedtbcc.trellis import weight_enumerator
 from nestedtbcc.wava import wava_decode_many
 from nestedtbcc.trellis import build_trellis
-
-
-def test_bsc_sample_endpoints_and_mean():
-    assert bsc_sample(100, 0.0, 1).weight() == 0
-    assert bsc_sample(100, 1.0, 1).weight() == 100
-    n = 10_000_000
-    rng = np.random.default_rng(42)
-    mean = float((rng.random(n) < 0.0149).mean())
-    assert abs(mean - 0.0149) <= 3 * math.sqrt(0.0149 * 0.9851 / n)
-    v = bsc_sample(20000, 0.0149, 7)
-    assert v == bsc_sample(20000, 0.0149, 7)
 
 
 def test_fer_zero_crossover(repetition_toy):
