@@ -11,7 +11,7 @@ run back to back in one process with one BLAS thread:
   target_pb=0.1, w_max=20) at seeds (7, 1) .. (7, 16), reported per search.
 
 Before timing, every point checks that both searches return the same
-winner, crossover and recheck.  The JSON also records the pruned, skipped
+winner and crossover.  The JSON also records the pruned, skipped
 and scored candidate counts and the machine, core count and versions.
 """
 
@@ -36,13 +36,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy  # noqa: E402
 
-from nestedtbcc.design import FecSearchConfig, search_fec  # noqa: E402
+from nestedtbcc.design import search_fec  # noqa: E402
 from search_fec_reference import reference_search_fec  # noqa: E402
 
 RUNS = 3
 POINTS = {
-    "criterion-9": [FecSearchConfig(n=3, m=6, K_fec=32, target_pb=1e-3, w_max=500, seed=2024)],
-    "design-m6": [FecSearchConfig(n=3, m=6, K_fec=32, target_pb=0.1, w_max=20, seed=(7, i))
+    "criterion-9": [dict(n=3, m=6, K_fec=32, target_pb=1e-3, w_max=500, seed=2024)],
+    "design-m6": [dict(n=3, m=6, K_fec=32, target_pb=0.1, w_max=20, seed=(7, i))
                   for i in range(1, 17)],
 }
 
@@ -60,15 +60,15 @@ def _machine() -> str:
 def _time(search, cfgs) -> float:
     t0 = time.perf_counter()
     for cfg in cfgs:
-        search(cfg)
+        search(**cfg)
     return (time.perf_counter() - t0) / len(cfgs)
 
 
-def bench_point(cfgs: list[FecSearchConfig]) -> dict:
+def bench_point(cfgs: list[dict]) -> dict:
     counts = {"pruned": 0, "skipped": 0, "scored": 0}
     for cfg in cfgs:
-        res, ref = search_fec(cfg), reference_search_fec(cfg)
-        same = (res.C, res.p_c, res.p_c_recheck) == (ref.C, ref.p_c, ref.p_c_recheck)
+        res, ref = search_fec(**cfg), reference_search_fec(**cfg)
+        same = (res.code, res.p_c) == (ref.code, ref.p_c)
         if not same:
             raise AssertionError(f"pruned search differs from the reference at {cfg}")
         counts["pruned"] += res.pruned
@@ -78,11 +78,10 @@ def bench_point(cfgs: list[FecSearchConfig]) -> dict:
     for _ in range(RUNS):
         pruned_s.append(_time(search_fec, cfgs))
         reference_s.append(_time(reference_search_fec, cfgs))
-    cfg = cfgs[0]
+    params = {k: v for k, v in cfgs[0].items() if k != "seed"}
     return {
-        "params": {"n": cfg.n, "m": cfg.m, "K_fec": cfg.K_fec, "target_pb": cfg.target_pb,
-                   "w_max": cfg.w_max, "truncation": cfg.truncation},
-        "seeds": [list(cfg.seed) if isinstance(cfg.seed, tuple) else cfg.seed for cfg in cfgs],
+        "params": {**params, "truncation": res.spectrum.d_max},
+        "seeds": [list(c["seed"]) if isinstance(c["seed"], tuple) else c["seed"] for c in cfgs],
         "searches": len(cfgs),
         "candidates": counts,
         "pruned_s_per_search": {"median": statistics.median(pruned_s), "runs": pruned_s},

@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .design import (
     DesignFailure,
-    FecSearchConfig,
     design_nested,
     search_fec,
     search_vq_extension,

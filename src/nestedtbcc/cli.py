@@ -95,17 +95,20 @@ def _add_common(p, stop=False, sim=False):
 
 
 def cmd_design_fec(args) -> int:
-    cfg = design.FecSearchConfig(
-        n=args.n, m=args.m, K_fec=args.kfec, target_pb=args.target_pb,
-        w_max=args.wmax, seed=args.seed, d_max=args.dmax,
-    )
-    res = design.search_fec(cfg)
+    res = design.search_fec(args.n, args.m, args.kfec, args.target_pb, args.wmax,
+                            seed=args.seed, d_max=args.dmax)
+    # re-verify the winner at doubled truncation; a moving solution means the
+    # dropped high-weight mass mattered
+    d_max = res.spectrum.d_max
+    d2, p2 = min(res.code.N, 2 * d_max), res.p_c
+    if d2 > d_max:
+        p2 = bounds.solve_crossover(weight_enumerator(res.code, d2), args.target_pb)
     out = code_to_dict(res.code)
     out["provenance"] = {
         "seed": args.seed, "w_max": args.wmax, "target_pb": args.target_pb,
-        "p_c_union_bound": res.p_c, "p_c_recheck": res.p_c_recheck,
-        "recheck_moved": res.recheck_moved, "skipped_candidates": res.skipped,
-        "pruned_candidates": res.pruned,
+        "p_c_union_bound": res.p_c, "p_c_recheck": p2,
+        "recheck_moved": abs(p2 - res.p_c) > 0.01 * res.p_c,
+        "skipped_candidates": res.skipped, "pruned_candidates": res.pruned,
         "spectrum_head": dict(res.spectrum.items()[:16]),
     }
     _write_json(args.out, out)

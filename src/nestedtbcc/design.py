@@ -78,45 +78,9 @@ class DesignFailure(RuntimeError):
     """A search or budget step could not produce a usable code."""
 
 
-def default_spectrum_truncation(m: int, n: int, n_block: int) -> int:
-    """Truncation weight for design loops: min(N, 4mn)."""
-    return min(n_block, 4 * m * n)
-
-
-@dataclass(frozen=True)
-class FecSearchConfig:
-    n: int
-    m: int
-    K_fec: int
-    target_pb: float
-    w_max: int
-    seed: int | Sequence[int] = 0
-    d_max: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.w_max < 1:
-            raise ValueError(f"need w_max >= 1, got {self.w_max}")
-        if not 0.0 < self.target_pb < 1.0:
-            raise ValueError(f"target_pb must be in (0, 1), got {self.target_pb}")
-        if self.K_fec < self.m:
-            raise ValueError(f"need K_fec >= m for tailbiting, got {self.K_fec} < {self.m}")
-        if self.d_max is not None and not 0 <= self.d_max <= self.n_block:
-            raise ValueError(f"d_max must be in [0, N={self.n_block}], got {self.d_max}")
-
-    @property
-    def n_block(self) -> int:
-        return self.n * self.K_fec
-
-    @property
-    def truncation(self) -> int:
-        if self.d_max is not None:
-            return self.d_max
-        return default_spectrum_truncation(self.m, self.n, self.n_block)
-
-
 @dataclass(frozen=True)
 class FecSearchResult:
-    """Winner of the subcode search.
+    """Winner of the subcode search; spectrum.d_max is the truncation weight.
 
     candidate_log holds (w, p_c) for every candidate w in draw order: the
     solved crossover for a scored candidate, None for a skipped (degenerate)
@@ -124,15 +88,12 @@ class FecSearchResult:
     at its turn.  skipped + pruned + scored = w_max.
     """
 
-    C: BitMatrix
     p_c: float
     spectrum: WeightSpectrum
     code: TailbitingCode
     candidate_log: tuple[tuple[int, float | None], ...]
     skipped: int
     pruned: int
-    p_c_recheck: float
-    recheck_moved: bool
 
 
 # A short bound must clear the band top by this relative margin before it
@@ -149,21 +110,35 @@ def _loses(short: WeightSpectrum, p_inc: float, target_pb: float) -> bool:
     return above_band(pb * (1.0 - PRUNE_MARGIN), target_pb)
 
 
-def search_fec(cfg: FecSearchConfig) -> FecSearchResult:
-    """Random search for the observation matrix of a rate-1/n subcode.
+def search_fec(
+    n: int, m: int, K_fec: int, target_pb: float, w_max: int,
+    seed: int | Sequence[int] = 0, d_max: int | None = None,
+) -> FecSearchResult:
+    """Random search for the observation matrix of a rate-1/n subcode with
+    K_fec sections, scored on its spectrum up to d_max (default min(N, 4mn)).
 
     Candidates that provably lose are pruned (see the module docstring).
     """
-    key = seed_key(cfg.seed)
-    d_short = cfg.truncation // 3
+    if w_max < 1:
+        raise ValueError(f"need w_max >= 1, got {w_max}")
+    if not 0.0 < target_pb < 1.0:
+        raise ValueError(f"target_pb must be in (0, 1), got {target_pb}")
+    if K_fec < m:
+        raise ValueError(f"need K_fec >= m for tailbiting, got {K_fec} < {m}")
+    n_block = n * K_fec
+    if d_max is None:
+        d_max = min(n_block, 4 * m * n)
+    elif not 0 <= d_max <= n_block:
+        raise ValueError(f"d_max must be in [0, N={n_block}], got {d_max}")
+    key = seed_key(seed)
+    d_short = d_max // 3
     best_pc = -1.0
-    best: tuple[BitMatrix, WeightSpectrum, TailbitingCode] | None = None
+    best: tuple[WeightSpectrum, TailbitingCode] | None = None
     log: list[tuple[int, float | None]] = []
     skipped = pruned = 0
-    for w in range(1, cfg.w_max + 1):
-        c_mat = sample_uniform_matrix(cfg.n, cfg.m, key + (STREAM_FEC_CAND, w))
-        spec = EncoderSpec.rate_one_over_n(c_mat)
-        code = TailbitingCode.unfrozen(spec, cfg.K_fec)
+    for w in range(1, w_max + 1):
+        c_mat = sample_uniform_matrix(n, m, key + (STREAM_FEC_CAND, w))
+        code = TailbitingCode.unfrozen(EncoderSpec.rate_one_over_n(c_mat), K_fec)
         # no pruning at the floor: a candidate that also solves to it ties;
         # a short spectrum without a nonzero weight cannot prune
         if best_pc > CROSSOVER_FLOOR and d_short >= 1:
@@ -172,37 +147,27 @@ def search_fec(cfg: FecSearchConfig) -> FecSearchResult:
                 log.append((w, None))
                 skipped += 1
                 continue
-            if _loses(short, best_pc, cfg.target_pb):
+            if _loses(short, best_pc, target_pb):
                 log.append((w, -math.inf))
                 pruned += 1
                 continue
-        spectrum = weight_enumerator(code, cfg.truncation)
+        spectrum = weight_enumerator(code, d_max)
         if spectrum.a(0) != 1 or spectrum.d_min() is None:
             # non-injective (a nonzero message encodes to zero) or no
             # low-weight mass to bound with: unusable candidate
             log.append((w, None))
             skipped += 1
             continue
-        p_c = solve_crossover(spectrum, cfg.target_pb)
+        p_c = solve_crossover(spectrum, target_pb)
         log.append((w, p_c))
         if p_c >= best_pc:
             best_pc = p_c
-            best = (c_mat, spectrum, code)
+            best = (spectrum, code)
     if best is None:
         raise DesignFailure(
-            f"all {cfg.w_max} candidates were degenerate (non-injective or weightless)"
+            f"all {w_max} candidates were degenerate (non-injective or weightless)"
         )
-    c_mat, spectrum, code = best
-    # re-verify the winner at doubled truncation; a moving solution means the
-    # dropped high-weight mass mattered
-    d2 = min(cfg.n_block, 2 * cfg.truncation)
-    p2 = best_pc
-    if d2 > cfg.truncation:
-        p2 = solve_crossover(weight_enumerator(code, d2), cfg.target_pb)
-    moved = abs(p2 - best_pc) > 0.01 * best_pc
-    return FecSearchResult(
-        c_mat, best_pc, spectrum, code, tuple(log), skipped, pruned, p2, moved
-    )
+    return FecSearchResult(best_pc, *best, tuple(log), skipped, pruned)
 
 
 @dataclass(frozen=True)
@@ -289,15 +254,16 @@ def design_nested(
     """Full nested design: subcode search, crossover calibration, incremental
     quantizer extension, and last-input freezing refinement.
 
-    Deterministic in (arguments, seed).  Raises DesignFailure when the target
-    is unreachable or the distortion budget cannot be met at rate 1.
+    Deterministic in (arguments, seed).  Raises ValueError for n < 2, which
+    leaves no input to add, and DesignFailure when the target is unreachable
+    or the distortion budget cannot be met at rate 1.
     """
+    if n < 2:
+        raise ValueError(f"need n >= 2 for a quantizer extension, got n={n}")
     key = seed_key(seed)
     cfg = WavaConfig(max_iterations=V)
 
-    fec = search_fec(FecSearchConfig(
-        n=n, m=m, K_fec=K_fec, target_pb=target_pb, w_max=w_max, seed=key,
-    ))
+    fec = search_fec(n, m, K_fec, target_pb, w_max, seed=key)
     ell = K_fec
 
     try:

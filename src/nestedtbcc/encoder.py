@@ -22,6 +22,9 @@ Packed conventions used everywhere in this package:
 * input int: bit j  <-> input j of the current step
 * output int: bit i <-> output i of the current step
 * codeword bit index t*n + i <-> output i of section t (time-major)
+
+_bits_to_section_ints and _ints_to_bits convert between bit rows in this
+layout and per-section ints, for codewords (width n) and inputs (width k).
 """
 
 from __future__ import annotations
@@ -227,6 +230,24 @@ def _input_index(code: TailbitingCode) -> np.ndarray:
     return idx
 
 
+def _bits_to_section_ints(bits: np.ndarray, n: int) -> np.ndarray:
+    """Time-major bits [B, ell*n] -> int64 [B, ell]: bit i of entry t is bit t*n + i."""
+    B, N = bits.shape
+    ints = np.zeros((B, N // n), dtype=np.int64)
+    for i in range(n):
+        ints |= bits[:, i::n].astype(np.int64) << i
+    return ints
+
+
+def _ints_to_bits(ints: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of _bits_to_section_ints: ints [B, ell] -> uint8 bits [B, ell*n]."""
+    B, ell = ints.shape
+    bits = np.zeros((B, ell * n), dtype=np.uint8)
+    for i in range(n):
+        bits[:, i::n] = ((ints >> i) & 1).astype(np.uint8)
+    return bits
+
+
 def encode_tailbiting(code: TailbitingCode, message: BitVector) -> BitVector:
     """Encode one message (a thin wrapper over encode_many)."""
     if message.n != code.K:
@@ -247,10 +268,10 @@ def encode_many(code: TailbitingCode, messages: np.ndarray) -> np.ndarray:
     spec = code.spec
     k, ell, B = spec.k, code.ell, messages.shape[0]
     next_state, out_int = (a.ravel() for a in _transitions(spec))
-    bits_in = np.zeros((ell * k, B), dtype=np.int64)
-    bits_in[_input_index(code)] = messages.T
+    bits_in = np.zeros((B, ell * k), dtype=np.uint8)
+    bits_in[:, _input_index(code)] = messages
     # [ell, B] input ints; edge (s, u) is entry s*2^k + u of the raveled tables
-    u_ints = (bits_in.reshape(ell, k, B) << np.arange(k)[:, None]).sum(axis=1)
+    u_ints = _bits_to_section_ints(bits_in, k).T
 
     wrap = np.zeros(B, dtype=np.int64)
     for t in range(ell - spec.m, ell):
@@ -263,8 +284,7 @@ def encode_many(code: TailbitingCode, messages: np.ndarray) -> np.ndarray:
         s = next_state[e]
     if not np.array_equal(s, wrap):
         raise AssertionError("tailbiting failed: end state differs from start state")
-    bits = (outs.T[:, :, None] >> np.arange(spec.n)) & 1
-    return bits.astype(np.uint8).reshape(B, code.N)
+    return _ints_to_bits(outs.T, spec.n)
 
 
 def remove_input_column(spec: EncoderSpec, i: int) -> EncoderSpec:

@@ -7,11 +7,14 @@ trellis, one block of start states at a time, instead of materializing matrix
 powers.  Partial-path counts are stored degree-major, row d*S + state of an
 [S*L + 1, G] array for G start states (the last row is zero), so a section is
 one precomputed row gather per edge rank plus adds, over the live degree
-prefix only.  Counts are int32, widen to int64 and then to Python integers
-only when the next section could pass 2^31 - 1 (then 2^62): a bound on every
-entry is multiplied by each section's out-degree and refreshed from the
-largest entry when it would pass the limit.  G is capped so that the three
-buffers fit in _BUDGET_BYTES at int64 width.
+prefix only.  Counts start in plain int32 arrays (current, next, scratch)
+and widen one step at a time, to int64 and then to Python integers, only
+when the next section could pass 2^31 - 1 (then 2^62): a bound on every entry
+is multiplied by each section's out-degree and refreshed from the largest
+entry when it would pass the limit.  A widening frees the next and scratch
+arrays, copies the current one to the wider type and makes the other two
+anew.  G is capped so that the three arrays fit in _BUDGET_BYTES at int64
+width.
 
 free_distance relaxes one edge list of the state graph min-plus (weights to
 and from state 0) and keeps the tight edges, those that lie on a detour of
@@ -31,7 +34,8 @@ from .encoder import EncoderSpec, TailbitingCode, _transitions
 _OVERFLOW_GUARD = 1 << 62
 # largest entry the enumerator lets each integer dtype reach
 _INT_LIMITS = {np.dtype(np.int32): (1 << 31) - 1, np.dtype(np.int64): _OVERFLOW_GUARD}
-# the weight enumerator's three [S*L + 1, G] buffers, counted at int64 width,
+_WIDER = {np.dtype(np.int32): np.int64, np.dtype(np.int64): object}
+# the weight enumerator's three [S*L + 1, G] arrays, counted at int64 width,
 # fit in this many bytes; it caps the start-state block G
 _BUDGET_BYTES = 8 << 20
 
@@ -167,26 +171,21 @@ def _gathers(view: SectionView, S: int, L: int) -> tuple[list[np.ndarray], int]:
 
 
 def _closed_paths(
-    trellis: TailbitingTrellis, gathers: dict, starts: np.ndarray, L: int,
-    raw: list[np.ndarray],
+    trellis: TailbitingTrellis, gathers: dict, starts: np.ndarray, L: int
 ) -> np.ndarray:
     """Closed-path counts by output weight (< L) summed over a block of starts.
 
     P[d*S + state, g] counts the partial paths from starts[g] that reach
-    `state` with output weight d; the three [S*L + 1, g] buffers (current,
-    next, scratch) are views of the caller's int64 arrays `raw`.  `bound`
-    bounds every entry of P; the module docstring gives the dtype tiers.
+    `state` with output weight d; Q receives the next section and T is
+    scratch.  `bound` bounds every entry of P; the module docstring gives the
+    widening rule.
     """
     S, g = trellis.S, len(starts)
-    R = S * L + 1
-
-    def view(i: int, dtype) -> np.ndarray:
-        return raw[i].view(dtype)[: R * g].reshape(R, g)
-
-    p, q, t = 0, 1, 2
-    P, Q, T = view(p, np.int32), view(q, np.int32), view(t, np.int32)
-    P.fill(0)
-    Q.fill(0)  # rows at or above the live prefix stay zero
+    # the scratch T, which never swaps, is made first: the arrays a widening
+    # frees then sit next to each other, so the wide copies can reuse them
+    T = np.empty((S * L + 1, g), dtype=np.int32)
+    Q = np.zeros_like(T)  # rows at or above the live prefix stay zero
+    P = np.zeros_like(T)
     P[starts, np.arange(g)] = 1
     live, bound = 1, 1
     for section in trellis.sections:
@@ -194,14 +193,9 @@ def _closed_paths(
         limit = _INT_LIMITS.get(P.dtype)
         if limit is not None and bound * A > limit:
             bound = int(P[: live * S].max())
-            if P.dtype == np.int32 and bound * A > limit:
-                view(t, np.int64)[...] = P
-                p, t = t, p
-                P, Q, T = view(p, np.int64), view(q, np.int64), view(t, np.int64)
-                Q.fill(0)
-                limit = _INT_LIMITS[P.dtype]
-            if P.dtype == np.int64 and bound * A > limit:
-                P = P.astype(object)
+            if bound * A > limit:
+                del Q, T  # freed first: the copy then holds less than the wide arrays
+                P = P.astype(_WIDER[P.dtype])
                 Q, T = np.zeros_like(P), np.empty_like(P)
         bound *= A
         rows, max_w = gathers[id(section)]
@@ -211,7 +205,7 @@ def _closed_paths(
         for r in rows[1:]:
             np.take(P, r[:n], axis=0, out=T[:n], mode="clip")
             Q[:n] += T[:n]
-        P, Q, p, q = Q, P, q, p
+        P, Q = Q, P
     # summed as Python integers: the total over the block may pass int64
     return P[np.arange(L)[:, None] * S + starts, np.arange(g)].sum(axis=1, dtype=object)
 
@@ -233,11 +227,10 @@ def weight_enumerator(code: TailbitingCode, d_max: int | None = None) -> WeightS
     views = {id(v): v for v in trellis.sections}
     gathers = {key: _gathers(v, S, L) for key, v in views.items()}
     G = max(1, min(S, _BUDGET_BYTES // (3 * 8 * (S * L + 1))))
-    raw = [np.empty((S * L + 1) * G, dtype=np.int64) for _ in range(3)]
     coeffs: dict[int, int] = {}
     for lo in range(0, S, G):
         starts = np.arange(lo, min(lo + G, S), dtype=np.int64)
-        for d, v in enumerate(_closed_paths(trellis, gathers, starts, L, raw)):
+        for d, v in enumerate(_closed_paths(trellis, gathers, starts, L)):
             if v:
                 coeffs[d] = coeffs.get(d, 0) + v
     return WeightSpectrum(coeffs, d_max, code.N, code.K)

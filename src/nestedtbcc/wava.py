@@ -50,7 +50,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .encoder import TailbitingCode, _input_index
+from .encoder import TailbitingCode, _bits_to_section_ints, _input_index, _ints_to_bits
 from .gf2 import BitVector
 from .trellis import TailbitingTrellis, build_trellis
 
@@ -88,22 +88,6 @@ class BatchDecodeResult:
         self.iterations = iterations    # int64 [B]
         self.converged = converged      # bool  [B]
         self.fallback = fallback        # bool  [B]: the row reached the exact search
-
-
-def _bits_to_section_ints(bits: np.ndarray, n: int) -> np.ndarray:
-    B, N = bits.shape
-    ints = np.zeros((B, N // n), dtype=np.int64)
-    for i in range(n):
-        ints |= bits[:, i::n].astype(np.int64) << i
-    return ints
-
-
-def _ints_to_bits(ints: np.ndarray, n: int) -> np.ndarray:
-    B, ell = ints.shape
-    bits = np.zeros((B, ell * n), dtype=np.uint8)
-    for i in range(n):
-        bits[:, i::n] = ((ints >> i) & 1).astype(np.uint8)
-    return bits
 
 
 class _Tables:
@@ -345,8 +329,7 @@ def wava_decode_many(
     if not np.array_equal(dist, best_dist):
         raise AssertionError("survivor metric disagrees with recomputed distance")
 
-    u_bits = ((best_u[:, :, None] >> np.arange(trellis.k)) & 1).reshape(B, trellis.ell * trellis.k)
-    msg_bits = u_bits[:, _input_index(trellis.code)].astype(np.uint8)
+    msg_bits = _ints_to_bits(best_u, trellis.k)[:, _input_index(trellis.code)]
     return BatchDecodeResult(msg_bits, cw_bits, dist, iterations, converged, need)
 
 

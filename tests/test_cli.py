@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import toy_pair_a
 from nestedtbcc import cli
+from nestedtbcc.bounds import solve_crossover
 from nestedtbcc.cli import main
 from nestedtbcc.encoder import load_code, save_code
 from nestedtbcc.gf2 import BitVector
 from nestedtbcc.keyagree import enroll, read_bit_lines, reconstruct, save_pair, write_bit_lines
+from nestedtbcc.trellis import weight_enumerator
 
 
 @pytest.fixture
@@ -295,6 +297,37 @@ def test_design_vq_bad_arguments_exit_code(tmp_path, kvq, wmax, message):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:") and message in proc.stderr
+
+
+@pytest.mark.parametrize("m, kfec, dmax, moved", [
+    ("2", "12", None, False),   # truncation 4mn = 16 < N = 24: rechecked at 24
+    ("3", "8", "3", True),      # rechecked at 6, where the crossover differs from 7 and 9
+    ("3", "8", None, False),    # truncation N = 16: nothing to recheck
+])
+def test_design_fec_recheck_at_doubled_truncation(tmp_path, m, kfec, dmax, moved):
+    out = tmp_path / "fec.json"
+    argv = ["design-fec", "--n", "2", "--m", m, "--kfec", kfec, "--target-pb", "1e-2",
+            "--wmax", "8", "--seed", "1", "--out", str(out)]
+    assert main(argv + (["--dmax", dmax] if dmax else [])) == 0
+    prov = json.loads(out.read_text())["provenance"]
+    code = load_code(str(out))
+    t = int(dmax) if dmax else min(code.N, 4 * int(m) * 2)
+    p2 = solve_crossover(weight_enumerator(code, min(code.N, 2 * t)), 1e-2)
+    assert prov["p_c_recheck"] == p2
+    assert prov["recheck_moved"] == (abs(p2 - prov["p_c_union_bound"])
+                                     > 0.01 * prov["p_c_union_bound"]) == moved
+
+
+def test_design_nested_without_an_input_to_add_exit_code():
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestedtbcc.cli", "design-nested", "--pa", "0",
+         "--target-pb", "0.1", "--kfec", "8", "--n", "1", "--m", "2", "--wmax", "4",
+         "--max-trials", "2000"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and "n=1" in proc.stderr
 
 
 def test_design_failure_exit_code():

@@ -8,7 +8,6 @@ from nestedtbcc import bounds, design
 from nestedtbcc.bounds import CROSSOVER_FLOOR, distortion_limit, solve_crossover
 from nestedtbcc.design import (
     DesignFailure,
-    FecSearchConfig,
     design_nested,
     search_fec,
     search_vq_extension,
@@ -26,41 +25,40 @@ from search_fec_reference import reference_search_fec
 
 
 def test_search_fec_single_candidate_is_deterministic():
-    cfg = FecSearchConfig(n=2, m=3, K_fec=8, target_pb=1e-2, w_max=1, seed=5)
-    res = search_fec(cfg)
+    res = search_fec(2, 3, 8, 1e-2, 1, seed=5)
     # the sampled matrix is reproducible from the same stream
     expect = sample_uniform_matrix(2, 3, seed_key(5) + (STREAM_FEC_CAND, 1))
-    assert res.C == expect
+    assert res.code.spec.C == expect
     # and the reported crossover re-derives from an independent recomputation
+    # at the default truncation min(N, 4mn) = 16
     code = TailbitingCode.unfrozen(EncoderSpec.rate_one_over_n(expect), 8)
-    spectrum = weight_enumerator(code, cfg.truncation)
+    spectrum = weight_enumerator(code, 16)
+    assert res.spectrum == spectrum
     assert res.p_c == solve_crossover(spectrum, 1e-2)
 
 
 def test_search_fec_returns_argmax_of_log():
-    cfg = FecSearchConfig(n=3, m=3, K_fec=8, target_pb=1e-3, w_max=60, seed=6)
-    res = search_fec(cfg)
+    res = search_fec(3, 3, 8, 1e-3, 60, seed=6)
     # pruned candidates are logged as -inf and are not scored
     scored = [p for _, p in res.candidate_log if p is not None and p != -math.inf]
     assert res.p_c == max(scored)
-    assert res.skipped + res.pruned + len(scored) == cfg.w_max
+    assert res.skipped + res.pruned + len(scored) == 60
     # ties keep the last candidate: the winner index is the last argmax
     winners = [w for w, p in res.candidate_log if p == res.p_c]
     assert winners, "winner must appear in the log"
     # recompute the winner's matrix from its index and confirm it is returned
     w_last = winners[-1]
-    assert res.C == sample_uniform_matrix(3, 3, seed_key(6) + (STREAM_FEC_CAND, w_last))
+    assert res.code.spec.C == sample_uniform_matrix(3, 3, seed_key(6) + (STREAM_FEC_CAND, w_last))
 
 
-def _assert_matches_reference(cfg: FecSearchConfig) -> int:
+def _assert_matches_reference(cfg: dict) -> int:
     """Pruned search equals the unpruned oracle; returns the pruned count."""
-    res, ref = search_fec(cfg), reference_search_fec(cfg)
-    assert res.C == ref.C
+    res, ref = search_fec(**cfg), reference_search_fec(**cfg)
+    assert res.code == ref.code
     assert res.p_c == ref.p_c
     assert res.spectrum == ref.spectrum
     assert res.skipped == ref.skipped
-    assert (res.p_c_recheck, res.recheck_moved) == (ref.p_c_recheck, ref.recheck_moved)
-    assert [w for w, _ in res.candidate_log] == list(range(1, cfg.w_max + 1))
+    assert [w for w, _ in res.candidate_log] == list(range(1, cfg["w_max"] + 1))
     oracle = dict(ref.candidate_log)
     scored, incumbent = 0, -1.0
     for w, p in res.candidate_log:
@@ -73,7 +71,7 @@ def _assert_matches_reference(cfg: FecSearchConfig) -> int:
             assert p == oracle[w]
             scored += 1
             incumbent = max(incumbent, p)
-    assert res.skipped + res.pruned + scored == cfg.w_max
+    assert res.skipped + res.pruned + scored == cfg["w_max"]
     return res.pruned
 
 
@@ -82,7 +80,7 @@ def test_pruned_search_matches_reference():
     pruned = 0
     for i in range(24):
         m = int(rng.integers(2, 7))
-        cfg = FecSearchConfig(
+        cfg = dict(
             n=int(rng.integers(2, 4)), m=m, K_fec=int(rng.integers(m, 2 * m + 5)),
             target_pb=float(rng.choice([1e-1, 1e-2, 1e-3])),
             w_max=int(rng.integers(20, 61)), seed=(i, 2026),
@@ -97,7 +95,7 @@ def test_pruned_search_matches_reference_when_bisection_runs_out(monkeypatch):
     monkeypatch.setattr(bounds, "CROSSOVER_MAX_ITER", 3)
     pruned = 0
     for seed in range(4):
-        pruned += _assert_matches_reference(FecSearchConfig(
+        pruned += _assert_matches_reference(dict(
             n=3, m=4, K_fec=10, target_pb=1e-1, w_max=30, seed=seed,
         ))
     assert pruned > 0
@@ -111,33 +109,32 @@ def test_candidate_is_not_pruned_against_its_own_crossover():
     rng = np.random.default_rng(31)
     for target in (1e-1, 1e-2, 1e-3) * 10:
         m, n = int(rng.integers(2, 6)), int(rng.integers(2, 4))
-        cfg = FecSearchConfig(n=n, m=m, K_fec=2 * m + 2, target_pb=target, w_max=1)
         code = TailbitingCode.unfrozen(
-            EncoderSpec.rate_one_over_n(sample_uniform_matrix(n, m, rng)), cfg.K_fec
+            EncoderSpec.rate_one_over_n(sample_uniform_matrix(n, m, rng)), 2 * m + 2
         )
-        full = weight_enumerator(code, cfg.truncation)
+        truncation = min(code.N, 4 * m * n)  # search_fec's default
+        full = weight_enumerator(code, truncation)
         if full.a(0) != 1 or full.d_min() is None:
             continue
         p_c = solve_crossover(full, target)
-        for d in (cfg.truncation // 3, cfg.truncation):
+        for d in (truncation // 3, truncation):
             assert not _loses(weight_enumerator(code, d), p_c, target)
 
 
 def test_search_fec_no_pruning_at_the_floor():
     # at this target every candidate's bound reaches it at the bisection
     # floor, so all scored candidates tie there and the last one wins
-    cfg = FecSearchConfig(n=3, m=3, K_fec=8, target_pb=1e-200, w_max=30, seed=6)
-    res = search_fec(cfg)
+    res = search_fec(3, 3, 8, 1e-200, 30, seed=6)
     assert res.pruned == 0
     scored = [(w, p) for w, p in res.candidate_log if p is not None]
-    assert len(scored) == cfg.w_max - res.skipped
+    assert len(scored) == 30 - res.skipped
     assert all(p == CROSSOVER_FLOOR for _, p in scored)
-    assert scored[-1][0] == cfg.w_max
-    assert res.C == sample_uniform_matrix(3, 3, seed_key(6) + (STREAM_FEC_CAND, cfg.w_max))
+    assert scored[-1][0] == 30
+    assert res.code.spec.C == sample_uniform_matrix(3, 3, seed_key(6) + (STREAM_FEC_CAND, 30))
 
 
 def test_search_fec_winner_is_injective():
-    res = search_fec(FecSearchConfig(n=2, m=2, K_fec=6, target_pb=1e-2, w_max=30, seed=7))
+    res = search_fec(2, 2, 6, 1e-2, 30, seed=7)
     assert res.spectrum.a(0) == 1
     cws = encode_many(res.code, all_messages(res.code.K))
     assert len({tuple(r) for r in cws.tolist()}) == 2 ** res.code.K
@@ -149,14 +146,13 @@ def test_search_fec_all_degenerate_fails():
         c = sample_uniform_matrix(1, 1, seed_key(seed) + (STREAM_FEC_CAND, 1))
         if c.is_zero():
             with pytest.raises(DesignFailure):
-                search_fec(FecSearchConfig(n=1, m=1, K_fec=4, target_pb=1e-2,
-                                           w_max=1, seed=seed))
+                search_fec(1, 1, 4, 1e-2, 1, seed=seed)
             return
     pytest.fail("no zero draw found in 50 seeds")
 
 
 def test_search_vq_extension_deterministic_and_dominant():
-    base = search_fec(FecSearchConfig(n=2, m=3, K_fec=8, target_pb=1e-2, w_max=10, seed=8))
+    base = search_fec(2, 3, 8, 1e-2, 10, seed=8)
     spec = base.code.spec
     res = search_vq_extension(spec, 2, 40, seed=9)
     again = search_vq_extension(spec, 2, 40, seed=9)
@@ -170,7 +166,7 @@ def test_search_vq_extension_deterministic_and_dominant():
 
 
 def test_search_vq_extension_keeps_parent_as_subcode():
-    base = search_fec(FecSearchConfig(n=2, m=3, K_fec=8, target_pb=1e-2, w_max=5, seed=10))
+    base = search_fec(2, 3, 8, 1e-2, 5, seed=10)
     spec = base.code.spec
     res = search_vq_extension(spec, 2, 10, seed=11)
     ell = 4
@@ -228,6 +224,21 @@ def test_design_nested_toy_pipeline():
     )
     assert pair_to_dict(pair2) == pair_to_dict(pair)
     assert report2.q_bar == report.q_bar
+
+
+def test_design_nested_enumerates_no_further_than_the_search_truncation(monkeypatch):
+    # the doubled-truncation recheck is the design-fec command's; a design
+    # enumerates only up to search_fec's truncation min(N, 4mn) = 36 < N = 48
+    seen = []
+
+    def recorder(code, d_max=None):
+        seen.append(d_max)
+        return weight_enumerator(code, d_max)
+
+    monkeypatch.setattr(design, "weight_enumerator", recorder)
+    design_nested(p_A=0.0, target_pb=1e-2, K_fec=16, n=3, m=3, seed=42, w_max=16,
+                  stop=StopRule(max_trials=100_000), distortion_trials=512)
+    assert seen and max(seen) == 36
 
 
 def test_design_nested_budget_failure():
