@@ -1,0 +1,169 @@
+"""Time WAVA decoding and count the sweeps its stop rule lets each word run.
+
+    python3 scripts/bench_wava_stop.py [--out BENCH_wava_stop.json]
+
+Three decode points, each timed as the median of ``RUNS`` runs in one process
+with one BLAS thread:
+
+- ``fec_m8``: the (384, 128) m=8 code, rebuilt from the call recorded in
+  ``perfbench/inputs/MANIFEST.json`` (its saved bytes are checked against the
+  recorded sha256), decoding 512 random codewords per seed sent over
+  BSC(0.0365), the m=8 row of ``table2_reference.csv``.
+- ``pair_m6_quantizer``: the criterion-9 pair of ``perfbench/inputs/pair_m6.json``
+  (m=6, k=3, N=96; the file is only read) quantizing 1 024 uniform words per
+  seed, as enrollment does.
+- ``pair_m6_fec``: the same pair's k=1 subcode decoding what reconstruction
+  decodes: y xor encode(0, w), with y the enrolled word sent over BSC(0.0149)
+  and w the helper bits of its enrollment.
+
+Each point records words/s, the mean sweep count, the histogram of sweeps
+per word, the converged and fallback shares (these counts are deterministic),
+and the WAVA complexity model of ``bounds.complexity_estimates`` at the
+default V=4 next to the measured nanoseconds per word and per kappa.  The
+JSON records the machine, the core count, the versions and the seeds.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from nestedtbcc import encoder, gf2, keyagree  # noqa: E402
+from nestedtbcc.bounds import complexity_estimates  # noqa: E402
+from nestedtbcc.trellis import build_trellis  # noqa: E402
+from nestedtbcc.wava import WavaConfig, wava_decode_many  # noqa: E402
+
+RUNS = 3
+SEEDS = (1, 2, 3, 4)
+V = WavaConfig().max_iterations
+P_C_M8 = 0.0365   # the m=8 row of table2_reference.csv
+P_A = 0.0149      # identifier noise of the criterion-9 design point
+INPUTS = ROOT / "perfbench" / "inputs"
+
+
+def _machine() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _m8_code() -> encoder.TailbitingCode:
+    """The fec-m8 code, from its MANIFEST call, checked against the recorded sha256."""
+    code = encoder.TailbitingCode.unfrozen(
+        encoder.EncoderSpec.rate_one_over_n(gf2.sample_uniform_matrix(3, 8, 2020)), 128)
+    recorded = json.loads((INPUTS / "MANIFEST.json").read_text())["code_m8.json"]["sha256"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "code_m8.json"
+        encoder.save_code(code, str(path))
+        if hashlib.sha256(path.read_bytes()).hexdigest() != recorded:
+            raise AssertionError("the rebuilt m=8 code differs from code_m8.json")
+    return code
+
+
+def _fec_m8_words(code) -> list[np.ndarray]:
+    out = []
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        msgs = rng.integers(0, 2, (512, code.K), dtype=np.uint8)
+        out.append(encoder.encode_many(code, msgs)
+                   ^ (rng.random((512, code.N)) < P_C_M8).astype(np.uint8))
+    return out
+
+
+def _pair_words(pair) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per seed, the enrollment words and the reconstruction decoder's inputs."""
+    vq = build_trellis(pair.vq_code)
+    key_idx, _ = keyagree._role_indices(pair.vq_code)
+    xs, shifted = [], []
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        x = (rng.random((1024, pair.N)) < 0.5).astype(np.uint8)
+        y = x ^ (rng.random((1024, pair.N)) < P_A).astype(np.uint8)
+        helper_msgs = wava_decode_many(vq, x).msg_bits
+        helper_msgs[:, key_idx] = 0
+        xs.append(x)
+        shifted.append(y ^ encoder.encode_many(pair.vq_code, helper_msgs))
+    return xs, shifted
+
+
+def bench(code, batches: list[np.ndarray]) -> dict:
+    trellis = build_trellis(code)
+    wava_decode_many(trellis, batches[0][:8])        # tables built before timing
+    results = [wava_decode_many(trellis, r) for r in batches]
+    iters = np.concatenate([res.iterations for res in results])
+    words = len(iters)
+    spec = code.spec
+    k = trellis.k
+    est = complexity_estimates(code.N, spec.n, k, spec.m, V)
+    words_s = []
+    for _ in range(RUNS):
+        t0 = time.perf_counter()
+        for r in batches:
+            wava_decode_many(trellis, r)
+        words_s.append(words / (time.perf_counter() - t0))
+    ns_word = 1e9 / statistics.median(words_s)
+    return {
+        "params": {"m": spec.m, "k": k, "n": spec.n, "N": code.N, "K": code.K, "V": V,
+                   "words_per_seed": len(batches[0])},
+        "words_per_s": {"median": statistics.median(words_s), "runs": words_s},
+        "iter_mean": float(iters.mean()),
+        "iter_hist": np.bincount(iters, minlength=V + 1)[1:].tolist(),
+        "converged_share": float(np.concatenate([res.converged for res in results]).mean()),
+        "fallback_share": float(np.concatenate([res.fallback for res in results]).mean()),
+        "kappa": {"F": est.kappa_f, "P": est.kappa_p, "M": est.kappa_m, "kind": est.kind},
+        "ns_per_word": ns_word,
+        "ns_per_kappa": ns_word / est.kappa_min,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", default=str(ROOT / "BENCH_wava_stop.json"))
+    args = ap.parse_args(argv)
+    code_m8 = _m8_code()
+    pair = keyagree.pair_from_dict(json.loads((INPUTS / "pair_m6.json").read_text()))
+    xs, shifted = _pair_words(pair)
+    points = {"fec_m8": bench(code_m8, _fec_m8_words(code_m8)),
+              "pair_m6_quantizer": bench(pair.vq_code, xs),
+              "pair_m6_fec": bench(pair.fec_code, shifted)}
+    out = {
+        "command": "python3 scripts/bench_wava_stop.py",
+        "machine": _machine(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "runs": RUNS,
+        "seeds": list(SEEDS),
+        "points": points,
+    }
+    Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
+    for name, p in points.items():
+        print(f"{name}: {p['words_per_s']['median']:.0f} words/s, {p['iter_mean']:.3f} sweeps/word "
+              f"{p['iter_hist']}, converged {p['converged_share']:.3f}, fallback "
+              f"{p['fallback_share']:.3f}, {p['ns_per_kappa']:.3f} ns/kappa_{p['kappa']['kind']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

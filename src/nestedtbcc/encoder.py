@@ -230,6 +230,15 @@ def _input_index(code: TailbitingCode) -> np.ndarray:
     return idx
 
 
+def _as_bits(bits) -> np.ndarray:
+    """bits as a uint8 array; ValueError if an entry is not 0 or 1.  The test runs
+    before the cast, which would wrap 256 to 0."""
+    bits = np.asarray(bits)
+    if ((bits != 0) & (bits != 1)).any():
+        raise ValueError("bit arrays may hold only 0 and 1")
+    return bits.astype(np.uint8, copy=False)
+
+
 def _bits_to_section_ints(bits: np.ndarray, n: int) -> np.ndarray:
     """Time-major bits [B, ell*n] -> int64 [B, ell]: bit i of entry t is bit t*n + i."""
     B, N = bits.shape
@@ -262,7 +271,7 @@ def encode_many(code: TailbitingCode, messages: np.ndarray) -> np.ndarray:
     wrap-around state (A^m = 0), pass 2 encodes all ell sections from it, and
     the end state must equal the start state.
     """
-    messages = np.asarray(messages, dtype=np.uint8)
+    messages = _as_bits(messages)
     if messages.ndim != 2 or messages.shape[1] != code.K:
         raise Gf2ShapeError(f"messages must be [B, {code.K}], got {messages.shape}")
     spec = code.spec

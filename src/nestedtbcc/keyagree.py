@@ -24,6 +24,7 @@ from .encoder import (
     EncoderSpecError,
     FreezingSchedule,
     TailbitingCode,
+    _as_bits,
     _input_index,
     code_from_dict,
     code_to_dict,
@@ -112,7 +113,7 @@ def _role_indices(vq_code: TailbitingCode) -> tuple[np.ndarray, np.ndarray]:
 
 def _rows(bits, name: str, width: int, width_name: str) -> np.ndarray:
     """bits as a uint8 [B, width] array; ValueError when they are not one."""
-    a = np.asarray(bits, dtype=np.uint8)
+    a = _as_bits(bits)
     if a.ndim != 2:
         raise ValueError(f"{name} bits must be [B, {width_name}], got shape {a.shape}")
     if a.shape[1] != width:

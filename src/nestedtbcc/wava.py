@@ -16,6 +16,20 @@ Temporaries (two [A, S, C] key buffers that every section and sweep of a call
 reuses, [ell, S, C] backpointers) grow with C, which is capped so they fit in
 _BUDGET_BYTES; larger batches run in blocks.
 
+Stop rule: a word stops after sweep v when its best candidate distance equals
+its first sweep's minimum end metric, or when its best survivor is
+tailbiting and (end state, origin, block distance) of that survivor repeats
+the previous sweep's.  The first test is an ML certificate: the first sweep
+starts from zero metrics, so its end metric at s is the distance of the best
+path of any start that ends at s, and its minimum bounds the distance of every
+tailbiting codeword from below.  A candidate at that bound is ML, later sweeps
+replace a candidate only when strictly better, and the exact fallback never
+runs for it, so stopping there changes no message, codeword or distance, only
+the iteration count.  It covers a tailbiting best survivor at v=1 and a
+zero-distance candidate.  The second test can only fire from v=3 on: at v=1
+there is no previous tuple, and a v=2 tuple that repeats v=1's has the
+non-tailbiting origin of a v=1 best survivor (a tailbiting one is certified).
+
 Determinism rules (all ties): incoming edges are ranked by input int (the
 input tuple read little-endian) then source state; tailbiting candidates by
 block distance then end-state index.  If no candidate emerges after the last
@@ -50,7 +64,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .encoder import TailbitingCode, _bits_to_section_ints, _input_index, _ints_to_bits
+from .encoder import (TailbitingCode, _as_bits, _bits_to_section_ints, _input_index,
+                      _ints_to_bits)
 from .gf2 import BitVector
 from .trellis import TailbitingTrellis, build_trellis
 
@@ -85,8 +100,8 @@ class BatchDecodeResult:
         self.msg_bits = msg_bits        # uint8 [B, K]
         self.cw_bits = cw_bits          # uint8 [B, N]
         self.distance = distance        # int64 [B]
-        self.iterations = iterations    # int64 [B]
-        self.converged = converged      # bool  [B]
+        self.iterations = iterations    # int64 [B]: sweeps run; V where no stop test fired
+        self.converged = converged      # bool  [B]: a stop test fired, no fallback replacement
         self.fallback = fallback        # bool  [B]: the row reached the exact search
 
 
@@ -258,7 +273,7 @@ def wava_decode_many(
 ) -> BatchDecodeResult:
     """Decode a batch of received words; rows are independent and deterministic."""
     cfg = cfg or WavaConfig()
-    r_bits = np.asarray(r_bits, dtype=np.uint8)
+    r_bits = _as_bits(r_bits)
     if r_bits.ndim != 2 or r_bits.shape[1] != trellis.N:
         raise ValueError(f"received words must be [B, {trellis.N}], got {r_bits.shape}")
     B, S, V = r_bits.shape[0], trellis.S, cfg.max_iterations
@@ -302,11 +317,10 @@ def wava_decode_many(
             s_best = Mend.argmin(axis=0)
             if v == 1:
                 min_metric_iter1[g] = Mend[s_best, cols]
-            best_is_tb = tb[s_best, cols]
             cur_tuple = np.stack([s_best, origin[s_best, cols], blockdist[s_best, cols]], axis=1)
-            # at v == 1 the start metrics are uniform: a tailbiting best survivor is provably ML
-            stop = best_is_tb & ((v == 1) | (cur_tuple == prev_tuple).all(axis=1))
-            stop |= best_dist[g] == 0  # a zero-distance codeword cannot be beaten
+            # a candidate at the first sweep's minimum is ML (module docstring)
+            stop = best_dist[g] == min_metric_iter1[g]
+            stop |= tb[s_best, cols] & (cur_tuple == prev_tuple).all(axis=1)
             converged[g[stop]] = True
             iterations[g[stop]] = v
             keep = ~stop

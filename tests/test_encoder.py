@@ -139,6 +139,16 @@ def test_message_length_checked(unit_toy):
         encode_tailbiting(unit_toy, bits(1, 0, 1))
 
 
+def test_encode_many_rejects_non_binary(unit_toy):
+    # entries a uint8 cast would keep (2, 3) or turn into a bit (256, -1, 0.5)
+    for bad in (2, 3, 256, -1, 0.5):
+        messages = np.zeros((3, unit_toy.K), dtype=type(bad))
+        messages[1, 0] = bad
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            encode_many(unit_toy, messages)
+    assert encode_many(unit_toy, np.ones((3, unit_toy.K), dtype=bool)).shape == (3, unit_toy.N)
+
+
 def test_remove_input_column_examples():
     rng = np.random.default_rng(7)
     spec = random_spec(rng, m=3, k=3, n=2)

@@ -253,6 +253,28 @@ def test_batch_functions_reject_wrong_shapes():
         reconstruct(pair, BitVector.zeros(12), BitVector.zeros(5))
 
 
+def test_enroll_many_rejects_non_binary():
+    pair = toy_pair_a()
+    for bad in (2, 3, 256, -1, 0.5):
+        x = np.zeros((2, pair.N), dtype=type(bad))
+        x[0, 5] = bad
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            enroll_many(pair, x)
+
+
+def test_reconstruct_many_rejects_non_binary():
+    pair = toy_pair_a()
+    for bad in (2, 3, 256, -1, 0.5):
+        y = np.zeros((2, pair.N), dtype=type(bad))
+        w = np.zeros((2, pair.K_vq - pair.K_fec), dtype=type(bad))
+        y[1, 0] = bad
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            reconstruct_many(pair, y, w.astype(np.uint8))
+        y[1, 0], w[0, -1] = 0, bad
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            reconstruct_many(pair, y.astype(np.uint8), w)
+
+
 def test_rate_accounting():
     pair = toy_pair_c()
     rec = enroll(pair, BitVector.zeros(pair.N))

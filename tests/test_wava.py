@@ -16,6 +16,7 @@ from nestedtbcc.gf2 import BitVector
 from nestedtbcc.trellis import build_trellis
 from nestedtbcc.wava import WavaConfig, wava_decode, wava_decode_many
 from wava_fallback_reference import CountingKernel, exhaustive_constrained
+import wava_reference
 from wava_reference import reference_decode_many
 
 
@@ -130,12 +131,48 @@ def test_rejects_bad_config_and_length(unit_toy):
         wava_decode(unit_toy, bits(1, 0, 1))
 
 
+def test_decode_many_rejects_non_binary(repetition_toy):
+    tr = build_trellis(repetition_toy)
+    for bad in (2, 3, 256, -1, 0.5):
+        r = np.zeros((2, tr.N), dtype=type(bad))
+        r[1, -1] = bad
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            wava_decode_many(tr, r)
+
+
+def _certified_at(trellis, r, V):
+    """Per row, the first sweep v <= V after which the best tailbiting candidate's distance
+    equals the first sweep's minimum end metric (the ML certificate), else V + 1; computed
+    with the reference decoder's own sweep, which runs every row through all V sweeps."""
+    r_ints = wava_reference._bits_to_section_ints(r, trellis.n)
+    B, S = r_ints.shape[0], trellis.S
+    M, best, first = np.zeros((B, S), np.int64), np.full(B, wava._LARGE), np.full(B, V + 1)
+    for v in range(1, V + 1):
+        Mend, origin, _ = wava_reference._viterbi_pass(trellis, r_ints, M, record_bp=False)
+        blockdist = Mend - np.take_along_axis(M, origin, axis=1)
+        tb = origin == np.arange(S)
+        best = np.minimum(best, np.where(tb, blockdist, wava._LARGE).min(axis=1))
+        if v == 1:
+            bound = Mend.min(axis=1)
+        first[(first > V) & (best == bound)] = v
+        M = Mend - Mend.min(axis=1, keepdims=True)
+    return first
+
+
 def _assert_same_as_reference(trellis, r, V):
+    """Messages, codewords and distances equal the reference decoder's bit for bit; a row
+    stops at the reference's sweep or at its certificate, whichever comes first, and a
+    certified row is converged."""
     new = wava_decode_many(trellis, r, WavaConfig(V))
     ref = reference_decode_many(trellis, r, V)
-    for field in ("msg_bits", "cw_bits", "distance", "iterations", "converged"):
-        a, b = getattr(new, field), getattr(ref, field)
+    certified = _certified_at(trellis, r, V)
+    expected = {field: getattr(ref, field) for field in ("msg_bits", "cw_bits", "distance")}
+    expected["iterations"] = np.minimum(ref.iterations, certified)
+    expected["converged"] = ref.converged | (certified <= V)
+    for field, b in expected.items():
+        a = getattr(new, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
+    return new, ref
 
 
 def _oracle_words(rng, code, B):
@@ -206,6 +243,41 @@ def test_small_byte_budget_gives_identical_results(monkeypatch, fallback_rows):
         _assert_same_as_reference(tr, _oracle_words(rng, code, 80), 1 + i % 4)
     # the fallback sweeps S >= 4 start states per row: 4 rows fill 16 columns
     assert max(fallback_rows) >= 4
+
+
+def test_certified_rows_are_ml():
+    # rows that stop before the reference decoder does, or converge where it did not,
+    # decode to a nearest codeword
+    rng = np.random.default_rng(11)
+    moved_rows = 0
+    for i in range(24):
+        k, m = 1 + i % 2, int(rng.integers(1, 4))
+        code = random_code(rng, m=m, k=k, n=int(rng.integers(2, 4)),
+                           ell=m + int(rng.integers(1, 3)), freeze_prob=0.3)
+        tr = build_trellis(code)
+        r = _oracle_words(rng, code, 64)
+        new, ref = _assert_same_as_reference(tr, r, 1 + i % 4)
+        moved = (new.iterations < ref.iterations) | (new.converged & ~ref.converged)
+        book = pack_rows(exhaustive_codebook(code))
+        assert np.array_equal(new.distance[moved], nearest_distances(book, pack_rows(r[moved])))
+        moved_rows += int(moved.sum())
+    assert moved_rows > 0
+
+
+def test_tailbiting_tie_with_the_first_minimum_stops_at_sweep_one(repetition_toy):
+    # codewords 000000, 111000, 000111, 111111: r is 1 from 111000 and 2 from 000000
+    tr = build_trellis(repetition_toy)
+    r = np.array([[0, 1, 1, 0, 0, 0]], dtype=np.uint8)
+    Mend, origin, _ = wava_reference._viterbi_pass(
+        tr, wava_reference._bits_to_section_ints(r, 3), np.zeros((1, 2), np.int64), False)
+    # both end states reach the minimum 1; argmin picks state 0, whose survivor starts
+    # at state 1, and the tailbiting survivor of state 1 ties it
+    assert Mend.tolist() == [[1, 1]] and origin.tolist() == [[1, 1]]
+    ref = reference_decode_many(tr, r, 4)
+    assert ref.iterations[0] == 4 and not ref.converged[0]
+    res = wava_decode_many(tr, r)
+    assert res.iterations[0] == 1 and res.converged[0]
+    assert res.cw_bits.tolist() == [[1, 1, 1, 0, 0, 0]] and res.distance[0] == 1
 
 
 def test_sweep_reuses_its_section_buffers():
