@@ -8,8 +8,11 @@ run back to back in one process with one BLAS thread:
 - ``pair_m6``: the criterion-9 quantizer of ``perfbench/inputs/pair_m6.json``
   (m=6, k=3, N=96; the file is only read).  Each seed draws 1 024 uniform
   words, as the ``keyagree-batch-m6`` enrollment does; the fallback calls of
-  their decodes are captured and replayed, and the time and the count of
-  swept (start state, word) columns are reported per call.
+  their decodes (one per block of words that has fallback rows) are captured
+  and replayed, and the time and the count of swept (start state, word)
+  columns are reported per call.  The lower bounds come with each call: the
+  decoder computes them before its fallback, so neither search is timed for
+  them.
 - ``m8_k3``: random unfrozen m=8, k=3, ell=128 codes (rate 1) quantizing
   64 uniform words per seed: ``wava_decode_many`` words/s and the seconds
   spent in the fallback, with either search plugged in.
@@ -53,7 +56,9 @@ PAIR_WORDS = 1024
 # fallback (at seeds 1, 2, 3 every word is a codeword and none does)
 M8_SEEDS = (0, 4, 9)
 M8_WORDS = 64
-SEARCHES = {"two_phase": wava._two_phase_search, "exhaustive": exhaustive_constrained}
+SEARCHES = {"two_phase": wava._two_phase_search,
+            "exhaustive": lambda kern, r_ints, idx, lb, bp, *best:
+                exhaustive_constrained(kern, r_ints, idx, *best)}
 
 
 def _machine() -> str:
@@ -70,9 +75,9 @@ def _capture(trellis, words) -> list[tuple]:
     """The arguments of every fallback call of one decode, copied before the call."""
     calls = []
 
-    def spy(kern, r_ints, idx, best_u, best_out, best_dist):
-        calls.append((r_ints, idx, best_u.copy(), best_out.copy(), best_dist.copy()))
-        return search(kern, r_ints, idx, best_u, best_out, best_dist)
+    def spy(kern, r_ints, idx, lb, bp, best_u, best_out, best_dist):
+        calls.append((r_ints, idx, lb, best_u.copy(), best_out.copy(), best_dist.copy()))
+        return search(kern, r_ints, idx, lb, bp, best_u, best_out, best_dist)
 
     search, wava._two_phase_search = wava._two_phase_search, spy
     try:
@@ -83,10 +88,11 @@ def _capture(trellis, words) -> list[tuple]:
 
 
 def _replay(trellis, search, call) -> tuple[float, int, tuple]:
-    r_ints, idx, best_u, best_out, best_dist = (a.copy() for a in call)
+    r_ints, idx, lb, best_u, best_out, best_dist = (a.copy() for a in call)
     kern = CountingKernel(trellis)
+    bp = np.empty((trellis.ell, trellis.S, len(idx)), dtype=kern.tab.bp_dtype)
     t0 = time.perf_counter()
-    improved = search(kern, r_ints, idx, best_u, best_out, best_dist)
+    improved = search(kern, r_ints, idx, lb, bp, best_u, best_out, best_dist)
     return time.perf_counter() - t0, kern.swept, (improved, best_u, best_out, best_dist)
 
 

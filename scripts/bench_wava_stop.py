@@ -16,11 +16,13 @@ with one BLAS thread:
   decodes: y xor encode(0, w), with y the enrolled word sent over BSC(0.0149)
   and w the helper bits of its enrollment.
 
-Each point records words/s, the mean sweep count, the histogram of sweeps
-per word, the converged and fallback shares (these counts are deterministic),
-and the WAVA complexity model of ``bounds.complexity_estimates`` at the
-default V=4 next to the measured nanoseconds per word and per kappa.  The
-JSON records the machine, the core count, the versions and the seeds.
+Each point records words/s, the mean forward sweep count, the histogram of
+forward sweeps per word, the share of words that ran the stop rule's one
+backward sweep (their sum is the sweeps per word), the converged and fallback
+shares (these counts are deterministic), and the WAVA complexity model of
+``bounds.complexity_estimates`` at the default V=4 next to the measured
+nanoseconds per word and per kappa.  The JSON records the machine, the core
+count, the versions and the seeds.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from nestedtbcc import encoder, gf2, keyagree  # noqa: E402
+from nestedtbcc import encoder, gf2, keyagree, wava  # noqa: E402
 from nestedtbcc.bounds import complexity_estimates  # noqa: E402
 from nestedtbcc.trellis import build_trellis  # noqa: E402
 from nestedtbcc.wava import WavaConfig, wava_decode_many  # noqa: E402
@@ -107,10 +109,27 @@ def _pair_words(pair) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return xs, shifted
 
 
+def _backward_rows(trellis, batches: list[np.ndarray]) -> tuple[list, int]:
+    """The decodes of batches, and how many words ran the backward sweep of
+    ``wava._Kernel.bound``."""
+    rows, bound = [0], wava._Kernel.bound
+
+    def counted(kern, r_cols, fwd):
+        rows[0] += r_cols.shape[1]
+        return bound(kern, r_cols, fwd)
+
+    wava._Kernel.bound = counted
+    try:
+        results = [wava_decode_many(trellis, r) for r in batches]
+    finally:
+        wava._Kernel.bound = bound
+    return results, rows[0]
+
+
 def bench(code, batches: list[np.ndarray]) -> dict:
     trellis = build_trellis(code)
     wava_decode_many(trellis, batches[0][:8])        # tables built before timing
-    results = [wava_decode_many(trellis, r) for r in batches]
+    results, backward = _backward_rows(trellis, batches)
     iters = np.concatenate([res.iterations for res in results])
     words = len(iters)
     spec = code.spec
@@ -128,6 +147,8 @@ def bench(code, batches: list[np.ndarray]) -> dict:
                    "words_per_seed": len(batches[0])},
         "words_per_s": {"median": statistics.median(words_s), "runs": words_s},
         "iter_mean": float(iters.mean()),
+        "backward_mean": backward / words,
+        "sweeps_mean": float(iters.mean()) + backward / words,
         "iter_hist": np.bincount(iters, minlength=V + 1)[1:].tolist(),
         "converged_share": float(np.concatenate([res.converged for res in results]).mean()),
         "fallback_share": float(np.concatenate([res.fallback for res in results]).mean()),
@@ -159,9 +180,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
     for name, p in points.items():
-        print(f"{name}: {p['words_per_s']['median']:.0f} words/s, {p['iter_mean']:.3f} sweeps/word "
-              f"{p['iter_hist']}, converged {p['converged_share']:.3f}, fallback "
-              f"{p['fallback_share']:.3f}, {p['ns_per_kappa']:.3f} ns/kappa_{p['kappa']['kind']}")
+        print(f"{name}: {p['words_per_s']['median']:.0f} words/s, {p['iter_mean']:.3f} forward "
+              f"{p['iter_hist']} + {p['backward_mean']:.3f} backward sweeps/word, converged "
+              f"{p['converged_share']:.3f}, fallback {p['fallback_share']:.3f}, "
+              f"{p['ns_per_kappa']:.3f} ns/kappa_{p['kappa']['kind']}")
     return 0
 
 

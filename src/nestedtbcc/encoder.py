@@ -232,9 +232,9 @@ def _input_index(code: TailbitingCode) -> np.ndarray:
 
 def _as_bits(bits) -> np.ndarray:
     """bits as a uint8 array; ValueError if an entry is not 0 or 1.  The test runs
-    before the cast, which would wrap 256 to 0."""
+    before the cast, which would wrap 256 to 0; a bool array passes it by its type."""
     bits = np.asarray(bits)
-    if ((bits != 0) & (bits != 1)).any():
+    if bits.dtype != bool and ((bits != 0) & (bits != 1)).any():
         raise ValueError("bit arrays may hold only 0 and 1")
     return bits.astype(np.uint8, copy=False)
 

@@ -112,13 +112,14 @@ def _role_indices(vq_code: TailbitingCode) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rows(bits, name: str, width: int, width_name: str) -> np.ndarray:
-    """bits as a uint8 [B, width] array; ValueError when they are not one."""
+    """bits as a bool [B, width] array; ValueError when they are not one.  Bool arrays,
+    and the arrays built from them, are not checked for non-binary entries again."""
     a = _as_bits(bits)
     if a.ndim != 2:
         raise ValueError(f"{name} bits must be [B, {width_name}], got shape {a.shape}")
     if a.shape[1] != width:
         raise ValueError(f"{name} length {a.shape[1]} != {width_name}")
-    return a
+    return a.view(bool)
 
 
 @dataclass(frozen=True)
@@ -191,12 +192,10 @@ def reconstruct_many(
     if w_bits.shape[0] != B:
         raise ValueError(f"{B} measurements but {w_bits.shape[0]} helper rows")
     key_idx, helper_idx = _role_indices(pair.vq_code)
-    msgs = np.zeros((B, pair.K_vq), dtype=np.uint8)
+    msgs = np.zeros((B, pair.K_vq), dtype=bool)
     msgs[:, helper_idx] = w_bits
-    offsets = encode_many(pair.vq_code, msgs)
-    shifted = y_bits ^ offsets
-    fec_trellis = build_trellis(pair.fec_code)
-    res = wava_decode_many(fec_trellis, shifted, cfg)
+    shifted = y_bits ^ encode_many(pair.vq_code, msgs).view(bool)
+    res = wava_decode_many(build_trellis(pair.fec_code), shifted, cfg)
     return res.msg_bits
 
 

@@ -17,16 +17,19 @@ reuses, [ell, S, C] backpointers) grow with C, which is capped so they fit in
 _BUDGET_BYTES; larger batches run in blocks.
 
 Stop rule: a word stops after sweep v when its best candidate distance equals
-its first sweep's minimum end metric, or when its best survivor is
-tailbiting and (end state, origin, block distance) of that survivor repeats
-the previous sweep's.  The first test is an ML certificate: the first sweep
-starts from zero metrics, so its end metric at s is the distance of the best
-path of any start that ends at s, and its minimum bounds the distance of every
-tailbiting codeword from below.  A candidate at that bound is ML, later sweeps
-replace a candidate only when strictly better, and the exact fallback never
-runs for it, so stopping there changes no message, codeword or distance, only
-the iteration count.  It covers a tailbiting best survivor at v=1 and a
-zero-distance candidate.  The second test can only fire from v=3 on: at v=1
+the certificate's bound, or when its best survivor is tailbiting and (end
+state, origin, block distance) of that survivor repeats the previous sweep's.
+The first test is an ML certificate.  The first sweep starts from zero
+metrics, so fwd[s], its end metric at s, is the distance of the best path of
+any start that ends at s; one backward sweep (below) gives h0[s], the best of
+any path that starts at s.  A tailbiting path s -> s is both, so its distance
+is at least LB[s] = max(fwd[s], h0[s]), and LB* = min_s LB[s] bounds every
+tailbiting codeword from below.  The bound is min fwd for the words whose
+candidate reaches it at sweep 1; only the others run the backward sweep, and
+their bound is LB* >= min fwd.  A candidate at the bound is ML, later sweeps
+replace a candidate only when strictly better, and the exact fallback cannot
+improve on it, so stopping there changes no message, codeword or distance,
+only the iteration count.  The second test can only fire from v=3 on: at v=1
 there is no previous tuple, and a v=2 tuple that repeats v=1's has the
 non-tailbiting origin of a v=1 best survivor (a tailbiting one is certified).
 
@@ -40,12 +43,11 @@ valid codeword always comes back.
 
 Exact fallback: the constrained distance d[s] of a word is one sweep of the
 (start state s, word) column, and a two-phase search sweeps only the columns
-that can still win.  Two sweeps per word from zero start metrics bound every
-d[s] from below: fwd[s], the forward end metric at s, is the best metric of
-any path that ends at s, and h0[s], the end metric at s of a sweep over the
-out-edges from the last section back to the first, is the best metric of any
-path that starts at s.  The constrained path ends at s and starts at s, so
-LB[s] = max(fwd[s], h0[s]) <= d[s].  Columns are then swept in rounds, given
+that can still win.  It reuses the certificate's LB[s] <= d[s]: a word that
+reaches the fallback has no candidate at the first sweep's minimum, so it ran
+the backward sweep, over the out-edges from the last section back to the
+first, and the fallback runs per block of words with that block's [S, words]
+bound, which the byte budget counts.  Columns are swept in rounds, given
 (bd, bs), the best (distance, state) swept so far: the first round sweeps,
 per word, the column of lowest (LB, s); each later round sweeps every column
 that can still win.  A column can still win while LB < bd, or LB == bd and
@@ -53,8 +55,6 @@ s < bs, since a tie goes to the smaller s; and only while LB is below the
 distance of the word's candidate, which an equal distance does not replace.
 The search ends when no such column is left: every unswept column then has
 d >= LB > bd, or d >= LB == bd and s > bs, so (bd, bs) is the exact winner.
-The [S, words] bound and distance arrays are built for blocks of words that
-keep them within the byte budget.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class BatchDecodeResult:
         self.msg_bits = msg_bits        # uint8 [B, K]
         self.cw_bits = cw_bits          # uint8 [B, N]
         self.distance = distance        # int64 [B]
-        self.iterations = iterations    # int64 [B]: sweeps run; V where no stop test fired
+        self.iterations = iterations    # int64 [B]: forward sweeps run; V where no stop test fired
         self.converged = converged      # bool  [B]: a stop test fired, no fallback replacement
         self.fallback = fallback        # bool  [B]: the row reached the exact search
 
@@ -169,11 +169,11 @@ class _Kernel:
         self.tab = _tables(trellis.code)
         self.buf = [np.empty(0, self.tab.dtype)] * 3
 
-    def columns(self, bp: bool) -> int:
+    def columns(self) -> int:
         """Columns per block so that one block's temporaries fit the budget."""
         S, ell = self.trellis.S, self.trellis.ell
-        per_col = self.tab.key_col_bytes + 8 * (ell + 8 * S)   # keys, blocks, [S, C] metrics
-        per_col += bp * ell * S * np.dtype(self.tab.bp_dtype).itemsize
+        per_col = self.tab.key_col_bytes + 8 * (ell + 9 * S)   # keys, blocks, [S, C] metrics, bound
+        per_col += ell * S * np.dtype(self.tab.bp_dtype).itemsize
         return max(1, _BUDGET_BYTES // per_col)
 
     def sweep(self, r_cols: np.ndarray, P: np.ndarray, bp: np.ndarray | None,
@@ -220,52 +220,43 @@ class _Kernel:
         end = self.sweep(np.ascontiguousarray(r_ints[rows].T), P, bp)
         return (end[starts, cols] >> tab.sh).astype(np.int64)
 
-    def bounds(self, r_ints, rows) -> np.ndarray:
-        """Lower bound [S, len(rows)] on every constrained s -> s metric: the larger of the best
+    def bound(self, r_cols, fwd) -> np.ndarray:
+        """Lower bound [S, C] on every constrained s -> s metric of the words r_cols [ell, C],
+        given fwd [S, C], the end metrics of a forward sweep from zero: the larger of the best
         metric of a path that ends at s and of a path that starts at s."""
-        r_cols = np.ascontiguousarray(r_ints[rows].T)
-        shape, tab = (self.trellis.S, len(rows)), self.tab
-        fwd = self.sweep(r_cols, np.zeros(shape, tab.dtype), None)
-        bwd = self.sweep(r_cols, np.zeros(shape, tab.dtype), None, reverse=True)
-        return (np.maximum(fwd, bwd) >> tab.sh).astype(np.int64)
+        h0 = self.sweep(r_cols, np.zeros(fwd.shape, self.tab.dtype), None, reverse=True)
+        return np.maximum(fwd, h0 >> self.tab.sh)
 
 
-def _two_phase_search(kern, r_ints, idx, best_u, best_out, best_dist):
-    """Exact search over start states for the rows in idx (rare fallback): the best path
-    constrained to start and end at s, for the states s whose lower bound can still win
+def _two_phase_search(kern, r_ints, idx, lb, bp, best_u, best_out, best_dist):
+    """Exact search over start states for the rows in idx (rare fallback), given lb, their
+    lower bounds (`_Kernel.bound`), and bp, a backpointer buffer [ell, S, >= len(idx)]: the
+    best path constrained to start and end at s, for the states s whose bound can still win
     (module docstring); the winner (smallest distance, then smallest s) replaces the
     candidate when strictly better or when none exists.  Returns the mask of replaced rows."""
-    S, ell = kern.trellis.S, kern.trellis.ell
-    states = np.arange(S)[:, None]
-    step, bp_step = kern.columns(bp=False), kern.columns(bp=True)
-    improved = np.zeros(len(idx), dtype=bool)
-    for lo in range(0, len(idx), step):         # row blocks keep the [S, rows] arrays in budget
-        rows = idx[lo:lo + step]
-        best = best_dist[rows]
-        lb = kern.bounds(r_ints, rows)
-        dist = np.full(lb.shape, _LARGE, dtype=np.int64)   # _LARGE: column not swept
-        todo = (states == lb.argmin(axis=0)) & (lb < best)  # round 1: the lowest bound per row
-        while todo.any():
-            s, c = np.nonzero(todo)
-            pick = np.argsort(lb[s, c], kind="stable")[:step]
-            s, c = s[pick], c[pick]
-            dist[s, c] = kern.constrained(r_ints, rows[c], s)
-            bd, bs = dist.min(axis=0), dist.argmin(axis=0)
-            # the columns that can still win
-            todo = (dist == _LARGE) & (lb < best) & ((lb < bd) | ((lb == bd) & (states < bs)))
-        win_state, win_dist = dist.argmin(axis=0), dist.min(axis=0)
-        won = np.flatnonzero(win_dist < best)
-        for wlo in range(0, len(won), bp_step):
-            blk = won[wlo:wlo + bp_step]
-            bp = np.empty((ell, S, len(blk)), dtype=kern.tab.bp_dtype)
-            kern.constrained(r_ints, rows[blk], win_state[blk], bp)
-            start, best_u[rows[blk]], best_out[rows[blk]] = kern.traceback(
-                bp, win_state[blk], np.arange(len(blk)))
-            if not np.array_equal(start, win_state[blk]):
-                raise AssertionError("constrained traceback left the start state")
-        best_dist[rows[won]] = win_dist[won]
-        improved[lo + won] = True
-    return improved
+    states, step = np.arange(kern.trellis.S)[:, None], kern.columns()
+    best = best_dist[idx]
+    dist = np.full(lb.shape, _LARGE, dtype=np.int64)       # _LARGE: column not swept
+    todo = (states == lb.argmin(axis=0)) & (lb < best)      # round 1: the lowest bound per row
+    while todo.any():
+        s, c = np.nonzero(todo)
+        pick = np.argsort(lb[s, c], kind="stable")[:step]
+        s, c = s[pick], c[pick]
+        dist[s, c] = kern.constrained(r_ints, idx[c], s)
+        bd, bs = dist.min(axis=0), dist.argmin(axis=0)
+        # the columns that can still win
+        todo = (dist == _LARGE) & (lb < best) & ((lb < bd) | ((lb == bd) & (states < bs)))
+    win_state, win_dist = dist.argmin(axis=0), dist.min(axis=0)
+    won = np.flatnonzero(win_dist < best)
+    if len(won):
+        bp = bp[:, :, :len(won)]
+        kern.constrained(r_ints, idx[won], win_state[won], bp)
+        start, best_u[idx[won]], best_out[idx[won]] = kern.traceback(
+            bp, win_state[won], np.arange(len(won)))
+        if not np.array_equal(start, win_state[won]):
+            raise AssertionError("constrained traceback left the start state")
+        best_dist[idx[won]] = win_dist[won]
+    return win_dist < best
 
 
 def wava_decode_many(
@@ -286,9 +277,9 @@ def wava_decode_many(
     best_out = np.zeros((B, trellis.ell), dtype=np.int64)
     iterations = np.full(B, V, dtype=np.int64)
     converged = np.zeros(B, dtype=bool)
-    min_metric_iter1 = np.zeros(B, dtype=np.int64)
+    need = np.zeros(B, dtype=bool)
 
-    step = kern.columns(bp=True)
+    step = kern.columns()
     for lo in range(0, B, step):
         g = np.arange(lo, min(lo + step, B))          # rows still active
         r_cols = np.ascontiguousarray(r_ints[g].T)
@@ -316,10 +307,16 @@ def wava_decode_many(
 
             s_best = Mend.argmin(axis=0)
             if v == 1:
-                min_metric_iter1[g] = Mend[s_best, cols]
+                # the certificate's bound (module docstring): the first sweep's minimum, then
+                # LB* for the rows that it leaves open, whose LB the exact fallback reuses
+                bound = Mend[s_best, cols]
+                open_ = np.flatnonzero(best_dist[g] > bound)
+                g1, perfect = g[open_], bound[open_] == 0
+                if len(open_):
+                    lb = kern.bound(r_cols.take(open_, axis=1), Mend.take(open_, axis=1))
+                    bound[open_] = lb.min(axis=0)
             cur_tuple = np.stack([s_best, origin[s_best, cols], blockdist[s_best, cols]], axis=1)
-            # a candidate at the first sweep's minimum is ML (module docstring)
-            stop = best_dist[g] == min_metric_iter1[g]
+            stop = best_dist[g] == bound                     # an ML candidate
             stop |= tb[s_best, cols] & (cur_tuple == prev_tuple).all(axis=1)
             converged[g[stop]] = True
             iterations[g[stop]] = v
@@ -328,15 +325,16 @@ def wava_decode_many(
                 break
             # compress, not a mask index: masking columns would return column-major arrays
             g, prev_tuple, r_cols = g[keep], cur_tuple[keep], r_cols.compress(keep, axis=1)
-            M = (Mend - Mend[s_best, cols]).compress(keep, axis=1)
+            M, bound = (Mend - Mend[s_best, cols]).compress(keep, axis=1), bound[keep]
 
-    # exact fallback: no candidate at all, or a perfect-match path was seen
-    # on the first sweep but no candidate reached distance 0
-    need = (best_dist >= _LARGE) | ((min_metric_iter1 == 0) & (best_dist > 0))
-    idx = np.flatnonzero(need)
-    if len(idx):
-        improved = _two_phase_search(kern, r_ints, idx, best_u, best_out, best_dist)
-        converged[idx[improved]] = False
+        # exact fallback: no candidate at all, or a perfect-match path was seen
+        # on the first sweep but no candidate reached distance 0
+        need[g1] = (best_dist[g1] >= _LARGE) | (perfect & (best_dist[g1] > 0))
+        fb = np.flatnonzero(need[g1])
+        if len(fb):
+            improved = _two_phase_search(kern, r_ints, g1[fb], lb[:, fb], bp_block,
+                                         best_u, best_out, best_dist)
+            converged[g1[fb[improved]]] = False
 
     cw_bits = _ints_to_bits(best_out, trellis.n)
     dist = np.bitwise_count((best_out ^ r_ints).astype(np.uint64)).sum(axis=1).astype(np.int64)

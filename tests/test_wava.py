@@ -140,20 +140,27 @@ def test_decode_many_rejects_non_binary(repetition_toy):
             wava_decode_many(tr, r)
 
 
-def _certified_at(trellis, r, V):
+def _certified_at(trellis, r, V, backward=True):
     """Per row, the first sweep v <= V after which the best tailbiting candidate's distance
-    equals the first sweep's minimum end metric (the ML certificate), else V + 1; computed
-    with the reference decoder's own sweep, which runs every row through all V sweeps."""
+    equals the ML certificate's bound, else V + 1; computed with the reference decoder's own
+    sweep, which runs every row through all V sweeps.  The bound is min_s max(fwd[s], h0[s]):
+    fwd[s] is the first sweep's end metric at s, and h0[s] the smallest end metric of a pass
+    that starts at s alone.  Without backward, h0 is 0 and the bound is min fwd."""
     r_ints = wava_reference._bits_to_section_ints(r, trellis.n)
     B, S = r_ints.shape[0], trellis.S
     M, best, first = np.zeros((B, S), np.int64), np.full(B, wava._LARGE), np.full(B, V + 1)
+    h0 = np.zeros((B, S), np.int64)
+    for s in range(S) if backward else ():
+        start = np.full((B, S), wava._LARGE, np.int64)
+        start[:, s] = 0
+        h0[:, s] = wava_reference._viterbi_pass(trellis, r_ints, start, False)[0].min(axis=1)
     for v in range(1, V + 1):
         Mend, origin, _ = wava_reference._viterbi_pass(trellis, r_ints, M, record_bp=False)
         blockdist = Mend - np.take_along_axis(M, origin, axis=1)
         tb = origin == np.arange(S)
         best = np.minimum(best, np.where(tb, blockdist, wava._LARGE).min(axis=1))
         if v == 1:
-            bound = Mend.min(axis=1)
+            bound = np.maximum(Mend, h0).min(axis=1)
         first[(first > V) & (best == bound)] = v
         M = Mend - Mend.min(axis=1, keepdims=True)
     return first
@@ -212,13 +219,17 @@ def _oracle_cases():
         yield build_trellis(code), _oracle_words(rng, code, B), 1 + i % 4
     code = random_code(rng, m=5, k=3, n=3, ell=8, freeze_prob=0.4)
     tr = build_trellis(code)
-    yield tr, _oracle_words(rng, code, wava._Kernel(tr).columns(bp=True) + 57), 4
+    yield tr, _oracle_words(rng, code, wava._Kernel(tr).columns() + 57), 4
 
 
 def test_matches_reference_decoder(fallback_rows):
+    earlier = 0
     for tr, r, V in _oracle_cases():
         _assert_same_as_reference(tr, r, V)
+        earlier += int((_certified_at(tr, r, V) < _certified_at(tr, r, V, False)).sum())
     assert sum(fallback_rows) > 0
+    # the cases hold rows that the backward bound stops before min fwd would
+    assert earlier > 0
 
 
 def test_fallback_flag_marks_the_rows_of_the_exact_search(fallback_rows):
@@ -230,19 +241,25 @@ def test_fallback_flag_marks_the_rows_of_the_exact_search(fallback_rows):
     assert flagged == sum(fallback_rows) > 0
 
 
-def test_small_byte_budget_gives_identical_results(monkeypatch, fallback_rows):
-    # a few KB forces many sub-batches and many start-state blocks
+def test_small_byte_budget_gives_identical_results(monkeypatch):
+    # a few KB forces many sub-batches and sweeps of a few columns
     monkeypatch.setattr(wava, "_BUDGET_BYTES", 4096)
+    spilled, search = [], wava._two_phase_search
+
+    def spy(kern, r_ints, idx, *rest):
+        spilled.append(kern.trellis.S * len(idx) > kern.columns())
+        return search(kern, r_ints, idx, *rest)
+
+    monkeypatch.setattr(wava, "_two_phase_search", spy)
     rng = np.random.default_rng(8)
     for i in range(12):
         k = 1 + i % 3
         code = random_code(rng, m=2 + i % 3, k=k, n=max(k, 2), ell=6, freeze_prob=0.4)
         tr = build_trellis(code)
-        kern = wava._Kernel(tr)
-        assert kern.columns(bp=True) < 16 and kern.columns(bp=False) < 16
+        assert wava._Kernel(tr).columns() < 16
         _assert_same_as_reference(tr, _oracle_words(rng, code, 80), 1 + i % 4)
-    # the fallback sweeps S >= 4 start states per row: 4 rows fill 16 columns
-    assert max(fallback_rows) >= 4
+    # some fallback call held more (start state, row) columns than one sweep does
+    assert any(spilled)
 
 
 def test_certified_rows_are_ml():
@@ -316,7 +333,7 @@ def test_fallback_matches_exhaustive(monkeypatch):
     rng = np.random.default_rng(10)
     budget, swept, columns = wava._BUDGET_BYTES, 0, 0
     for i in range(48):
-        # every fourth case splits the bound arrays and every sweep into blocks
+        # every fourth case splits every sweep into blocks
         monkeypatch.setattr(wava, "_BUDGET_BYTES", 4096 if i % 4 == 0 else budget)
         m, k = 1 + (i // 3) % 6, 1 + i % 3
         code = random_code(rng, m=m, k=k, n=max(k, int(rng.integers(1, 4))),
@@ -326,21 +343,25 @@ def test_fallback_matches_exhaustive(monkeypatch):
         idx = np.flatnonzero(rng.random(B) < 0.8)
         kern = wava._Kernel(tr)
         if i % 4 == 0:
-            assert kern.columns(bp=False) < len(idx)
-        # the exact constrained distance of every column, and its lower bound
+            assert kern.columns() < len(idx)
+        # the exact constrained distance of every column, and the decoder's lower bound
         dist = kern.constrained(r_ints, np.tile(idx, S), np.repeat(np.arange(S), len(idx)))
         dist = dist.reshape(S, len(idx))
-        assert np.all(kern.bounds(r_ints, idx) <= dist)
+        r_cols = np.ascontiguousarray(r_ints[idx].T)
+        fwd = kern.sweep(r_cols, np.zeros((S, len(idx)), kern.tab.dtype), None) >> kern.tab.sh
+        lb = kern.bound(r_cols, fwd.astype(np.int64))
+        assert np.all(lb <= dist)
         # rows arrive without a candidate or with one a little off the winner
         best_dist = np.full(B, wava._LARGE, dtype=np.int64)
         near = np.maximum(dist.min(axis=0) + rng.integers(-1, 2, len(idx)), 0)
         best_dist[idx] = np.where(rng.random(len(idx)) < 0.5, near, wava._LARGE)
-        out, counting = [], CountingKernel(tr)
-        for kern, search in ((counting, wava._two_phase_search),
-                             (wava._Kernel(tr), exhaustive_constrained)):
+        counting, bp = CountingKernel(tr), np.empty((tr.ell, S, len(idx)), kern.tab.bp_dtype)
+        out = []
+        for search in (lambda *best: wava._two_phase_search(counting, r_ints, idx, lb, bp, *best),
+                       lambda *best: exhaustive_constrained(kern, r_ints, idx, *best)):
             best = (np.zeros((B, tr.ell), dtype=np.int64), np.zeros((B, tr.ell), dtype=np.int64),
                     best_dist.copy())
-            out.append((search(kern, r_ints, idx, *best), *best))
+            out.append((search(*best), *best))
         for field, a, b in zip(("improved", "best_u", "best_out", "best_dist"), *out):
             assert np.array_equal(a, b), (i, field)
         swept += counting.swept

@@ -19,7 +19,7 @@ def exhaustive_constrained(kern, r_ints, idx, best_u, best_out, best_dist):
     distance, then smallest s) replaces the candidate when strictly better or when none exists."""
     S, Bf, ell = kern.trellis.S, len(idx), kern.trellis.ell
     dist = np.empty(S * Bf, dtype=np.int64)          # column c = (s, row) = divmod(c, Bf)
-    step = kern.columns(bp=False)
+    step = kern.columns()
     for lo in range(0, S * Bf, step):
         c = np.arange(lo, min(lo + step, S * Bf))
         dist[c] = kern.constrained(r_ints, idx[c % Bf], c // Bf)
@@ -27,7 +27,7 @@ def exhaustive_constrained(kern, r_ints, idx, best_u, best_out, best_dist):
     win_state, win_dist = dist.argmin(axis=0), dist.min(axis=0)
     improved = win_dist < best_dist[idx]
     rows = np.flatnonzero(improved)
-    step = kern.columns(bp=True)
+    step = kern.columns()
     for lo in range(0, len(rows), step):
         blk = rows[lo:lo + step]
         bp = np.empty((ell, S, len(blk)), dtype=kern.tab.bp_dtype)
