@@ -75,6 +75,6 @@ from .trellis import (
     free_distance,
     weight_enumerator,
 )
-from .wava import DecodeResult, WavaConfig, wava_decode, wava_decode_many
+from .wava import wava_decode_many
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ from .keyagree import (
 )
 from .simulate import StopRule, TrialReport
 from .trellis import WeightSpectrum, free_distance, weight_enumerator
-from .wava import WavaConfig
 
 
 def _out_stream(path: str | None):
@@ -77,10 +76,6 @@ def _report_dict(rep: TrialReport) -> dict:
 
 def _stop(args) -> StopRule:
     return StopRule(max_trials=args.max_trials, target_errors=args.target_errors)
-
-
-def _wava(args) -> WavaConfig:
-    return WavaConfig(max_iterations=args.v)
 
 
 def _add_common(p, stop=False, sim=False):
@@ -197,7 +192,7 @@ def cmd_bound(args) -> int:
 def cmd_sim_fer(args) -> int:
     code = load_code(args.code)
     rep = simulate.simulate_fer(
-        code, args.pc, _wava(args), _stop(args), args.seed, args.workers
+        code, args.pc, args.v, _stop(args), args.seed, args.workers
     )
     _write_json(args.out, _report_dict(rep))
     return 0
@@ -206,7 +201,7 @@ def cmd_sim_fer(args) -> int:
 def cmd_sim_distortion(args) -> int:
     code = load_code(args.code)
     rep = simulate.simulate_distortion(
-        code, _wava(args), args.trials, args.seed, args.workers
+        code, args.v, args.trials, args.seed, args.workers
     )
     _write_json(args.out, _report_dict(rep))
     return 0
@@ -215,7 +210,7 @@ def cmd_sim_distortion(args) -> int:
 def cmd_sim_e2e(args) -> int:
     pair = load_pair(args.pair)
     rep = simulate.simulate_end_to_end(
-        pair, args.pa, _wava(args), _stop(args), args.seed, args.workers
+        pair, args.pa, args.v, _stop(args), args.seed, args.workers
     )
     _write_json(args.out, _report_dict(rep))
     return 0
@@ -236,7 +231,7 @@ def _stack(vectors: list[BitVector], width: int) -> np.ndarray:
 def cmd_enroll(args) -> int:
     pair = load_pair(args.pair)
     x = _stack(read_bit_lines(args.x), pair.N)
-    keys, helpers, dist = enroll_many(pair, x, _wava(args))
+    keys, helpers, dist = enroll_many(pair, x, args.v)
     for d in dist:
         print(f"distortion {float(d) / pair.N:.6g}", file=sys.stderr)
     write_bit_lines(args.out_key, keys)
@@ -252,14 +247,14 @@ def cmd_reconstruct(args) -> int:
         raise ValueError(f"{len(ys)} measurements but {len(ws)} helper lines")
     y = _stack(ys, pair.N)
     w = _stack(ws, pair.K_vq - pair.K_fec)
-    write_bit_lines(args.out_key, reconstruct_many(pair, y, w, _wava(args)))
+    write_bit_lines(args.out_key, reconstruct_many(pair, y, w, args.v))
     return 0
 
 
 def cmd_evaluate(args) -> int:
     pair = load_pair(args.pair)
     row = simulate.evaluate(
-        pair, args.pa, args.target_pb, args.v, args.seed, _stop(args),
+        pair, args.target_pb, args.v, args.seed, _stop(args),
         args.distortion_trials, args.workers,
     )
     out = row.to_dict()
@@ -274,13 +269,9 @@ def cmd_region(args) -> int:
     if not args.aux and not args.fixture:
         _write_rows(args.out, ["q", "Rs", "Rw"], simulate.region_curve(args.pa, grid))
         return 0
-    rows: list[tuple[str, float, float]] = []
-    for q, r_s, r_w in simulate.region_curve(args.pa, grid):
-        rows.append(("gs_boundary", r_w, r_s))
-    for name, pts in simulate.region_aux_series(args.pa, grid, args.blocklength).items():
-        if name == "gs_boundary":
-            continue
-        rows.extend((name, x, y) for x, y in pts)
+    rows = [(name, x, y) for name, pts in
+            simulate.region_aux_series(args.pa, grid, args.blocklength).items()
+            for x, y in pts]
     if args.fixture:
         rows.extend(fixtures.fixture_overlay(args.fixture))
     _write_rows(args.out, ["series", "x", "y"], rows)
@@ -380,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="full evaluation row for a pair")
     p.add_argument("--pair", required=True)
-    p.add_argument("--pa", type=float, required=True)
     p.add_argument("--target-pb", type=float, required=True)
     p.add_argument("--l-ref", type=int, default=None,
                    help="list size for the reference polar complexity column")

@@ -71,7 +71,6 @@ from .simulate import (
     simulate_distortion,
 )
 from .trellis import WeightSpectrum, free_distance, weight_enumerator
-from .wava import WavaConfig
 
 
 class DesignFailure(RuntimeError):
@@ -260,15 +259,18 @@ def design_nested(
     """
     if n < 2:
         raise ValueError(f"need n >= 2 for a quantizer extension, got n={n}")
+    if not 0.0 <= p_A < 0.5:  # before the search: distortion_limit needs it at stage 3
+        raise ValueError(f"p_A must be in [0, 0.5), got {p_A}")
+    if V < 1:
+        raise ValueError(f"need V >= 1, got {V}")
     key = seed_key(seed)
-    cfg = WavaConfig(max_iterations=V)
 
     fec = search_fec(n, m, K_fec, target_pb, w_max, seed=key)
     ell = K_fec
 
     try:
         p_c_sim, calib_log = calibrate_pc(
-            fec.code, target_pb, p_A, cfg, stop, key, workers=workers
+            fec.code, target_pb, p_A, V, stop, key, workers=workers
         )
     except CalibrationError as exc:
         raise DesignFailure(f"crossover calibration failed: {exc}") from exc
@@ -280,7 +282,7 @@ def design_nested(
     for k_target in range(2, n + 1):
         res = search_vq_extension(spec, k_target, w_max, seed=key + (k_target,))
         spec = res.spec
-        rep = simulate_distortion(TailbitingCode.unfrozen(spec, ell), cfg, distortion_trials,
+        rep = simulate_distortion(TailbitingCode.unfrozen(spec, ell), V, distortion_trials,
                                   key + (k_target,), workers)
         ext_log.append({
             "k": k_target, "d_free": res.d_free, "a_free": res.a_free,
@@ -299,7 +301,7 @@ def design_nested(
     def q_of(f: int) -> float:
         c = _frozen_code(spec, ell, _evenly_spaced_steps(ell, f))
         return simulate_distortion(
-            c, cfg, distortion_trials, key + (STREAM_FREEZE, f), workers
+            c, V, distortion_trials, key + (STREAM_FREEZE, f), workers
         ).estimate
 
     lo, hi = 0, ell - 1

@@ -382,12 +382,9 @@ def code_from_dict(d: dict) -> TailbitingCode:
         raise EncoderSpecError(f"malformed code spec: {exc}") from exc
 
 
-def save_code(code: TailbitingCode, path: str, extra: dict | None = None) -> None:
-    d = code_to_dict(code)
-    if extra:
-        d.update(extra)
+def save_code(code: TailbitingCode, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(d, fh, indent=2)
+        json.dump(code_to_dict(code), fh, indent=2)
         fh.write("\n")
 
 

@@ -135,14 +135,6 @@ class BitMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"({i},{j}) out of range for shape {self.shape}")
-        return (self.row_words[i] >> j) & 1
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.row_words[i], self.ncols)
-
     def column(self, j: int) -> BitVector:
         if not 0 <= j < self.ncols:
             raise IndexError(f"column {j} out of range for shape {self.shape}")

@@ -34,7 +34,7 @@ from .encoder import (
 )
 from .gf2 import BitVector
 from .trellis import build_trellis
-from .wava import WavaConfig, wava_decode_many
+from .wava import wava_decode_many
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,9 @@ class CsEnrollmentRecord:
         return self.helper_data.concat(self.pad)
 
 
-def enroll(pair: NestedCodePair, x: BitVector, cfg: WavaConfig | None = None) -> EnrollmentRecord:
+def enroll(pair: NestedCodePair, x: BitVector, V: int = 4) -> EnrollmentRecord:
     """Quantize x on the high-rate code and split the message into (S, W)."""
-    s_bits, w_bits, dist = enroll_many(pair, x.to_numpy()[None, :], cfg)
+    s_bits, w_bits, dist = enroll_many(pair, x.to_numpy()[None, :], V)
     return EnrollmentRecord(
         secret_key=BitVector.from_bits(s_bits[0].tolist()),
         helper_data=BitVector.from_bits(w_bits[0].tolist()),
@@ -156,13 +156,13 @@ def enroll(pair: NestedCodePair, x: BitVector, cfg: WavaConfig | None = None) ->
 
 
 def enroll_many(
-    pair: NestedCodePair, x_bits: np.ndarray, cfg: WavaConfig | None = None
+    pair: NestedCodePair, x_bits: np.ndarray, V: int = 4
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch enrollment: returns (key bits [B,K_fec], helper bits [B,K_w],
     quantization Hamming distances [B])."""
     x_bits = _rows(x_bits, "identifier", pair.N, f"N={pair.N}")
     trellis = build_trellis(pair.vq_code)
-    res = wava_decode_many(trellis, x_bits, cfg)
+    res = wava_decode_many(trellis, x_bits, V=V)
     key_idx, helper_idx = _role_indices(pair.vq_code)
     return res.msg_bits[:, key_idx], res.msg_bits[:, helper_idx], res.distance
 
@@ -173,16 +173,14 @@ def helper_offset_codeword(pair: NestedCodePair, w: BitVector) -> BitVector:
     return encode_tailbiting(pair.vq_code, pair.merge_message(zero_key, w))
 
 
-def reconstruct(
-    pair: NestedCodePair, y: BitVector, w: BitVector, cfg: WavaConfig | None = None
-) -> BitVector:
+def reconstruct(pair: NestedCodePair, y: BitVector, w: BitVector, V: int = 4) -> BitVector:
     """Recover the key from the noisy measurement y and helper data W."""
-    s_bits = reconstruct_many(pair, y.to_numpy()[None, :], w.to_numpy()[None, :], cfg)
+    s_bits = reconstruct_many(pair, y.to_numpy()[None, :], w.to_numpy()[None, :], V)
     return BitVector.from_bits(s_bits[0].tolist())
 
 
 def reconstruct_many(
-    pair: NestedCodePair, y_bits: np.ndarray, w_bits: np.ndarray, cfg: WavaConfig | None = None
+    pair: NestedCodePair, y_bits: np.ndarray, w_bits: np.ndarray, V: int = 4
 ) -> np.ndarray:
     """Batch reconstruction: returns decoded key bits [B, K_fec]."""
     y_bits = _rows(y_bits, "measurement", pair.N, f"N={pair.N}")
@@ -195,25 +193,25 @@ def reconstruct_many(
     msgs = np.zeros((B, pair.K_vq), dtype=bool)
     msgs[:, helper_idx] = w_bits
     shifted = y_bits ^ encode_many(pair.vq_code, msgs).view(bool)
-    res = wava_decode_many(build_trellis(pair.fec_code), shifted, cfg)
+    res = wava_decode_many(build_trellis(pair.fec_code), shifted, V=V)
     return res.msg_bits
 
 
 def enroll_cs(
-    pair: NestedCodePair, x: BitVector, s_prime: BitVector, cfg: WavaConfig | None = None
+    pair: NestedCodePair, x: BitVector, s_prime: BitVector, V: int = 4
 ) -> CsEnrollmentRecord:
     """Chosen-secret enrollment: one-time-pad the chosen key onto the
     generated one and store both helper parts."""
     if s_prime.n != pair.K_fec:
         raise ValueError(f"chosen key length {s_prime.n} != K_fec={pair.K_fec}")
-    rec = enroll(pair, x, cfg)
+    rec = enroll(pair, x, V)
     return CsEnrollmentRecord(helper_data=rec.helper_data, pad=rec.secret_key ^ s_prime)
 
 
 def reconstruct_cs(
-    pair: NestedCodePair, y: BitVector, record: CsEnrollmentRecord, cfg: WavaConfig | None = None
+    pair: NestedCodePair, y: BitVector, record: CsEnrollmentRecord, V: int = 4
 ) -> BitVector:
-    s_hat = reconstruct(pair, y, record.helper_data, cfg)
+    s_hat = reconstruct(pair, y, record.helper_data, V)
     return s_hat ^ record.pad
 
 

@@ -29,7 +29,7 @@ from .bounds import (
 from .encoder import TailbitingCode, encode_many
 from .keyagree import NestedCodePair, enroll_many, reconstruct_many
 from .trellis import build_trellis
-from .wava import WavaConfig, wava_decode_many
+from .wava import wava_decode_many
 
 # chunk size is part of the sampling definition; do not make it configurable
 CHUNK = 4096
@@ -142,7 +142,7 @@ def _rate_report(trials: int, errors: int, key, wallclock: float) -> TrialReport
 def simulate_fer(
     code: TailbitingCode,
     p_c: float,
-    cfg: WavaConfig | None = None,
+    V: int = 4,
     stop: StopRule = StopRule(),
     seed: int | Sequence[int] = 0,
     workers: int = 1,
@@ -162,7 +162,7 @@ def simulate_fer(
         msgs = rng.integers(0, 2, size=(count, code.K), dtype=np.uint8)
         flips = (rng.random((count, code.N)) < p_c).astype(np.uint8)
         r = encode_many(code, msgs) ^ flips
-        res = wava_decode_many(trellis, r, cfg)
+        res = wava_decode_many(trellis, r, V=V)
         return (res.msg_bits != msgs).any(axis=1)
 
     trials, errors, wall = _run_counting(trial_fn, stop, workers)
@@ -171,7 +171,7 @@ def simulate_fer(
 
 def simulate_distortion(
     vq_code: TailbitingCode,
-    cfg: WavaConfig | None = None,
+    V: int = 4,
     trials: int = CHUNK,
     seed: int | Sequence[int] = 0,
     workers: int = 1,
@@ -186,7 +186,7 @@ def simulate_distortion(
     def chunk_values(i: int, count: int) -> np.ndarray:
         rng = chunk_rng(key, STREAM_DISTORTION, i)
         x = (rng.random((count, vq_code.N)) < 0.5).astype(np.uint8)
-        res = wava_decode_many(trellis, x, cfg)
+        res = wava_decode_many(trellis, x, V=V)
         return res.distance / vq_code.N
 
     values = np.concatenate(list(_chunks(chunk_values, trials, workers)))
@@ -199,7 +199,7 @@ def simulate_distortion(
 def simulate_end_to_end(
     pair: NestedCodePair,
     p_A: float,
-    cfg: WavaConfig | None = None,
+    V: int = 4,
     stop: StopRule = StopRule(),
     seed: int | Sequence[int] = 0,
     workers: int = 1,
@@ -213,8 +213,8 @@ def simulate_end_to_end(
         rng = chunk_rng(key, STREAM_E2E, i)
         x = (rng.random((count, pair.N)) < 0.5).astype(np.uint8)
         flips = (rng.random((count, pair.N)) < p_A).astype(np.uint8)
-        s_bits, w_bits, _ = enroll_many(pair, x, cfg)
-        s_hat = reconstruct_many(pair, x ^ flips, w_bits, cfg)
+        s_bits, w_bits, _ = enroll_many(pair, x, V)
+        s_hat = reconstruct_many(pair, x ^ flips, w_bits, V)
         return (s_hat != s_bits).any(axis=1)
 
     trials, errors, wall = _run_counting(trial_fn, stop, workers)
@@ -233,7 +233,7 @@ def calibrate_pc(
     code: TailbitingCode,
     target_pb: float,
     p_A: float,
-    cfg: WavaConfig | None = None,
+    V: int = 4,
     stop: StopRule = StopRule(),
     seed: int | Sequence[int] = 0,
     workers: int = 1,
@@ -260,7 +260,7 @@ def calibrate_pc(
             log.append({"p": 0.0, "estimate": 0.0, "trials": 0, "errors": 0.0,
                         "upper95": 0.0, "passed": True})
             return True
-        rep = simulate_fer(code, p, cfg, probe_stop, key + (STREAM_CALIBRATION, i), workers)
+        rep = simulate_fer(code, p, V, probe_stop, key + (STREAM_CALIBRATION, i), workers)
         if rep.event_count > 0:
             upper = rep.estimate + rep.confidence_halfwidth
         else:
@@ -332,7 +332,6 @@ def derived_rate_fields(n_block: int, k_fec: int, k_vq: int) -> tuple[Fraction, 
 
 def evaluate(
     pair: NestedCodePair,
-    p_A: float,
     target_pb: float,
     V: int = 4,
     seed: int | Sequence[int] = 0,
@@ -341,11 +340,10 @@ def evaluate(
     workers: int = 1,
 ) -> EvaluationRow:
     """Assemble the full evaluation row for a nested pair."""
-    cfg = WavaConfig(max_iterations=V)
     n = pair.vq_code.spec.n
     m = pair.vq_code.spec.m
-    p_c, _ = calibrate_pc(pair.fec_code, target_pb, 0.0, cfg, stop, seed, workers=workers)
-    q_bar = simulate_distortion(pair.vq_code, cfg, distortion_trials, seed, workers).estimate
+    p_c, _ = calibrate_pc(pair.fec_code, target_pb, 0.0, V, stop, seed, workers=workers)
+    q_bar = simulate_distortion(pair.vq_code, V, distortion_trials, seed, workers).estimate
     r_vq, r_w, helper_bits, ratio = derived_rate_fields(pair.N, pair.K_fec, pair.K_vq)
     k_vq_eq = math.ceil(n * r_vq)
     return EvaluationRow(

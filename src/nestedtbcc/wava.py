@@ -59,38 +59,16 @@ d >= LB > bd, or d >= LB == bd and s > bs, so (bd, bs) is the exact winner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .encoder import (TailbitingCode, _as_bits, _bits_to_section_ints, _input_index,
                       _ints_to_bits)
-from .gf2 import BitVector
 from .trellis import TailbitingTrellis, build_trellis
 
 _LARGE = 1 << 40
 _BUDGET_BYTES = 8 << 20
-
-
-@dataclass(frozen=True)
-class WavaConfig:
-    """Decoder knobs: V = maximum wrap-around iterations."""
-
-    max_iterations: int = 4
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError(f"need V >= 1, got {self.max_iterations}")
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    message: BitVector
-    codeword: BitVector
-    distance: int
-    iterations_used: int
-    converged: bool
 
 
 class BatchDecodeResult:
@@ -259,15 +237,16 @@ def _two_phase_search(kern, r_ints, idx, lb, bp, best_u, best_out, best_dist):
     return win_dist < best
 
 
-def wava_decode_many(
-    trellis: TailbitingTrellis, r_bits: np.ndarray, cfg: WavaConfig | None = None
-) -> BatchDecodeResult:
-    """Decode a batch of received words; rows are independent and deterministic."""
-    cfg = cfg or WavaConfig()
+def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
+                     V: int = 4) -> BatchDecodeResult:
+    """Decode a batch of received words with at most V wrap-around sweeps each; rows are
+    independent and deterministic."""
+    if V < 1:
+        raise ValueError(f"need V >= 1, got {V}")
     r_bits = _as_bits(r_bits)
     if r_bits.ndim != 2 or r_bits.shape[1] != trellis.N:
         raise ValueError(f"received words must be [B, {trellis.N}], got {r_bits.shape}")
-    B, S, V = r_bits.shape[0], trellis.S, cfg.max_iterations
+    B, S = r_bits.shape[0], trellis.S
     r_ints = _bits_to_section_ints(r_bits, trellis.n)
     kern = _Kernel(trellis)
     tab, states = kern.tab, np.arange(S)[:, None]
@@ -344,16 +323,3 @@ def wava_decode_many(
     msg_bits = _ints_to_bits(best_u, trellis.k)[:, _input_index(trellis.code)]
     return BatchDecodeResult(msg_bits, cw_bits, dist, iterations, converged, need)
 
-
-def wava_decode(trellis: TailbitingTrellis | TailbitingCode, r: BitVector,
-                cfg: WavaConfig | None = None) -> DecodeResult:
-    """Decode one received word to the best tailbiting codeword found."""
-    if isinstance(trellis, TailbitingCode):
-        trellis = build_trellis(trellis)
-    if r.n != trellis.N:
-        raise ValueError(f"received length {r.n} != N={trellis.N}")
-    res = wava_decode_many(trellis, r.to_numpy()[None, :], cfg)
-    msg_word = int.from_bytes(np.packbits(res.msg_bits[0], bitorder="little").tobytes(), "little")
-    cw_word = int.from_bytes(np.packbits(res.cw_bits[0], bitorder="little").tobytes(), "little")
-    return DecodeResult(BitVector(msg_word, trellis.K), BitVector(cw_word, trellis.N),
-                        int(res.distance[0]), int(res.iterations[0]), bool(res.converged[0]))

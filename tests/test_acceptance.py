@@ -42,7 +42,7 @@ from nestedtbcc.gf2 import BitMatrix, BitVector
 from nestedtbcc.keyagree import enroll_many, pair_to_dict, reconstruct_many
 from nestedtbcc.simulate import StopRule, simulate_distortion, simulate_end_to_end
 from nestedtbcc.trellis import build_trellis, weight_enumerator
-from nestedtbcc.wava import WavaConfig, wava_decode_many
+from nestedtbcc.wava import wava_decode_many
 
 P_A_REFERENCE = 0.0149
 
@@ -86,7 +86,6 @@ def test_criterion_02_hand_checked_enumerators():
 def test_criterion_03_wava_near_ml():
     start = time.perf_counter()
     rng = np.random.default_rng(103)
-    cfg = WavaConfig(max_iterations=4)
     agreements = 0
     total = 0
     trials_per_code = 200
@@ -102,7 +101,7 @@ def test_criterion_03_wava_near_ml():
         book = pack_rows(exhaustive_codebook(code))
         msgs = rng.integers(0, 2, (trials_per_code, code.K), dtype=np.uint8)
         r = encode_many(code, msgs) ^ (rng.random((trials_per_code, code.N)) < p).astype(np.uint8)
-        res = wava_decode_many(build_trellis(code), r, cfg)
+        res = wava_decode_many(build_trellis(code), r, V=4)
         # validity must be perfect on every single decode
         assert np.array_equal(encode_many(code, res.msg_bits), res.cw_bits)
         oracle = nearest_distances(book, pack_rows(r))

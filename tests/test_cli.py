@@ -197,7 +197,7 @@ def test_ragged_bit_file_exit_code(tmp_path, toy_pair_file, cmd, lines, message)
 
 def test_evaluate_cli(tmp_path, toy_pair_file):
     out = tmp_path / "row.json"
-    rc = main(["evaluate", "--pair", toy_pair_file, "--pa", "0.0149",
+    rc = main(["evaluate", "--pair", toy_pair_file,
                "--target-pb", "1e-2", "--l-ref", "8",
                "--max-trials", "20000", "--distortion-trials", "512",
                "--seed", "4", "--out", str(out)])
@@ -225,9 +225,10 @@ def test_region_cli(tmp_path):
                "--fixture", str(fixture_path("table2_reference")),
                "--out", str(out2)])
     assert rc == 0
-    series = {r["series"] for r in csv.DictReader(out2.open())}
+    series = [r["series"] for r in csv.DictReader(out2.open())]
+    assert series.count("gs_boundary") == 21
     assert {"gs_boundary", "sw_line", "quantizer_rate_approx",
-            "quantizer_converse_min_rate", "mc", "rcu", "tbcc_rate_point"} <= series
+            "quantizer_converse_min_rate", "mc", "rcu", "tbcc_rate_point"} <= set(series)
 
 
 def test_invalid_input_exit_code(tmp_path):
@@ -330,6 +331,25 @@ def test_design_nested_without_an_input_to_add_exit_code():
     assert proc.stderr.startswith("error:") and "n=1" in proc.stderr
 
 
+@pytest.mark.parametrize("pa, v, message", [
+    ("0.5", "4", "p_A must be in [0, 0.5), got 0.5"),
+    ("0.6", "4", "p_A must be in [0, 0.5), got 0.6"),
+    ("-0.1", "4", "p_A must be in [0, 0.5), got -0.1"),
+    ("0.0", "0", "need V >= 1, got 0"),
+])
+def test_design_nested_checks_arguments_before_the_search(monkeypatch, capsys, pa, v, message):
+    # an invalid p_A used to surface only after the whole subcode search, as
+    # exit code 3 ("unreachable even at p_A=0.6")
+    def search_fec(*args, **kwargs):
+        raise AssertionError("search_fec ran before the arguments were checked")
+
+    monkeypatch.setattr(cli.design, "search_fec", search_fec)
+    rc = main(["design-nested", "--pa", pa, "--v", v, "--target-pb", "0.1", "--kfec", "16",
+               "--n", "3", "--m", "4", "--wmax", "30"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_design_failure_exit_code():
     rc = main([
         "design-nested", "--pa", "0.45", "--target-pb", "1e-6",
@@ -379,7 +399,7 @@ def test_design_nested_cli_smoke(tmp_path):
 def test_every_option_reaches_its_handler():
     (sub,) = [a for a in cli.build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
-    helpers = {"_stop(args)": cli._stop, "_wava(args)": cli._wava}
+    helpers = {"_stop(args)": cli._stop}
     for name, p in sub.choices.items():
         src = inspect.getsource(p.get_default("fn"))
         src += "".join(inspect.getsource(h) for call, h in helpers.items() if call in src)

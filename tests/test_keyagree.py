@@ -27,7 +27,6 @@ from nestedtbcc.keyagree import (
     write_bit_lines,
 )
 from nestedtbcc.trellis import weight_enumerator
-from nestedtbcc.wava import WavaConfig
 
 
 def vec(bits_arr) -> BitVector:
@@ -129,13 +128,13 @@ def test_reconstruct_passes_the_iteration_budget():
     rng = np.random.default_rng(0)
     y = rng.integers(0, 2, (256, pair.N), dtype=np.uint8)
     w = rng.integers(0, 2, (256, pair.K_vq - pair.K_fec), dtype=np.uint8)
-    s1 = reconstruct_many(pair, y, w, WavaConfig(1))
-    s4 = reconstruct_many(pair, y, w, WavaConfig(4))
+    s1 = reconstruct_many(pair, y, w, V=1)
+    s4 = reconstruct_many(pair, y, w, V=4)
     rows = np.flatnonzero((s1 != s4).any(axis=1))
     assert len(rows) > 0
     for b in rows[:5]:
-        assert reconstruct(pair, vec(y[b]), vec(w[b]), WavaConfig(1)) == vec(s1[b])
-        assert reconstruct(pair, vec(y[b]), vec(w[b]), WavaConfig(4)) == vec(s4[b])
+        assert reconstruct(pair, vec(y[b]), vec(w[b]), V=1) == vec(s1[b])
+        assert reconstruct(pair, vec(y[b]), vec(w[b]), V=4) == vec(s4[b])
 
 
 def test_enrollment_matches_exhaustive_quantizer():

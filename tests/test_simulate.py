@@ -253,7 +253,7 @@ def test_derived_rate_fields_match_reference_arithmetic():
 
 def test_evaluate_row_identities():
     pair = toy_pair_a()
-    row = evaluate(pair, 0.0149, 1e-2, V=4, seed=9,
+    row = evaluate(pair, 1e-2, V=4, seed=9,
                    stop=StopRule(max_trials=50_000), distortion_trials=1024)
     assert row.R_w == row.R_vq - row.R_fec
     assert row.helper_bits == math.ceil(pair.N * row.R_w)

@@ -4,38 +4,35 @@ import numpy as np
 import pytest
 
 from conftest import (
-    bits,
     exhaustive_codebook,
     nearest_distances,
     pack_rows,
     random_code,
 )
 from nestedtbcc import wava
-from nestedtbcc.encoder import encode_many, encode_tailbiting
-from nestedtbcc.gf2 import BitVector
+from nestedtbcc.encoder import encode_many
 from nestedtbcc.trellis import build_trellis
-from nestedtbcc.wava import WavaConfig, wava_decode, wava_decode_many
+from nestedtbcc.wava import wava_decode_many
 from wava_fallback_reference import CountingKernel, exhaustive_constrained
 import wava_reference
 from wava_reference import reference_decode_many
 
 
 def test_codeword_is_fixed_point(repetition_toy):
-    for msg_bits in ([0, 0], [1, 0], [0, 1], [1, 1]):
-        msg = BitVector.from_bits(msg_bits)
-        cw = encode_tailbiting(repetition_toy, msg)
-        res = wava_decode(repetition_toy, cw)
-        assert res.codeword == cw
-        assert res.message == msg
-        assert res.distance == 0
-        assert res.converged and res.iterations_used == 1
+    msgs = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
+    cws = encode_many(repetition_toy, msgs)
+    res = wava_decode_many(build_trellis(repetition_toy), cws)
+    assert np.array_equal(res.cw_bits, cws)
+    assert np.array_equal(res.msg_bits, msgs)
+    assert np.all(res.distance == 0)
+    assert np.all(res.converged) and np.all(res.iterations == 1)
 
 
 def test_single_error_example(repetition_toy):
-    res = wava_decode(repetition_toy, bits(1, 1, 0, 0, 0, 0))
-    assert res.codeword.to_tuple() == (1, 1, 1, 0, 0, 0)
-    assert res.message.to_tuple() == (0, 1)
-    assert res.distance == 1
+    res = wava_decode_many(build_trellis(repetition_toy), np.array([[1, 1, 0, 0, 0, 0]]))
+    assert res.cw_bits.tolist() == [[1, 1, 1, 0, 0, 0]]
+    assert res.msg_bits.tolist() == [[0, 1]]
+    assert res.distance.tolist() == [1]
 
 
 def test_idempotence_on_all_codewords():
@@ -72,7 +69,7 @@ def test_near_ml_on_random_toys():
         p = 0.05 + 0.05 * rng.random()
         cws = encode_many(code, rng.integers(0, 2, (100, code.K), dtype=np.uint8))
         r = cws ^ (rng.random((100, code.N)) < p).astype(np.uint8)
-        res = wava_decode_many(build_trellis(code), r, WavaConfig(4))
+        res = wava_decode_many(build_trellis(code), r, V=4)
         oracle = nearest_distances(book, pack_rows(r))
         assert np.all(res.distance >= oracle)
         agree += int((res.distance == oracle).sum())
@@ -99,17 +96,16 @@ def test_monotone_iteration_budget():
     code = random_code(rng, m=3, k=1, n=2, ell=6)
     tr = build_trellis(code)
     r = rng.integers(0, 2, (128, code.N), dtype=np.uint8)
-    d1 = wava_decode_many(tr, r, WavaConfig(1)).distance
-    d4 = wava_decode_many(tr, r, WavaConfig(4)).distance
+    d1 = wava_decode_many(tr, r, V=1).distance
+    d4 = wava_decode_many(tr, r, V=4).distance
     assert np.all(d4 <= d1)
 
 
 def test_quantize_examples(unit_toy):
-    for msg_bits in ([0, 0], [1, 0], [0, 1], [1, 1]):
-        cw = encode_tailbiting(unit_toy, BitVector.from_bits(msg_bits))
-        assert wava_decode(unit_toy, cw).distance == 0
-        comp = BitVector.from_bits([1 - b for b in cw])
-        assert wava_decode(unit_toy, comp).distance <= 1
+    cws = encode_many(unit_toy, np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8))
+    tr = build_trellis(unit_toy)
+    assert np.all(wava_decode_many(tr, cws).distance == 0)
+    assert np.all(wava_decode_many(tr, 1 - cws).distance <= 1)
 
 
 def test_quantize_mean_distortion_matches_oracle():
@@ -124,11 +120,15 @@ def test_quantize_mean_distortion_matches_oracle():
     assert abs(mc - oracle_vals.mean()) <= 3 * se + 1e-9
 
 
-def test_rejects_bad_config_and_length(unit_toy):
-    with pytest.raises(ValueError):
-        WavaConfig(0)
-    with pytest.raises(ValueError, match="length"):
-        wava_decode(unit_toy, bits(1, 0, 1))
+def test_rejects_bad_config_and_length(unit_toy, monkeypatch):
+    tr = build_trellis(unit_toy)
+    # V is checked before any work: the kernel is never built
+    monkeypatch.setattr(wava, "_Kernel", None)
+    for V in (0, -1):
+        with pytest.raises(ValueError, match=f"need V >= 1, got {V}"):
+            wava_decode_many(tr, np.zeros((1, tr.N), dtype=np.uint8), V=V)
+    with pytest.raises(ValueError, match=r"must be \[B, 2\], got \(1, 3\)"):
+        wava_decode_many(tr, np.array([[1, 0, 1]]))
 
 
 def test_decode_many_rejects_non_binary(repetition_toy):
@@ -170,7 +170,7 @@ def _assert_same_as_reference(trellis, r, V):
     """Messages, codewords and distances equal the reference decoder's bit for bit; a row
     stops at the reference's sweep or at its certificate, whichever comes first, and a
     certified row is converged."""
-    new = wava_decode_many(trellis, r, WavaConfig(V))
+    new = wava_decode_many(trellis, r, V=V)
     ref = reference_decode_many(trellis, r, V)
     certified = _certified_at(trellis, r, V)
     expected = {field: getattr(ref, field) for field in ("msg_bits", "cw_bits", "distance")}
@@ -235,7 +235,7 @@ def test_matches_reference_decoder(fallback_rows):
 def test_fallback_flag_marks_the_rows_of_the_exact_search(fallback_rows):
     flagged = 0
     for tr, r, V in _oracle_cases():
-        res = wava_decode_many(tr, r, WavaConfig(V))
+        res = wava_decode_many(tr, r, V=V)
         assert res.fallback.dtype == bool and res.fallback.shape == (len(r),)
         flagged += int(res.fallback.sum())
     assert flagged == sum(fallback_rows) > 0
