@@ -30,14 +30,11 @@ from .encoder import (
     FreezingSchedule,
     TailbitingCode,
     append_input_column,
-    effective_rate,
     encode_many,
     encode_tailbiting,
     fec_restriction,
     load_code,
-    remove_input_column,
     save_code,
-    step,
 )
 from .gf2 import (
     BitMatrix,

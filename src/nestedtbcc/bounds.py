@@ -218,13 +218,6 @@ class ComplexityEstimate:
     def log2_min(self) -> float:
         return math.log2(self.kappa_min)
 
-    def log2_all(self) -> dict[str, float]:
-        return {
-            "F": math.log2(self.kappa_f),
-            "P": math.log2(self.kappa_p),
-            "M": math.log2(self.kappa_m),
-        }
-
 
 def complexity_estimates(N: int, n: int, k: int, m: int, V: int) -> ComplexityEstimate:
     """WAVA complexity scalings for an (N, n, k, m) TBCC at V iterations.

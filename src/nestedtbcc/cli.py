@@ -23,15 +23,8 @@ from .encoder import (
     code_to_dict,
     load_code,
 )
-from .gf2 import BitVector, Gf2ShapeError
-from .keyagree import (
-    enroll_many,
-    load_pair,
-    pair_to_dict,
-    read_bit_lines,
-    reconstruct_many,
-    write_bit_lines,
-)
+from .gf2 import Gf2ShapeError
+from .keyagree import enroll_many, load_pair, pair_to_dict, reconstruct_many
 from .simulate import StopRule, TrialReport
 from .trellis import WeightSpectrum, free_distance, weight_enumerator
 
@@ -216,50 +209,61 @@ def cmd_sim_e2e(args) -> int:
     return 0
 
 
-def _stack(vectors: list[BitVector], width: int) -> np.ndarray:
-    """Lines of a bit file as one uint8 [B, width] array ([0, width] if empty).
+def _read_bits(path: str, width: int) -> np.ndarray:
+    """A bit file as a uint8 [B, width] array: one word of 0/1 characters per
+    line; blank lines and the whitespace around a word are skipped."""
+    words = []
+    with open(path, errors="replace") as fh:
+        for i, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            if len(line) != width:
+                raise ValueError(f"{path}, line {i}: length {len(line)}, expected {width}")
+            if line.strip("01"):
+                raise ValueError(f"{path}, line {i}: {line.strip('01')[0]!r} is not a bit")
+            words.append(line)
+    bits = np.frombuffer("".join(words).encode(), dtype=np.uint8) - ord("0")
+    return bits.reshape(len(words), width)
 
-    If a line has another length, only the first such line is returned, so
-    the batch call rejects it with its usual length message.
-    """
-    rows = [v for v in vectors if v.n != width][:1] or vectors
-    if not rows:
-        return np.zeros((0, width), dtype=np.uint8)
-    return np.stack([v.to_numpy() for v in rows])
+
+def _write_bits(path: str, bits: np.ndarray) -> None:
+    """Write a [B, width] bit array as a bit file, one line per row."""
+    chars = np.asarray(bits, dtype=np.uint8) + ord("0")
+    newline = np.full((len(chars), 1), ord("\n"), dtype=np.uint8)
+    with open(path, "w") as fh:
+        fh.write(np.hstack([chars, newline]).tobytes().decode())
 
 
 def cmd_enroll(args) -> int:
     pair = load_pair(args.pair)
-    x = _stack(read_bit_lines(args.x), pair.N)
-    keys, helpers, dist = enroll_many(pair, x, args.v)
+    keys, helpers, dist = enroll_many(pair, _read_bits(args.x, pair.N), args.v)
     for d in dist:
         print(f"distortion {float(d) / pair.N:.6g}", file=sys.stderr)
-    write_bit_lines(args.out_key, keys)
-    write_bit_lines(args.out_helper, helpers)
+    _write_bits(args.out_key, keys)
+    _write_bits(args.out_helper, helpers)
     return 0
 
 
 def cmd_reconstruct(args) -> int:
     pair = load_pair(args.pair)
-    ys = read_bit_lines(args.y)
-    ws = read_bit_lines(args.helper)
-    if len(ys) != len(ws):
-        raise ValueError(f"{len(ys)} measurements but {len(ws)} helper lines")
-    y = _stack(ys, pair.N)
-    w = _stack(ws, pair.K_vq - pair.K_fec)
-    write_bit_lines(args.out_key, reconstruct_many(pair, y, w, args.v))
+    y = _read_bits(args.y, pair.N)
+    w = _read_bits(args.helper, pair.K_vq - pair.K_fec)
+    _write_bits(args.out_key, reconstruct_many(pair, y, w, args.v))
     return 0
 
 
 def cmd_evaluate(args) -> int:
     pair = load_pair(args.pair)
+    # before the run, so that a bad --l-ref fails at once
+    pc_ref = None if args.l_ref is None else bounds.pc_complexity(args.l_ref, pair.N)
     row = simulate.evaluate(
         pair, args.target_pb, args.v, args.seed, _stop(args),
         args.distortion_trials, args.workers,
     )
     out = row.to_dict()
-    if args.l_ref:
-        out["pc_reference_log2"] = float(np.log2(bounds.pc_complexity(args.l_ref, pair.N)))
+    if pc_ref is not None:
+        out["pc_reference_log2"] = float(np.log2(pc_ref))
     _write_json(args.out, out)
     return 0
 

@@ -7,8 +7,8 @@ The encoder is the single-shift-register machine
 
 with A the m x m down-shift matrix, B = (e1^T | B~) and D = (0 | D~), so the
 machine is fully described by (B~, C, D~).  Indexing is 0-based throughout the
-code: input 0 is the register input (the one that may never be frozen or
-removed), delay cell 0 is the cell fed by it.
+code: input 0 is the register input (the one that may never be frozen),
+delay cell 0 is the cell fed by it.
 
 One cached transition table per spec (_transitions: next state and output
 per (state, input)) serves the encoder, the trellis and free_distance, and
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -125,17 +124,6 @@ def _transitions(spec: EncoderSpec) -> tuple[np.ndarray, np.ndarray]:
     for a in (next_state, out_int):
         a.setflags(write=False)
     return next_state, out_int
-
-
-def step(spec: EncoderSpec, s_t: BitVector, u_t: BitVector) -> tuple[BitVector, BitVector]:
-    """One encoder clock: returns (c_t, s_{t+1})."""
-    if s_t.n != spec.m:
-        raise Gf2ShapeError(f"state length {s_t.n} != m={spec.m}")
-    if u_t.n != spec.k:
-        raise Gf2ShapeError(f"input length {u_t.n} != k={spec.k}")
-    next_state, out_int = _transitions(spec)
-    return (BitVector(int(out_int[s_t.word, u_t.word]), spec.n),
-            BitVector(int(next_state[s_t.word, u_t.word]), spec.m))
 
 
 @dataclass(frozen=True)
@@ -296,28 +284,6 @@ def encode_many(code: TailbitingCode, messages: np.ndarray) -> np.ndarray:
     return _ints_to_bits(outs.T, spec.n)
 
 
-def remove_input_column(spec: EncoderSpec, i: int) -> EncoderSpec:
-    """Drop input i (0-based, never 0): the new code is a subcode of the old."""
-    if spec.k < 2:
-        raise EncoderSpecError("cannot remove an input from a k=1 encoder")
-    if i == 0:
-        raise EncoderSpecError("input 0 feeds the shift register and is not removable")
-    if not 1 <= i < spec.k:
-        raise EncoderSpecError(f"input index {i} out of range 1..{spec.k - 1}")
-    bt = spec.B_tilde.to_lists()
-    dt = spec.D_tilde.to_lists()
-    for row in bt:
-        del row[i - 1]
-    for row in dt:
-        del row[i - 1]
-    return EncoderSpec(
-        m=spec.m, k=spec.k - 1, n=spec.n,
-        B_tilde=BitMatrix.from_rows(bt, spec.k - 2),
-        C=spec.C,
-        D_tilde=BitMatrix.from_rows(dt, spec.k - 2),
-    )
-
-
 def append_input_column(spec: EncoderSpec, b_col: BitVector, d_col: BitVector) -> EncoderSpec:
     """Add one input with taps (b_col, d_col): the old code becomes a subcode."""
     if b_col.n != spec.m:
@@ -341,10 +307,6 @@ def append_input_column(spec: EncoderSpec, b_col: BitVector, d_col: BitVector) -
 def fec_restriction(spec: EncoderSpec) -> EncoderSpec:
     """The k=1 encoder obtained by pinning every input but the register input."""
     return EncoderSpec.rate_one_over_n(spec.C)
-
-
-def effective_rate(code: TailbitingCode) -> Fraction:
-    return Fraction(code.K, code.N)
 
 
 # ---------------------------------------------------------------------------

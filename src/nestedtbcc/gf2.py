@@ -75,14 +75,8 @@ class BitVector:
     def weight(self) -> int:
         return bin(self.word).count("1")
 
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def to_numpy(self) -> np.ndarray:
         return np.fromiter(self, dtype=np.uint8, count=self.n)
-
-    def concat(self, other: "BitVector") -> "BitVector":
-        return BitVector(self.word | (other.word << self.n), self.n + other.n)
 
     def __repr__(self) -> str:
         return f"BitVector({''.join(str(b) for b in self)})"

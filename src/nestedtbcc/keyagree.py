@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .encoder import (
     code_from_dict,
     code_to_dict,
     encode_many,
-    encode_tailbiting,
     fec_restriction,
 )
 from .gf2 import BitVector
@@ -72,15 +70,6 @@ class NestedCodePair:
     @property
     def fec_code(self) -> TailbitingCode:
         return _fec_code(self.vq_code)
-
-    def split_message(self, msg: BitVector) -> tuple[BitVector, BitVector]:
-        """Message -> (key bits, helper bits), time-major within each part."""
-        if msg.n != self.K_vq:
-            raise ValueError(f"expected message length K_vq={self.K_vq}, got {msg.n}")
-        bits = msg.to_numpy()
-        key_idx, helper_idx = _role_indices(self.vq_code)
-        key, helper = bits[key_idx].tolist(), bits[helper_idx].tolist()
-        return BitVector.from_bits(key), BitVector.from_bits(helper)
 
     def merge_message(self, s: BitVector, w: BitVector) -> BitVector:
         key_idx, helper_idx = _role_indices(self.vq_code)
@@ -139,11 +128,6 @@ class CsEnrollmentRecord:
     helper_data: BitVector
     pad: BitVector
 
-    @property
-    def w_prime(self) -> BitVector:
-        """The full stored value (W, S xor S'), K_vq bits."""
-        return self.helper_data.concat(self.pad)
-
 
 def enroll(pair: NestedCodePair, x: BitVector, V: int = 4) -> EnrollmentRecord:
     """Quantize x on the high-rate code and split the message into (S, W)."""
@@ -165,12 +149,6 @@ def enroll_many(
     res = wava_decode_many(trellis, x_bits, V=V)
     key_idx, helper_idx = _role_indices(pair.vq_code)
     return res.msg_bits[:, key_idx], res.msg_bits[:, helper_idx], res.distance
-
-
-def helper_offset_codeword(pair: NestedCodePair, w: BitVector) -> BitVector:
-    """encode(0, W): the codeword carrying only the helper bits."""
-    zero_key = BitVector.zeros(pair.K_fec)
-    return encode_tailbiting(pair.vq_code, pair.merge_message(zero_key, w))
 
 
 def reconstruct(pair: NestedCodePair, y: BitVector, w: BitVector, V: int = 4) -> BitVector:
@@ -238,21 +216,3 @@ def save_pair(pair: NestedCodePair, path: str) -> None:
 def load_pair(path: str) -> NestedCodePair:
     with open(path) as fh:
         return pair_from_dict(json.load(fh))
-
-
-def read_bit_lines(path: str) -> list[BitVector]:
-    """Text format: one 0/1 sequence per newline-terminated line."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(BitVector.from_bits(int(c) for c in line))
-    return out
-
-
-def write_bit_lines(path: str, vectors: Iterable[Iterable[int]]) -> None:
-    with open(path, "w") as fh:
-        for v in vectors:
-            fh.write("".join(str(b) for b in v))
-            fh.write("\n")

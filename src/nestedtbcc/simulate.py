@@ -96,7 +96,9 @@ def _chunks(
     """
     starts = range(0, total, CHUNK)
     spans = ((i, min(CHUNK, total - done)) for i, done in enumerate(starts))
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
+    if workers == 1:
         yield from (chunk_fn(i, c) for i, c in spans)
         return
     ex = ThreadPoolExecutor(max_workers=workers)

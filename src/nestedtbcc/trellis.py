@@ -127,8 +127,7 @@ class WeightSpectrum:
     """Coefficients A_d of the weight enumerator, possibly weight-truncated.
 
     When the encoder is non-injective the coefficients count tailbiting
-    paths rather than distinct codewords; path_counts flags that case
-    (detected via A_0 > 1).
+    paths rather than distinct codewords, which A_0 > 1 flags.
     """
 
     coeffs: dict[int, int]
@@ -139,10 +138,6 @@ class WeightSpectrum:
     @property
     def truncated(self) -> bool:
         return self.d_max < self.block_length
-
-    @property
-    def path_counts(self) -> bool:
-        return self.coeffs.get(0, 0) > 1
 
     def a(self, d: int) -> int:
         return self.coeffs.get(d, 0)

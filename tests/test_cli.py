@@ -18,8 +18,13 @@ from nestedtbcc.bounds import solve_crossover
 from nestedtbcc.cli import main
 from nestedtbcc.encoder import load_code, save_code
 from nestedtbcc.gf2 import BitVector
-from nestedtbcc.keyagree import enroll, read_bit_lines, reconstruct, save_pair, write_bit_lines
+from nestedtbcc.keyagree import enroll, enroll_many, reconstruct, reconstruct_many, save_pair
 from nestedtbcc.trellis import weight_enumerator
+
+
+def _bit_text(words) -> str:
+    """The bit-file text of some words: one line of 0/1 characters each."""
+    return "".join("".join(str(b) for b in word) + "\n" for word in words)
 
 
 @pytest.fixture
@@ -112,26 +117,24 @@ def test_sim_e2e_cli(tmp_path, toy_pair_file):
 def test_enroll_reconstruct_files_round_trip(tmp_path, toy_pair_file):
     pair = toy_pair_a()
     rng = np.random.default_rng(9)
-    xs = [BitVector.from_bits(rng.integers(0, 2, pair.N).tolist()) for _ in range(3)]
     x_path = tmp_path / "x.txt"
-    write_bit_lines(str(x_path), xs)
+    x_path.write_text(_bit_text(rng.integers(0, 2, (3, pair.N))))
 
     key_path = tmp_path / "key.txt"
     helper_path = tmp_path / "helper.txt"
     rc = main(["enroll", "--pair", toy_pair_file, "--x", str(x_path),
                "--out-key", str(key_path), "--out-helper", str(helper_path)])
     assert rc == 0
-    keys = read_bit_lines(str(key_path))
-    helpers = read_bit_lines(str(helper_path))
-    assert len(keys) == 3 and all(k.n == pair.K_fec for k in keys)
+    keys = key_path.read_text().splitlines()
+    assert len(keys) == 3 and all(len(k) == pair.K_fec for k in keys)
+    assert len(helper_path.read_text().splitlines()) == 3
 
     # noiseless reconstruction from the same measurements
     out_path = tmp_path / "rec.txt"
     rc = main(["reconstruct", "--pair", toy_pair_file, "--y", str(x_path),
                "--helper", str(helper_path), "--out-key", str(out_path)])
     assert rc == 0
-    rec = read_bit_lines(str(out_path))
-    assert rec == keys
+    assert out_path.read_text() == key_path.read_text()
 
 
 def test_enroll_reconstruct_files_match_per_word_calls(tmp_path, toy_pair_file, capsys):
@@ -141,46 +144,87 @@ def test_enroll_reconstruct_files_match_per_word_calls(tmp_path, toy_pair_file, 
     ys = [x ^ BitVector.from_bits((rng.random(pair.N) < 0.1).astype(int).tolist()) for x in xs]
     recs = [enroll(pair, x) for x in xs]
     x_path, y_path = tmp_path / "x.txt", tmp_path / "y.txt"
-    write_bit_lines(str(x_path), xs)
-    write_bit_lines(str(y_path), ys)
+    x_path.write_text(_bit_text(xs))
+    y_path.write_text(_bit_text(ys))
 
     key_path, helper_path = tmp_path / "key.txt", tmp_path / "helper.txt"
     capsys.readouterr()
     assert main(["enroll", "--pair", toy_pair_file, "--x", str(x_path),
                  "--out-key", str(key_path), "--out-helper", str(helper_path)]) == 0
     assert capsys.readouterr().err == "".join(f"distortion {r.distortion:.6g}\n" for r in recs)
-    assert read_bit_lines(str(key_path)) == [r.secret_key for r in recs]
-    assert read_bit_lines(str(helper_path)) == [r.helper_data for r in recs]
+    assert key_path.read_text() == _bit_text(r.secret_key for r in recs)
+    assert helper_path.read_text() == _bit_text(r.helper_data for r in recs)
 
     out_path = tmp_path / "rec.txt"
     assert main(["reconstruct", "--pair", toy_pair_file, "--y", str(y_path),
                  "--helper", str(helper_path), "--out-key", str(out_path)]) == 0
-    assert read_bit_lines(str(out_path)) == [
+    assert out_path.read_text() == _bit_text(
         reconstruct(pair, y, r.helper_data) for y, r in zip(ys, recs)
-    ]
+    )
+
+
+def test_enroll_reconstruct_large_file_matches_batch_calls(tmp_path, toy_pair_file):
+    pair = toy_pair_a()
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, 2, (2000, pair.N), dtype=np.uint8)
+    y = x ^ (rng.random(x.shape) < 0.05).astype(np.uint8)
+    keys, helpers, _ = enroll_many(pair, x)
+    x_path, y_path = tmp_path / "x.txt", tmp_path / "y.txt"
+    x_path.write_text(_bit_text(x))
+    y_path.write_text(_bit_text(y))
+    key_path, helper_path = tmp_path / "key.txt", tmp_path / "helper.txt"
+    assert main(["enroll", "--pair", toy_pair_file, "--x", str(x_path),
+                 "--out-key", str(key_path), "--out-helper", str(helper_path)]) == 0
+    assert key_path.read_text() == _bit_text(keys)
+    assert helper_path.read_text() == _bit_text(helpers)
+    out_path = tmp_path / "rec.txt"
+    assert main(["reconstruct", "--pair", toy_pair_file, "--y", str(y_path),
+                 "--helper", str(helper_path), "--out-key", str(out_path)]) == 0
+    assert out_path.read_text() == _bit_text(reconstruct_many(pair, y, helpers))
+
+
+def test_bit_files_skip_blank_lines_and_carriage_returns(tmp_path, toy_pair_file):
+    pair = toy_pair_a()
+    x = np.random.default_rng(13).integers(0, 2, (4, pair.N), dtype=np.uint8)
+    keys, helpers, _ = enroll_many(pair, x)
+    x_path = tmp_path / "x.txt"
+    rows = _bit_text(x).splitlines()
+    x_path.write_bytes(("\r\n" + rows[0] + "\r\n\r\n  " + rows[1] + " \t\r\n   \r\n"
+                        + rows[2] + "\r\n" + rows[3]).encode())
+    key_path, helper_path = tmp_path / "key.txt", tmp_path / "helper.txt"
+    assert main(["enroll", "--pair", toy_pair_file, "--x", str(x_path),
+                 "--out-key", str(key_path), "--out-helper", str(helper_path)]) == 0
+    assert key_path.read_bytes() == _bit_text(keys).encode()
+    assert helper_path.read_bytes() == _bit_text(helpers).encode()
 
 
 def test_enroll_reconstruct_empty_files(tmp_path, toy_pair_file):
-    empty = tmp_path / "empty.txt"
-    empty.write_text("")
-    key_path, helper_path = tmp_path / "key.txt", tmp_path / "helper.txt"
-    assert main(["enroll", "--pair", toy_pair_file, "--x", str(empty),
-                 "--out-key", str(key_path), "--out-helper", str(helper_path)]) == 0
-    assert key_path.read_text() == "" and helper_path.read_text() == ""
-    out_path = tmp_path / "rec.txt"
-    assert main(["reconstruct", "--pair", toy_pair_file, "--y", str(empty),
-                 "--helper", str(empty), "--out-key", str(out_path)]) == 0
-    assert out_path.read_text() == ""
+    for text in ("", "\n \r\n\t\n"):  # no line at all, or only blank lines
+        empty = tmp_path / "empty.txt"
+        empty.write_text(text)
+        key_path, helper_path = tmp_path / "key.txt", tmp_path / "helper.txt"
+        assert main(["enroll", "--pair", toy_pair_file, "--x", str(empty),
+                     "--out-key", str(key_path), "--out-helper", str(helper_path)]) == 0
+        assert key_path.read_text() == "" and helper_path.read_text() == ""
+        out_path = tmp_path / "rec.txt"
+        assert main(["reconstruct", "--pair", toy_pair_file, "--y", str(empty),
+                     "--helper", str(empty), "--out-key", str(out_path)]) == 0
+        assert out_path.read_text() == ""
 
 
-@pytest.mark.parametrize("cmd, lines, message", [
-    ("enroll", {"x": ["0" * 12, "1" * 11]}, "identifier length 11 != N=12"),
+@pytest.mark.parametrize("cmd, lines, bad, message", [
+    ("enroll", {"x": ["0" * 12, "1" * 11]}, "x", "line 2: length 11, expected 12"),
     ("reconstruct", {"y": ["0" * 12, "1" * 11], "helper": ["0" * 4, "1" * 4]},
-     "measurement length 11 != N=12"),
+     "y", "line 2: length 11, expected 12"),
     ("reconstruct", {"y": ["0" * 12, "1" * 12], "helper": ["0" * 4, "1" * 3]},
-     "helper length 3 != K_vq - K_fec = 4"),
+     "helper", "line 2: length 3, expected 4"),
+    # the blank line counts: the bad word is on line 3 of the file
+    ("enroll", {"x": ["0" * 12, "", "0" * 11 + "2"]}, "x", "line 3: '2' is not a bit"),
+    ("enroll", {"x": ["0" * 12, "", "x" + "0" * 11]}, "x", "line 3: 'x' is not a bit"),
+    ("enroll", {"x": ["0" * 12, "", "00000 000000"]}, "x", "line 3: ' ' is not a bit"),
+    ("enroll", {"x": ["0" * 12, "", "0" * 11 + "\u00e9"]}, "x", "line 3: '\u00e9' is not a bit"),
 ])
-def test_ragged_bit_file_exit_code(tmp_path, toy_pair_file, cmd, lines, message):
+def test_bad_bit_line_exit_code(tmp_path, toy_pair_file, capsys, cmd, lines, bad, message):
     argv = [cmd, "--pair", toy_pair_file, "--out-key", str(tmp_path / "k.txt")]
     if cmd == "enroll":
         argv += ["--out-helper", str(tmp_path / "w.txt")]
@@ -188,11 +232,8 @@ def test_ragged_bit_file_exit_code(tmp_path, toy_pair_file, cmd, lines, message)
         path = tmp_path / f"{name}.txt"
         path.write_text("".join(r + "\n" for r in rows))
         argv += [f"--{name}", str(path)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "nestedtbcc.cli", *argv], capture_output=True, text=True,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == f"error: {message}\n"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / bad}.txt, {message}\n"
 
 
 def test_evaluate_cli(tmp_path, toy_pair_file):
@@ -348,6 +389,43 @@ def test_design_nested_checks_arguments_before_the_search(monkeypatch, capsys, p
                "--n", "3", "--m", "4", "--wmax", "30"])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["design-nested", "--distortion-trials", "0"], "need distortion_trials >= 1, got 0"),
+    (["design-nested", "--workers", "0"], "need workers >= 1, got 0"),
+    (["design-nested", "--workers", "-2"], "need workers >= 1, got -2"),
+    (["evaluate", "--l-ref", "0"], "need L >= 1 and N >= 2, got L=0, N=12"),
+    (["evaluate", "--l-ref", "-3"], "need L >= 1 and N >= 2, got L=-3, N=12"),
+])
+def test_bad_option_exits_before_any_work(monkeypatch, capsys, toy_pair_file, argv, message):
+    # --distortion-trials 0 used to fail only after the search and the
+    # calibration, --workers 0 ran serially, --l-ref 0 was dropped silently
+    # and --l-ref -3 failed after the whole evaluation
+    def fail(*args, **kwargs):
+        raise AssertionError("the run started before the options were checked")
+
+    monkeypatch.setattr(cli.design, "search_fec", fail)
+    monkeypatch.setattr(cli.simulate, "evaluate", fail)
+    if argv[0] == "design-nested":
+        argv = argv + ["--pa", "0.0149", "--target-pb", "0.1", "--kfec", "16",
+                       "--n", "3", "--m", "4", "--wmax", "10"]
+    else:
+        argv = argv + ["--pair", toy_pair_file, "--target-pb", "0.1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cmd", ["sim-fer", "sim-distortion", "sim-e2e", "evaluate"])
+def test_monte_carlo_commands_reject_zero_workers(tmp_path, toy_pair_file, capsys, cmd):
+    code_path = tmp_path / "code.json"
+    save_code(toy_pair_a().fec_code, str(code_path))
+    extra = {"sim-fer": ["--code", str(code_path), "--pc", "0.05"],
+             "sim-distortion": ["--code", str(code_path)],
+             "sim-e2e": ["--pair", toy_pair_file, "--pa", "0.01"],
+             "evaluate": ["--pair", toy_pair_file, "--target-pb", "0.1"]}[cmd]
+    assert main([cmd, *extra, "--workers", "0", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: need workers >= 1, got 0\n"
 
 
 def test_design_failure_exit_code():

@@ -14,12 +14,9 @@ from nestedtbcc.encoder import (
     append_input_column,
     code_from_dict,
     code_to_dict,
-    effective_rate,
     encode_many,
     encode_tailbiting,
     fec_restriction,
-    remove_input_column,
-    step,
 )
 from nestedtbcc.gf2 import BitMatrix, BitVector, sample_uniform_matrix
 from nestedtbcc.keyagree import NestedCodePair
@@ -27,20 +24,20 @@ from nestedtbcc.trellis import build_trellis, free_distance, weight_enumerator
 
 
 def test_step_examples():
+    # one clock from packed state s on packed input u: out_int[s, u], next_state[s, u]
     spec = EncoderSpec.rate_one_over_n(BitMatrix.from_rows([[1, 0], [1, 1]]))
-    c, s_next = step(spec, bits(1, 0), bits(1))
-    assert c.to_tuple() == (1, 1) and s_next.to_tuple() == (1, 1)
-
-    c, s_next = step(spec, bits(0, 0), bits(0))
-    assert c.weight() == 0 and s_next.weight() == 0
+    next_state, out_int = encoder._transitions(spec)
+    s, u = bits(1, 0).word, bits(1).word
+    assert out_int[s, u] == bits(1, 1).word and next_state[s, u] == bits(1, 1).word
+    assert out_int[0, 0] == 0 and next_state[0, 0] == 0
 
     spec1 = EncoderSpec.rate_one_over_n(BitMatrix.from_rows([[1]]))
-    c, s_next = step(spec1, bits(1), bits(0))
-    assert c.to_tuple() == (1,) and s_next.to_tuple() == (0,)
+    next_state, out_int = encoder._transitions(spec1)
+    assert out_int[1, 0] == 1 and next_state[1, 0] == 0
 
 
 def test_encode_tailbiting_examples(unit_toy):
-    assert encode_tailbiting(unit_toy, bits(1, 0)).to_tuple() == (0, 1)
+    assert tuple(encode_tailbiting(unit_toy, bits(1, 0))) == (0, 1)
     assert encode_tailbiting(unit_toy, bits(0, 0)).weight() == 0
     weights = sorted(
         encode_tailbiting(unit_toy, BitVector.from_bits(m)).weight()
@@ -50,27 +47,25 @@ def test_encode_tailbiting_examples(unit_toy):
 
 
 def test_tailbiting_state_closes():
-    # clocking step over the sections from the wrap state must end where it
-    # started and emit the codeword
+    # clocking the transition table over the sections from the wrap state
+    # must end where it started and emit the codeword
     rng = np.random.default_rng(3)
     for _ in range(10):
         code = random_code(rng, m=3, k=2, n=2, ell=5, freeze_prob=0.3)
         msg = rng.integers(0, 2, code.K)
         cw = encode_tailbiting(code, BitVector.from_bits(msg.tolist()))
-        u_vecs = [BitVector(u, code.spec.k) for u in message_to_inputs(code, msg)]
+        us = message_to_inputs(code, msg)
+        next_state, out_int = encoder._transitions(code.spec)
 
-        s = BitVector.zeros(code.spec.m)
-        for u in u_vecs:
-            _, s = step(code.spec, s, u)
+        s = 0
+        for u in us:
+            s = next_state[s, u]
         wrap = s
-        outs = []
-        for u in u_vecs:
-            c, s = step(code.spec, s, u)
-            outs.append(c)
-        assert s == wrap
         word = 0
-        for t, c in enumerate(outs):
-            word |= c.word << (t * code.spec.n)
+        for t, u in enumerate(us):
+            word |= int(out_int[s, u]) << (t * code.spec.n)
+            s = next_state[s, u]
+        assert s == wrap
         assert BitVector(word, code.N) == cw
 
 
@@ -109,7 +104,7 @@ def test_code_keyed_caches_are_bounded():
         encode_many(code, np.zeros((1, code.K), dtype=np.uint8))
         wava.wava_decode_many(build_trellis(code), np.ones((1, code.N), dtype=np.uint8))
         pair = NestedCodePair(code)
-        pair.split_message(BitVector.zeros(code.K))
+        keyagree.enroll_many(pair, np.zeros((1, code.N), dtype=np.uint8))
         pair.fec_code
     for cache in (encoder._transitions, encoder._layout, encoder._input_index,
                   build_trellis, keyagree._fec_code, keyagree._role_indices, wava._tables):
@@ -149,34 +144,13 @@ def test_encode_many_rejects_non_binary(unit_toy):
     assert encode_many(unit_toy, np.ones((3, unit_toy.K), dtype=bool)).shape == (3, unit_toy.N)
 
 
-def test_remove_input_column_examples():
-    rng = np.random.default_rng(7)
-    spec = random_spec(rng, m=3, k=3, n=2)
-    reduced = remove_input_column(spec, 2)
-    assert reduced.k == 2 and reduced.B_tilde.shape == (3, 1)
-
-    # subcode: every codeword of the reduced code is one of the original
-    ell = 4
-    sub = codeword_set(TailbitingCode.unfrozen(reduced, ell))
-    full = codeword_set(TailbitingCode.unfrozen(spec, ell))
-    assert sub <= full
-
-    with pytest.raises(EncoderSpecError):
-        remove_input_column(spec, 0)
-    with pytest.raises(EncoderSpecError):
-        remove_input_column(spec, 3)
-
-    k2 = random_spec(rng, m=2, k=2, n=2)
-    k1 = remove_input_column(k2, 1)
-    assert k1.k == 1 and k1.B_tilde.ncols == 0
-
-
 def test_remove_then_append_restores_codewords():
+    # at k=2 the restriction drops the one helper input
     rng = np.random.default_rng(11)
     spec = random_spec(rng, m=3, k=2, n=2)
     col_b = spec.B_tilde.column(0)
     col_d = spec.D_tilde.column(0)
-    rebuilt = append_input_column(remove_input_column(spec, 1), col_b, col_d)
+    rebuilt = append_input_column(fec_restriction(spec), col_b, col_d)
     ell = 4
     assert codeword_set(TailbitingCode.unfrozen(rebuilt, ell)) == codeword_set(
         TailbitingCode.unfrozen(spec, ell)
@@ -216,17 +190,17 @@ def test_append_input_column_examples():
 def test_effective_rate_examples():
     spec = EncoderSpec.rate_one_over_n(sample_uniform_matrix(3, 2, 3))
     code = TailbitingCode.unfrozen(spec, 5)
-    assert effective_rate(code) == Fraction(1, 3)
+    assert Fraction(code.K, code.N) == Fraction(1, 3)
 
     rng = np.random.default_rng(17)
     spec3 = random_spec(rng, m=2, k=3, n=3)
     frozen = [frozenset()] * 4
     frozen[2] = frozenset({1})
     code3 = TailbitingCode(spec3, FreezingSchedule(4, tuple(frozen)))
-    assert effective_rate(code3) == Fraction(11, 12)
+    assert Fraction(code3.K, code3.N) == Fraction(11, 12)
 
     fully = TailbitingCode(spec3, FreezingSchedule(4, (frozenset({1, 2}),) * 4))
-    assert effective_rate(fully) == Fraction(1, 3)
+    assert Fraction(fully.K, fully.N) == Fraction(1, 3)
 
 
 def test_freezing_nesting_property():

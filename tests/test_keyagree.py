@@ -10,21 +10,20 @@ from conftest import (
     toy_pair_b,
     toy_pair_c,
 )
+from nestedtbcc.cli import _read_bits, _write_bits
 from nestedtbcc.encoder import EncoderSpecError, TailbitingCode, encode_many, encode_tailbiting
 from nestedtbcc.gf2 import BitVector
 from nestedtbcc.keyagree import (
     NestedCodePair,
+    _role_indices,
     enroll,
     enroll_cs,
     enroll_many,
-    helper_offset_codeword,
     pair_from_dict,
     pair_to_dict,
-    read_bit_lines,
     reconstruct,
     reconstruct_cs,
     reconstruct_many,
-    write_bit_lines,
 )
 from nestedtbcc.trellis import weight_enumerator
 
@@ -45,15 +44,15 @@ def test_pair_dimensions_and_rejections():
 
 
 def test_split_merge_round_trip():
+    # enroll_many splits a message by the role indices; merge_message undoes it
     pair = toy_pair_c()
+    ki, hi = _role_indices(pair.vq_code)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        msg = BitVector.from_bits(rng.integers(0, 2, pair.K_vq).tolist())
-        s, w = pair.split_message(msg)
+        msg = rng.integers(0, 2, pair.K_vq)
+        s, w = vec(msg[ki]), vec(msg[hi])
         assert s.n == pair.K_fec and w.n == pair.K_vq - pair.K_fec
-        assert pair.merge_message(s, w) == msg
-    with pytest.raises(ValueError, match="expected message length"):
-        pair.split_message(BitVector.zeros(pair.K_vq - 1))
+        assert pair.merge_message(s, w) == vec(msg)
     with pytest.raises(ValueError, match="expected key length"):
         pair.merge_message(s, BitVector.zeros(w.n + 1))
 
@@ -61,17 +60,14 @@ def test_split_merge_round_trip():
 def test_encode_splits_linearly():
     # encode(s, w) = encode(s, 0) xor encode(0, w) for every message
     pair = toy_pair_a()
-    code = pair.vq_code
+    ki, hi = _role_indices(pair.vq_code)
     zero_s = BitVector.zeros(pair.K_fec)
     zero_w = BitVector.zeros(pair.K_vq - pair.K_fec)
-    for mi in range(1 << pair.K_vq):
-        msg = BitVector(mi, pair.K_vq)
-        s, w = pair.split_message(msg)
-        lhs = encode_tailbiting(code, msg)
-        rhs = encode_tailbiting(code, pair.merge_message(s, zero_w)) ^ encode_tailbiting(
-            code, pair.merge_message(zero_s, w)
-        )
-        assert lhs == rhs
+    msgs = all_messages(pair.K_vq)
+    s_only = np.array([pair.merge_message(vec(m[ki]), zero_w).to_numpy() for m in msgs])
+    w_only = np.array([pair.merge_message(zero_s, vec(m[hi])).to_numpy() for m in msgs])
+    lhs = encode_many(pair.vq_code, msgs)
+    assert np.array_equal(lhs, encode_many(pair.vq_code, s_only) ^ encode_many(pair.vq_code, w_only))
 
 
 def test_key_codeword_equals_fec_encoding():
@@ -97,13 +93,13 @@ def test_noiseless_round_trip_exhaustive(make_pair):
 
 def test_enroll_returns_the_encoded_message():
     pair = toy_pair_a()
+    ki, hi = _role_indices(pair.vq_code)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        msg = BitVector.from_bits(rng.integers(0, 2, pair.K_vq).tolist())
-        s, w = pair.split_message(msg)
-        rec = enroll(pair, encode_tailbiting(pair.vq_code, msg))
-        assert rec.secret_key == s
-        assert rec.helper_data == w
+        msg = rng.integers(0, 2, pair.K_vq)
+        rec = enroll(pair, encode_tailbiting(pair.vq_code, vec(msg)))
+        assert rec.secret_key == vec(msg[ki])
+        assert rec.helper_data == vec(msg[hi])
         assert rec.distortion == 0.0
 
 
@@ -170,8 +166,6 @@ def test_offset_decoding_tracks_coset_ml_under_noise():
     y = x ^ (rng.random((trials, pair.N)) < 0.05).astype(np.uint8)
     s_hat = reconstruct_many(pair, y, w_bits)
 
-    from nestedtbcc.keyagree import _role_indices
-
     ki, hi = _role_indices(pair.vq_code)
     key_msgs = all_messages(pair.K_fec)
     packed_y = pack_rows(y)
@@ -188,12 +182,15 @@ def test_offset_decoding_tracks_coset_ml_under_noise():
 
 
 def test_helper_offset_codeword():
+    # the offset reconstruct_many subtracts, encode(0, W) from the helper
+    # positions of a zero message, is the encoding of the merged message
     pair = toy_pair_a()
+    _, hi = _role_indices(pair.vq_code)
     w = BitVector.from_bits([1, 0, 1, 1])
-    c_w = helper_offset_codeword(pair, w)
-    assert c_w == encode_tailbiting(
-        pair.vq_code, pair.merge_message(BitVector.zeros(4), w)
-    )
+    msgs = np.zeros((1, pair.K_vq), dtype=np.uint8)
+    msgs[:, hi] = w.to_numpy()
+    c_w = encode_tailbiting(pair.vq_code, pair.merge_message(BitVector.zeros(4), w))
+    assert vec(encode_many(pair.vq_code, msgs)[0]) == c_w
 
 
 def test_cs_model_round_trip_and_pad_semantics():
@@ -205,7 +202,6 @@ def test_cs_model_round_trip_and_pad_semantics():
         s_prime = BitVector.from_bits(rng.integers(0, 2, pair.K_fec).tolist())
         rec = enroll_cs(pair, x, s_prime)
         assert rec.pad.n == pair.K_fec
-        assert rec.w_prime.n == pair.K_vq
         assert reconstruct_cs(pair, x, rec) == s_prime
 
         # zero chosen key: the stored record reduces to the generated-secret
@@ -221,7 +217,7 @@ def test_cs_model_round_trip_and_pad_semantics():
         from nestedtbcc.keyagree import CsEnrollmentRecord
 
         rec_flip = CsEnrollmentRecord(rec.helper_data, flipped)
-        assert (reconstruct_cs(pair, x, rec_flip) ^ s_prime).to_tuple() == (1, 0, 0, 0)
+        assert tuple(reconstruct_cs(pair, x, rec_flip) ^ s_prime) == (1, 0, 0, 0)
 
 
 def test_batch_functions_reject_wrong_shapes():
@@ -287,7 +283,8 @@ def test_pair_json_and_bit_files(tmp_path):
     pair2 = pair_from_dict(d)
     assert pair2.vq_code == pair.vq_code
 
-    vs = [BitVector.from_bits([1, 0, 1]), BitVector.from_bits([0, 0, 1])]
+    bits = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.uint8)
     path = tmp_path / "bits.txt"
-    write_bit_lines(str(path), vs)
-    assert read_bit_lines(str(path)) == vs
+    _write_bits(str(path), bits)
+    assert path.read_text() == "101\n001\n"
+    assert np.array_equal(_read_bits(str(path), 3), bits)
