@@ -8,7 +8,7 @@ run back to back in one process with one BLAS thread:
 - ``pair_m6``: the criterion-9 quantizer of ``perfbench/inputs/pair_m6.json``
   (m=6, k=3, N=96; the file is only read).  Each seed draws 1 024 uniform
   words, as the ``keyagree-batch-m6`` enrollment does; the fallback calls of
-  their decodes (one per block of words that has fallback rows) are captured
+  their decodes (one per row group that has fallback rows) are captured
   and replayed, and the time and the count of swept (start state, word)
   columns are reported per call.  The lower bounds come with each call: the
   decoder computes them before its fallback, so neither search is timed for

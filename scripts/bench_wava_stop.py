@@ -19,10 +19,12 @@ with one BLAS thread:
 Each point records words/s, the mean forward sweep count, the histogram of
 forward sweeps per word, the share of words that ran the stop rule's one
 backward sweep (their sum is the sweeps per word), the converged and fallback
-shares (these counts are deterministic), and the WAVA complexity model of
-``bounds.complexity_estimates`` at the default V=4 next to the measured
-nanoseconds per word and per kappa.  The JSON records the machine, the core
-count, the versions and the seeds.
+shares, per decode call the kernel sweeps by kind (forward, backward,
+constrained) and the tracebacks (these counts are deterministic, so they
+resolve a change to the decoder's call pattern that words/s cannot), and the
+WAVA complexity model of ``bounds.complexity_estimates`` at the default V=4
+next to the measured nanoseconds per word and per kappa.  The JSON records
+the machine, the core count, the versions and the seeds.
 """
 
 from __future__ import annotations
@@ -109,29 +111,52 @@ def _pair_words(pair) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return xs, shifted
 
 
-def _backward_rows(trellis, batches: list[np.ndarray]) -> tuple[list, int]:
-    """The decodes of batches, and how many words ran the backward sweep of
-    ``wava._Kernel.bound``."""
-    rows, bound = [0], wava._Kernel.bound
+KINDS = ("forward", "backward", "constrained", "traceback")
 
-    def counted(kern, r_cols, fwd):
-        rows[0] += r_cols.shape[1]
-        return bound(kern, r_cols, fwd)
 
-    wava._Kernel.bound = counted
+def kernel_calls(trellis, batches: list[np.ndarray]) -> tuple[list, list[dict]]:
+    """The decodes of batches and, per decode call, its kernel sweeps by kind (forward,
+    backward, and constrained: those of the exact fallback's ``_Kernel.constrained``), its
+    tracebacks, and the words its backward sweeps ran, counted by wrapping
+    ``wava._Kernel.sweep``, ``.constrained`` and ``.traceback``."""
+    K = wava._Kernel
+    saved, counts, inside = (K.sweep, K.constrained, K.traceback), [], []
+
+    def sweep(kern, r_cols, P, bp, reverse=False):
+        kind = "constrained" if inside else "backward" if reverse else "forward"
+        counts[-1][kind] += 1
+        counts[-1]["backward_words"] += P.shape[1] if kind == "backward" else 0
+        return saved[0](kern, r_cols, P, bp, reverse)
+
+    def constrained(kern, *args):
+        inside.append(True)
+        try:
+            return saved[1](kern, *args)
+        finally:
+            inside.pop()
+
+    def traceback(kern, *args):
+        counts[-1]["traceback"] += 1
+        return saved[2](kern, *args)
+
+    K.sweep, K.constrained, K.traceback = sweep, constrained, traceback
     try:
-        results = [wava_decode_many(trellis, r) for r in batches]
+        results = []
+        for r in batches:
+            counts.append(dict.fromkeys((*KINDS, "backward_words"), 0))
+            results.append(wava_decode_many(trellis, r))
     finally:
-        wava._Kernel.bound = bound
-    return results, rows[0]
+        K.sweep, K.constrained, K.traceback = saved
+    return results, counts
 
 
 def bench(code, batches: list[np.ndarray]) -> dict:
     trellis = build_trellis(code)
     wava_decode_many(trellis, batches[0][:8])        # tables built before timing
-    results, backward = _backward_rows(trellis, batches)
+    results, calls = kernel_calls(trellis, batches)
     iters = np.concatenate([res.iterations for res in results])
     words = len(iters)
+    backward = sum(c["backward_words"] for c in calls)
     spec = code.spec
     k = trellis.k
     est = complexity_estimates(code.N, spec.n, k, spec.m, V)
@@ -150,6 +175,7 @@ def bench(code, batches: list[np.ndarray]) -> dict:
         "backward_mean": backward / words,
         "sweeps_mean": float(iters.mean()) + backward / words,
         "iter_hist": np.bincount(iters, minlength=V + 1)[1:].tolist(),
+        "kernel_calls_per_decode": {kind: [c[kind] for c in calls] for kind in KINDS},
         "converged_share": float(np.concatenate([res.converged for res in results]).mean()),
         "fallback_share": float(np.concatenate([res.fallback for res in results]).mean()),
         "kappa": {"F": est.kappa_f, "P": est.kappa_p, "M": est.kappa_m, "kind": est.kind},
@@ -184,6 +210,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{p['iter_hist']} + {p['backward_mean']:.3f} backward sweeps/word, converged "
               f"{p['converged_share']:.3f}, fallback {p['fallback_share']:.3f}, "
               f"{p['ns_per_kappa']:.3f} ns/kappa_{p['kappa']['kind']}")
+        print("  kernel calls per decode: " + ", ".join(
+            f"{kind} {statistics.mean(n):.2f}" for kind, n in p["kernel_calls_per_decode"].items()))
     return 0
 
 

@@ -228,11 +228,13 @@ def _as_bits(bits) -> np.ndarray:
 
 
 def _bits_to_section_ints(bits: np.ndarray, n: int) -> np.ndarray:
-    """Time-major bits [B, ell*n] -> int64 [B, ell]: bit i of entry t is bit t*n + i."""
+    """Time-major bits [B, ell*n] -> [B, ell] in the smallest unsigned type that holds
+    2^n - 1 (uint8 for n <= 8): bit i of entry t is bit t*n + i."""
     B, N = bits.shape
-    ints = np.zeros((B, N // n), dtype=np.int64)
+    dtype = np.min_scalar_type((1 << n) - 1)
+    ints = np.zeros((B, N // n), dtype=dtype)
     for i in range(n):
-        ints |= bits[:, i::n].astype(np.int64) << i
+        ints |= bits[:, i::n].astype(dtype) << i
     return ints
 
 
@@ -267,8 +269,9 @@ def encode_many(code: TailbitingCode, messages: np.ndarray) -> np.ndarray:
     next_state, out_int = (a.ravel() for a in _transitions(spec))
     bits_in = np.zeros((B, ell * k), dtype=np.uint8)
     bits_in[:, _input_index(code)] = messages
-    # [ell, B] input ints; edge (s, u) is entry s*2^k + u of the raveled tables
-    u_ints = _bits_to_section_ints(bits_in, k).T
+    # [ell, B] input ints, widened once so that no section mixes integer types;
+    # edge (s, u) is entry s*2^k + u of the raveled tables
+    u_ints = _bits_to_section_ints(bits_in, k).T.astype(np.int64)
 
     wrap = np.zeros(B, dtype=np.int64)
     for t in range(ell - spec.m, ell):

@@ -12,9 +12,16 @@ whole predecessor rows, adds a (branch metric | j) table looked up by the
 received block and takes one min over the A edges: the smallest key has the
 smallest metric, then the smallest j, and carries backpointer and origin.
 Traceback runs for all words at once; words that stopped are not swept again.
-Temporaries (two [A, S, C] key buffers that every section and sweep of a call
-reuses, [ell, S, C] backpointers) grow with C, which is capped so they fit in
-_BUDGET_BYTES; larger batches run in blocks.
+Temporaries (two [A, S, C] key buffers and one [ell, S, C] backpointer buffer,
+each allocated once per call and reused by every section and sweep) grow with
+C, which is capped so they fit in _BUDGET_BYTES.  The order is sweep-major:
+sweep v runs once per call over every word still active, in column blocks of
+that cap, and the backward bound sweep, each later sweep and the exact
+fallback each run once over the open words pooled from all blocks, so a few
+open words cost one small sweep, not one per block.  The [S, words] state that
+crosses sweeps (start metrics, the fallback's bound) is held per row group,
+sized from the same budget and never below one block; larger batches run in
+several groups.  Every word's computation is the same in any order.
 
 Stop rule: a word stops after sweep v when its best candidate distance equals
 the certificate's bound, or when its best survivor is tailbiting and (end
@@ -46,8 +53,8 @@ Exact fallback: the constrained distance d[s] of a word is one sweep of the
 that can still win.  It reuses the certificate's LB[s] <= d[s]: a word that
 reaches the fallback has no candidate at the first sweep's minimum, so it ran
 the backward sweep, over the out-edges from the last section back to the
-first, and the fallback runs per block of words with that block's [S, words]
-bound, which the byte budget counts.  Columns are swept in rounds, given
+first, and the fallback runs once per row group with that group's [S, words]
+bound, which the group size counts.  Columns are swept in rounds, given
 (bd, bs), the best (distance, state) swept so far: the first round sweeps,
 per word, the column of lowest (LB, s); each later round sweeps every column
 that can still win.  A column can still win while LB < bd, or LB == bd and
@@ -154,6 +161,19 @@ class _Kernel:
         per_col += ell * S * np.dtype(self.tab.bp_dtype).itemsize
         return max(1, _BUDGET_BYTES // per_col)
 
+    def group_rows(self) -> int:
+        """Rows per group, whose [S, rows] state that crosses sweeps fits the budget: five
+        int64 arrays, the start metrics, the previous sweep's end metrics, the blocks of
+        the next ones and their concatenation, and the bound that the exact fallback
+        reuses.  Never below columns()."""
+        return max(self.columns(), _BUDGET_BYTES // (40 * self.trellis.S))
+
+    @staticmethod
+    def r_cols(r_ints: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The blocks of the words rows as a C-contiguous [ell, len(rows)] sweep input,
+        widened to intp once, so that no section's take casts its indices."""
+        return np.ascontiguousarray(r_ints[rows].T, dtype=np.intp)
+
     def sweep(self, r_cols: np.ndarray, P: np.ndarray, bp: np.ndarray | None,
               reverse: bool = False) -> np.ndarray:
         """One Viterbi sweep of packed keys P [S, C] (row-major, updated in place) over blocks
@@ -195,7 +215,7 @@ class _Kernel:
         cols, tab = np.arange(len(rows)), self.tab
         P = np.full((self.trellis.S, len(rows)), (self.trellis.N + 1) << tab.sh, dtype=tab.dtype)
         P[starts, cols] = 0
-        end = self.sweep(np.ascontiguousarray(r_ints[rows].T), P, bp)
+        end = self.sweep(self.r_cols(r_ints, rows), P, bp)
         return (end[starts, cols] >> tab.sh).astype(np.int64)
 
     def bound(self, r_cols, fwd) -> np.ndarray:
@@ -208,10 +228,10 @@ class _Kernel:
 
 def _two_phase_search(kern, r_ints, idx, lb, bp, best_u, best_out, best_dist):
     """Exact search over start states for the rows in idx (rare fallback), given lb, their
-    lower bounds (`_Kernel.bound`), and bp, a backpointer buffer [ell, S, >= len(idx)]: the
-    best path constrained to start and end at s, for the states s whose bound can still win
-    (module docstring); the winner (smallest distance, then smallest s) replaces the
-    candidate when strictly better or when none exists.  Returns the mask of replaced rows."""
+    lower bounds (`_Kernel.bound`), and bp, a backpointer buffer [ell, S, C]: the best path
+    constrained to start and end at s, for the states s whose bound can still win (module
+    docstring); the winner (smallest distance, then smallest s) replaces the candidate when
+    strictly better or when none exists, C rows at a time.  Returns the mask of replaced rows."""
     states, step = np.arange(kern.trellis.S)[:, None], kern.columns()
     best = best_dist[idx]
     dist = np.full(lb.shape, _LARGE, dtype=np.int64)       # _LARGE: column not swept
@@ -226,15 +246,52 @@ def _two_phase_search(kern, r_ints, idx, lb, bp, best_u, best_out, best_dist):
         todo = (dist == _LARGE) & (lb < best) & ((lb < bd) | ((lb == bd) & (states < bs)))
     win_state, win_dist = dist.argmin(axis=0), dist.min(axis=0)
     won = np.flatnonzero(win_dist < best)
-    if len(won):
-        bp = bp[:, :, :len(won)]
-        kern.constrained(r_ints, idx[won], win_state[won], bp)
-        start, best_u[idx[won]], best_out[idx[won]] = kern.traceback(
-            bp, win_state[won], np.arange(len(won)))
-        if not np.array_equal(start, win_state[won]):
+    for lo in range(0, len(won), bp.shape[2]):
+        w = won[lo:lo + bp.shape[2]]
+        bp_w = bp[:, :, :len(w)]
+        kern.constrained(r_ints, idx[w], win_state[w], bp_w)
+        start, best_u[idx[w]], best_out[idx[w]] = kern.traceback(
+            bp_w, win_state[w], np.arange(len(w)))
+        if not np.array_equal(start, win_state[w]):
             raise AssertionError("constrained traceback left the start state")
-        best_dist[idx[won]] = win_dist[won]
+    best_dist[idx[won]] = win_dist[won]
     return win_dist < best
+
+
+def _forward(kern, r_ints, g, M, step, bp_buf, best_dist, best_u, best_out):
+    """One forward sweep of the rows g from start metrics M [S, len(g)], in column blocks of
+    step that share the backpointer buffer bp_buf: a block's tailbiting candidates that
+    beat best_dist are traced back before the next block overwrites it.  Returns the end
+    metrics [S, len(g)] and, per row, whether its best survivor is tailbiting and that
+    survivor's (end state, origin, block distance)."""
+    S, ell, tab = kern.trellis.S, kern.trellis.ell, kern.tab
+    states, blocks = np.arange(S)[:, None], []
+    for lo in range(0, len(g), step):
+        rows, M_blk = g[lo:lo + step], M[:, lo:lo + step]
+        cols = np.arange(len(rows))
+        bp = bp_buf[:ell * S * len(rows)].reshape(ell, S, len(rows))
+        end = kern.sweep(kern.r_cols(r_ints, rows),
+                         ((M_blk << tab.sh) | states).astype(tab.dtype), bp)
+        Mend = (end >> tab.sh).astype(np.int64)
+        origin = (end & (S - 1)).astype(np.int64)
+        blockdist = Mend - np.take_along_axis(M_blk, origin, axis=0)
+        tb = origin == states
+        cand_dist = np.where(tb, blockdist, _LARGE)
+        s_tb = cand_dist.argmin(axis=0)
+        d_tb = cand_dist[s_tb, cols]
+        upd = np.flatnonzero(d_tb < best_dist[rows])
+        if len(upd):
+            start, best_u[rows[upd]], best_out[rows[upd]] = kern.traceback(bp, s_tb[upd], upd)
+            if not np.array_equal(start, s_tb[upd]):
+                raise AssertionError("tailbiting candidate traceback mismatch")
+            best_dist[rows[upd]] = d_tb[upd]
+        s_best = Mend.argmin(axis=0)
+        blocks.append((Mend, tb[s_best, cols],
+                       np.stack([s_best, origin[s_best, cols], blockdist[s_best, cols]], axis=1)))
+    if len(blocks) == 1:
+        return blocks[0]
+    Mend, tb_best, cur_tuple = zip(*blocks)
+    return np.concatenate(Mend, axis=1), np.concatenate(tb_best), np.concatenate(cur_tuple)
 
 
 def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
@@ -246,80 +303,64 @@ def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
     r_bits = _as_bits(r_bits)
     if r_bits.ndim != 2 or r_bits.shape[1] != trellis.N:
         raise ValueError(f"received words must be [B, {trellis.N}], got {r_bits.shape}")
-    B, S = r_bits.shape[0], trellis.S
+    B, S, ell = r_bits.shape[0], trellis.S, trellis.ell
     r_ints = _bits_to_section_ints(r_bits, trellis.n)
     kern = _Kernel(trellis)
-    tab, states = kern.tab, np.arange(S)[:, None]
 
     best_dist = np.full(B, _LARGE, dtype=np.int64)
-    best_u = np.zeros((B, trellis.ell), dtype=np.int64)
-    best_out = np.zeros((B, trellis.ell), dtype=np.int64)
+    best_u = np.zeros((B, ell), dtype=np.min_scalar_type((1 << trellis.k) - 1))
+    best_out = np.zeros_like(r_ints)
     iterations = np.full(B, V, dtype=np.int64)
     converged = np.zeros(B, dtype=bool)
     need = np.zeros(B, dtype=bool)
 
-    step = kern.columns()
-    for lo in range(0, B, step):
-        g = np.arange(lo, min(lo + step, B))          # rows still active
-        r_cols = np.ascontiguousarray(r_ints[g].T)
+    step, group = kern.columns(), kern.group_rows()
+    bp_buf = np.empty(ell * S * min(step, B), dtype=kern.tab.bp_dtype)
+    for lo in range(0, B, group):
+        g = np.arange(lo, min(lo + group, B))          # rows still active
         M = np.zeros((S, len(g)), dtype=np.int64)
         prev_tuple = np.full((len(g), 3), -1)
-        bp_block = np.empty((trellis.ell, S, len(g)), dtype=tab.bp_dtype)
         for v in range(1, V + 1):
-            cols, bp = np.arange(len(g)), bp_block[:, :, :len(g)]
-            end = kern.sweep(r_cols, ((M << tab.sh) | states).astype(tab.dtype), bp)
-            Mend = (end >> tab.sh).astype(np.int64)
-            origin = (end & (S - 1)).astype(np.int64)
-            blockdist = Mend - np.take_along_axis(M, origin, axis=0)
-            tb = origin == states
-            cand_dist = np.where(tb, blockdist, _LARGE)
-            s_tb = cand_dist.argmin(axis=0)
-            d_tb = cand_dist[s_tb, cols]
-            upd = np.flatnonzero(d_tb < best_dist[g])
-            if len(upd):
-                start, u_ints, out_ints = kern.traceback(bp, s_tb[upd], upd)
-                if not np.array_equal(start, s_tb[upd]):
-                    raise AssertionError("tailbiting candidate traceback mismatch")
-                best_dist[g[upd]] = d_tb[upd]
-                best_u[g[upd]] = u_ints
-                best_out[g[upd]] = out_ints
-
-            s_best = Mend.argmin(axis=0)
+            Mend, tb_best, cur_tuple = _forward(kern, r_ints, g, M, step, bp_buf,
+                                                best_dist, best_u, best_out)
             if v == 1:
                 # the certificate's bound (module docstring): the first sweep's minimum, then
                 # LB* for the rows that it leaves open, whose LB the exact fallback reuses
-                bound = Mend[s_best, cols]
+                bound = Mend.min(axis=0)
                 open_ = np.flatnonzero(best_dist[g] > bound)
                 g1, perfect = g[open_], bound[open_] == 0
                 if len(open_):
-                    lb = kern.bound(r_cols.take(open_, axis=1), Mend.take(open_, axis=1))
+                    lb = np.empty((S, len(open_)), dtype=np.int64)
+                    for o in range(0, len(open_), step):
+                        blk = open_[o:o + step]
+                        lb[:, o:o + len(blk)] = kern.bound(kern.r_cols(r_ints, g[blk]),
+                                                           Mend[:, blk])
                     bound[open_] = lb.min(axis=0)
-            cur_tuple = np.stack([s_best, origin[s_best, cols], blockdist[s_best, cols]], axis=1)
             stop = best_dist[g] == bound                     # an ML candidate
-            stop |= tb[s_best, cols] & (cur_tuple == prev_tuple).all(axis=1)
+            stop |= tb_best & (cur_tuple == prev_tuple).all(axis=1)
             converged[g[stop]] = True
             iterations[g[stop]] = v
             keep = ~stop
             if not keep.any():
                 break
             # compress, not a mask index: masking columns would return column-major arrays
-            g, prev_tuple, r_cols = g[keep], cur_tuple[keep], r_cols.compress(keep, axis=1)
-            M, bound = (Mend - Mend[s_best, cols]).compress(keep, axis=1), bound[keep]
+            Mend -= Mend.min(axis=0)
+            g, prev_tuple, bound = g[keep], cur_tuple[keep], bound[keep]
+            M = Mend.compress(keep, axis=1)
 
         # exact fallback: no candidate at all, or a perfect-match path was seen
         # on the first sweep but no candidate reached distance 0
         need[g1] = (best_dist[g1] >= _LARGE) | (perfect & (best_dist[g1] > 0))
         fb = np.flatnonzero(need[g1])
         if len(fb):
-            improved = _two_phase_search(kern, r_ints, g1[fb], lb[:, fb], bp_block,
-                                         best_u, best_out, best_dist)
+            improved = _two_phase_search(kern, r_ints, g1[fb], lb[:, fb],
+                                         bp_buf.reshape(ell, S, -1), best_u, best_out, best_dist)
             converged[g1[fb[improved]]] = False
 
     cw_bits = _ints_to_bits(best_out, trellis.n)
-    dist = np.bitwise_count((best_out ^ r_ints).astype(np.uint64)).sum(axis=1).astype(np.int64)
+    dist = np.bitwise_count(best_out ^ r_ints).sum(axis=1, dtype=np.int64)
     if not np.array_equal(dist, best_dist):
         raise AssertionError("survivor metric disagrees with recomputed distance")
 
     msg_bits = _ints_to_bits(best_u, trellis.k)[:, _input_index(trellis.code)]
     return BatchDecodeResult(msg_bits, cw_bits, dist, iterations, converged, need)
-

@@ -208,7 +208,7 @@ def fallback_rows(monkeypatch):
 
 def _oracle_cases():
     """(trellis, words, V): 48 random frozen codes, then a batch larger than one
-    sub-batch of the default byte budget."""
+    column block of the default byte budget."""
     rng = np.random.default_rng(7)
     for i in range(48):
         k = 1 + i % 3
@@ -241,8 +241,38 @@ def test_fallback_flag_marks_the_rows_of_the_exact_search(fallback_rows):
     assert flagged == sum(fallback_rows) > 0
 
 
-def test_small_byte_budget_gives_identical_results(monkeypatch):
-    # a few KB forces many sub-batches and sweeps of a few columns
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Record every kernel sweep as (kind, columns), kind forward, backward or constrained
+    (a sweep of `_Kernel.constrained`), and every traceback as ("traceback", columns)."""
+    calls, inside = [], []
+    sweep, constrained, traceback = (wava._Kernel.sweep, wava._Kernel.constrained,
+                                     wava._Kernel.traceback)
+
+    def spy_sweep(kern, r_cols, P, bp, reverse=False):
+        kind = "constrained" if inside else "backward" if reverse else "forward"
+        calls.append((kind, P.shape[1]))
+        return sweep(kern, r_cols, P, bp, reverse)
+
+    def spy_constrained(kern, *args):
+        inside.append(True)
+        try:
+            return constrained(kern, *args)
+        finally:
+            inside.pop()
+
+    def spy_traceback(kern, bp, s, cols):
+        calls.append(("traceback", len(cols)))
+        return traceback(kern, bp, s, cols)
+
+    monkeypatch.setattr(wava._Kernel, "sweep", spy_sweep)
+    monkeypatch.setattr(wava._Kernel, "constrained", spy_constrained)
+    monkeypatch.setattr(wava._Kernel, "traceback", spy_traceback)
+    return calls
+
+
+def test_small_byte_budget_gives_identical_results(monkeypatch, kernel_calls):
+    # a few KB forces many row groups and sweeps of a few columns
     monkeypatch.setattr(wava, "_BUDGET_BYTES", 4096)
     spilled, search = [], wava._two_phase_search
 
@@ -252,14 +282,51 @@ def test_small_byte_budget_gives_identical_results(monkeypatch):
 
     monkeypatch.setattr(wava, "_two_phase_search", spy)
     rng = np.random.default_rng(8)
+    grouped = 0
     for i in range(12):
         k = 1 + i % 3
         code = random_code(rng, m=2 + i % 3, k=k, n=max(k, 2), ell=6, freeze_prob=0.4)
         tr = build_trellis(code)
-        assert wava._Kernel(tr).columns() < 16
+        kern = wava._Kernel(tr)
+        assert kern.columns() < 16
+        grouped += 80 > kern.group_rows()
+        kernel_calls.clear()
         _assert_same_as_reference(tr, _oracle_words(rng, code, 80), 1 + i % 4)
-    # some fallback call held more (start state, row) columns than one sweep does
-    assert any(spilled)
+        assert kernel_calls and max(c for _, c in kernel_calls) <= kern.columns()
+    # some call spans several row groups, and some fallback call held more
+    # (start state, row) columns than one sweep does
+    assert grouped and any(spilled)
+
+
+def test_follow_up_sweeps_run_once_per_call(monkeypatch, kernel_calls):
+    # a budget under which one row group spans several column blocks: the backward
+    # sweeps and the sweeps at v >= 2 pool the open rows of every block
+    monkeypatch.setattr(wava, "_BUDGET_BYTES", 40_000)
+    rng = np.random.default_rng(12)
+    code = random_code(rng, m=4, k=1, n=3, ell=32)
+    tr = build_trellis(code)
+    kern = wava._Kernel(tr)
+    step, B = kern.columns(), kern.group_rows()
+    assert B >= 3 * step
+    r = encode_many(code, rng.integers(0, 2, (B, code.K), dtype=np.uint8))
+    r ^= (rng.random(r.shape) < 0.06).astype(np.uint8)
+    new, _ = _assert_same_as_reference(tr, r, 4)
+
+    def count(kind):
+        return [c for k, c in kernel_calls if k == kind]
+
+    def blocks(rows):
+        return -(-rows // step)
+
+    forward, backward = count("forward"), count("backward")
+    # per sweep v, the rows still active run in the fewest blocks of step columns
+    assert len(forward) == sum(blocks(int((new.iterations >= v).sum())) for v in range(1, 5))
+    assert len(backward) == blocks(sum(backward)) == 1
+    # the rows of the follow-up sweeps come from several blocks (every row that reaches
+    # v = 2 ran the backward sweep), so one sweep per block would run more of them
+    assert len(np.unique(np.flatnonzero(new.iterations >= 2) // step)) >= 2
+    assert max(forward[blocks(B):]) <= step and len(forward) - blocks(B) <= 3
+    assert max(count("traceback")) <= step and not count("constrained")
 
 
 def test_certified_rows_are_ml():
