@@ -98,14 +98,13 @@ def _fec_m8_words(code) -> list[np.ndarray]:
 def _pair_words(pair) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per seed, the enrollment words and the reconstruction decoder's inputs."""
     vq = build_trellis(pair.vq_code)
-    key_idx, _ = keyagree._role_indices(pair.vq_code)
     xs, shifted = [], []
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
         x = (rng.random((1024, pair.N)) < 0.5).astype(np.uint8)
         y = x ^ (rng.random((1024, pair.N)) < P_A).astype(np.uint8)
         helper_msgs = wava_decode_many(vq, x).msg_bits
-        helper_msgs[:, key_idx] = 0
+        helper_msgs[:, pair.key_index] = 0
         xs.append(x)
         shifted.append(y ^ encoder.encode_many(pair.vq_code, helper_msgs))
     return xs, shifted

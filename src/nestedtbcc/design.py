@@ -66,6 +66,7 @@ from .simulate import (
     STREAM_VQ_CAND,
     CalibrationError,
     StopRule,
+    _at_least_one,
     calibrate_pc,
     seed_key,
     simulate_distortion,
@@ -261,9 +262,7 @@ def design_nested(
         raise ValueError(f"need n >= 2 for a quantizer extension, got n={n}")
     if not 0.0 <= p_A < 0.5:  # before the search: distortion_limit needs it at stage 3
         raise ValueError(f"p_A must be in [0, 0.5), got {p_A}")
-    for name, value in (("V", V), ("distortion_trials", distortion_trials), ("workers", workers)):
-        if value < 1:
-            raise ValueError(f"need {name} >= 1, got {value}")
+    _at_least_one(V=V, distortion_trials=distortion_trials, workers=workers)
     key = seed_key(seed)
 
     fec = search_fec(n, m, K_fec, target_pb, w_max, seed=key)

@@ -10,9 +10,11 @@ machine is fully described by (B~, C, D~).  Indexing is 0-based throughout the
 code: input 0 is the register input (the one that may never be frozen),
 delay cell 0 is the cell fed by it.
 
-One cached transition table per spec (_transitions: next state and output
-per (state, input)) serves the encoder, the trellis and free_distance, and
-encode_many is the one encoder; encode_tailbiting wraps it for one message.
+One transition table per spec (EncoderSpec.transitions: next state and
+output per (state, input)) serves the encoder, the trellis and free_distance,
+and encode_many is the one encoder; encode_tailbiting wraps it for one message.
+Tables derived from a spec or a code are cached properties of that object,
+computed on first read and read-only.
 Because A^m = 0 the wrap-around state depends only on the last m inputs, so
 the first of its two passes runs only the last m sections.
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -97,33 +99,32 @@ class EncoderSpec:
             D_tilde=BitMatrix.zeros(n, 0),
         )
 
-
-@lru_cache(maxsize=64)
-def _transitions(spec: EncoderSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(next_state, out_int), read-only int64 [2^m, 2^k]: the machine's one
-    transition table, next_state[s, u] = s.A^T + u.B^T and
-    out_int[s, u] = s.C^T + u.D^T as packed ints."""
-    m, k, n = spec.m, spec.k, spec.n
-    # column j of B / D as a packed int over rows
-    bcols = [1] + [spec.B_tilde.column(j).word for j in range(k - 1)]
-    dcols = [0] + [spec.D_tilde.column(j).word for j in range(k - 1)]
-    bu = np.zeros(1 << k, dtype=np.int64)
-    du = np.zeros(1 << k, dtype=np.int64)
-    for u in range(1 << k):
-        for j in range(k):
-            if (u >> j) & 1:
-                bu[u] ^= bcols[j]
-                du[u] ^= dcols[j]
-    states = np.arange(1 << m, dtype=np.int64)
-    state_out = np.zeros(1 << m, dtype=np.int64)
-    for i in range(n):
-        parity = np.bitwise_count(states & spec.C.row_words[i]) & 1
-        state_out |= parity.astype(np.int64) << i
-    next_state = ((states[:, None] << 1) & ((1 << m) - 1)) ^ bu[None, :]
-    out_int = state_out[:, None] ^ du[None, :]
-    for a in (next_state, out_int):
-        a.setflags(write=False)
-    return next_state, out_int
+    @cached_property
+    def transitions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(next_state, out_int), read-only int64 [2^m, 2^k]: the machine's one
+        transition table, next_state[s, u] = s.A^T + u.B^T and
+        out_int[s, u] = s.C^T + u.D^T as packed ints."""
+        m, k, n = self.m, self.k, self.n
+        # column j of B / D as a packed int over rows
+        bcols = [1] + [self.B_tilde.column(j).word for j in range(k - 1)]
+        dcols = [0] + [self.D_tilde.column(j).word for j in range(k - 1)]
+        bu = np.zeros(1 << k, dtype=np.int64)
+        du = np.zeros(1 << k, dtype=np.int64)
+        for u in range(1 << k):
+            for j in range(k):
+                if (u >> j) & 1:
+                    bu[u] ^= bcols[j]
+                    du[u] ^= dcols[j]
+        states = np.arange(1 << m, dtype=np.int64)
+        state_out = np.zeros(1 << m, dtype=np.int64)
+        for i in range(n):
+            parity = np.bitwise_count(states & self.C.row_words[i]) & 1
+            state_out |= parity.astype(np.int64) << i
+        next_state = ((states[:, None] << 1) & ((1 << m) - 1)) ^ bu[None, :]
+        out_int = state_out[:, None] ^ du[None, :]
+        for a in (next_state, out_int):
+            a.setflags(write=False)
+        return next_state, out_int
 
 
 @dataclass(frozen=True)
@@ -153,9 +154,6 @@ class FreezingSchedule:
     @staticmethod
     def from_lists(ell: int, frozen: Sequence[Sequence[int]]) -> "FreezingSchedule":
         return FreezingSchedule(ell, tuple(frozenset(f) for f in frozen))
-
-    def effective_dim(self, k: int) -> int:
-        return sum(k - len(f) for f in self.frozen)
 
 
 @dataclass(frozen=True)
@@ -188,34 +186,19 @@ class TailbitingCode:
     def N(self) -> int:
         return self.schedule.ell * self.spec.n
 
-    @property
+    @cached_property
     def K(self) -> int:
-        return self.schedule.effective_dim(self.spec.k)
+        return sum(self.spec.k - len(f) for f in self.schedule.frozen)
 
-
-@lru_cache(maxsize=64)
-def _layout(code: TailbitingCode) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Per-section unfrozen input positions (ascending) and message-bit offsets."""
-    positions = []
-    offsets = []
-    off = 0
-    for t in range(code.ell):
-        p = tuple(i for i in range(code.spec.k) if i not in code.schedule.frozen[t])
-        positions.append(p)
-        offsets.append(off)
-        off += len(p)
-    return tuple(positions), tuple(offsets)
-
-
-@lru_cache(maxsize=64)
-def _input_index(code: TailbitingCode) -> np.ndarray:
-    """Read-only [K]: message bit j is input bit t*k + pos of the [ell*k]
-    section-input row (time-major, input index ascending)."""
-    positions, _ = _layout(code)
-    k = code.spec.k
-    idx = np.array([t * k + p for t, ps in enumerate(positions) for p in ps], dtype=np.int64)
-    idx.setflags(write=False)
-    return idx
+    @cached_property
+    def input_index(self) -> np.ndarray:
+        """Read-only [K]: message bit j is input bit t*k + i of the [ell*k]
+        section-input row (time-major, unfrozen input index i ascending)."""
+        k = self.spec.k
+        idx = np.array([t * k + i for t, fs in enumerate(self.schedule.frozen)
+                        for i in range(k) if i not in fs], dtype=np.int64)
+        idx.setflags(write=False)
+        return idx
 
 
 def _as_bits(bits) -> np.ndarray:
@@ -266,9 +249,9 @@ def encode_many(code: TailbitingCode, messages: np.ndarray) -> np.ndarray:
         raise Gf2ShapeError(f"messages must be [B, {code.K}], got {messages.shape}")
     spec = code.spec
     k, ell, B = spec.k, code.ell, messages.shape[0]
-    next_state, out_int = (a.ravel() for a in _transitions(spec))
+    next_state, out_int = (a.ravel() for a in spec.transitions)
     bits_in = np.zeros((B, ell * k), dtype=np.uint8)
-    bits_in[:, _input_index(code)] = messages
+    bits_in[:, code.input_index] = messages
     # [ell, B] input ints, widened once so that no section mixes integer types;
     # edge (s, u) is entry s*2^k + u of the raveled tables
     u_ints = _bits_to_section_ints(bits_in, k).T.astype(np.int64)

@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .encoder import (
     EncoderSpecError,
-    FreezingSchedule,
     TailbitingCode,
     _as_bits,
-    _input_index,
     code_from_dict,
     code_to_dict,
     encode_many,
@@ -67,12 +65,22 @@ class NestedCodePair:
     def K_vq(self) -> int:
         return self.vq_code.K
 
-    @property
+    @cached_property
     def fec_code(self) -> TailbitingCode:
-        return _fec_code(self.vq_code)
+        return TailbitingCode.unfrozen(fec_restriction(self.vq_code.spec), self.vq_code.ell)
+
+    @cached_property
+    def key_index(self) -> np.ndarray:
+        """Read-only [K_fec]: the message bits that carry the key (input 0 of each section)."""
+        return _read_only(np.flatnonzero(self.vq_code.input_index % self.vq_code.spec.k == 0))
+
+    @cached_property
+    def helper_index(self) -> np.ndarray:
+        """Read-only [K_vq - K_fec]: the message bits that carry helper data."""
+        return _read_only(np.flatnonzero(self.vq_code.input_index % self.vq_code.spec.k != 0))
 
     def merge_message(self, s: BitVector, w: BitVector) -> BitVector:
-        key_idx, helper_idx = _role_indices(self.vq_code)
+        key_idx, helper_idx = self.key_index, self.helper_index
         if s.n != len(key_idx) or w.n != len(helper_idx):
             raise ValueError(
                 f"expected key length {len(key_idx)} and helper length {len(helper_idx)}, "
@@ -84,20 +92,9 @@ class NestedCodePair:
         return BitVector.from_bits(bits.tolist())
 
 
-@lru_cache(maxsize=64)
-def _fec_code(vq_code: TailbitingCode) -> TailbitingCode:
-    spec = fec_restriction(vq_code.spec)
-    return TailbitingCode(spec, FreezingSchedule.none(vq_code.ell))
-
-
-@lru_cache(maxsize=64)
-def _role_indices(vq_code: TailbitingCode) -> tuple[np.ndarray, np.ndarray]:
-    """Message-bit indices of key bits (input 0 per section) and helper bits."""
-    is_key = _input_index(vq_code) % vq_code.spec.k == 0
-    k, h = np.flatnonzero(is_key), np.flatnonzero(~is_key)
-    k.setflags(write=False)
-    h.setflags(write=False)
-    return k, h
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _rows(bits, name: str, width: int, width_name: str) -> np.ndarray:
@@ -147,8 +144,7 @@ def enroll_many(
     x_bits = _rows(x_bits, "identifier", pair.N, f"N={pair.N}")
     trellis = build_trellis(pair.vq_code)
     res = wava_decode_many(trellis, x_bits, V=V)
-    key_idx, helper_idx = _role_indices(pair.vq_code)
-    return res.msg_bits[:, key_idx], res.msg_bits[:, helper_idx], res.distance
+    return res.msg_bits[:, pair.key_index], res.msg_bits[:, pair.helper_index], res.distance
 
 
 def reconstruct(pair: NestedCodePair, y: BitVector, w: BitVector, V: int = 4) -> BitVector:
@@ -167,9 +163,8 @@ def reconstruct_many(
     B = y_bits.shape[0]
     if w_bits.shape[0] != B:
         raise ValueError(f"{B} measurements but {w_bits.shape[0]} helper rows")
-    key_idx, helper_idx = _role_indices(pair.vq_code)
     msgs = np.zeros((B, pair.K_vq), dtype=bool)
-    msgs[:, helper_idx] = w_bits
+    msgs[:, pair.helper_index] = w_bits
     shifted = y_bits ^ encode_many(pair.vq_code, msgs).view(bool)
     res = wava_decode_many(build_trellis(pair.fec_code), shifted, V=V)
     return res.msg_bits

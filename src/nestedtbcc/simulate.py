@@ -332,6 +332,13 @@ def derived_rate_fields(n_block: int, k_fec: int, k_vq: int) -> tuple[Fraction, 
     return r_vq, r_w, helper_bits, key_storage_ratio(k_fec, k_vq)
 
 
+def _at_least_one(**values: int) -> None:
+    """ValueError for the first value below 1; callers check before hours of work."""
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"need {name} >= 1, got {value}")
+
+
 def evaluate(
     pair: NestedCodePair,
     target_pb: float,
@@ -342,6 +349,7 @@ def evaluate(
     workers: int = 1,
 ) -> EvaluationRow:
     """Assemble the full evaluation row for a nested pair."""
+    _at_least_one(V=V, distortion_trials=distortion_trials, workers=workers)
     n = pair.vq_code.spec.n
     m = pair.vq_code.spec.m
     p_c, _ = calibrate_pc(pair.fec_code, target_pb, 0.0, V, stop, seed, workers=workers)

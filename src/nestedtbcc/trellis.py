@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encoder import EncoderSpec, TailbitingCode, _transitions
+from .encoder import EncoderSpec, TailbitingCode
 
 _OVERFLOW_GUARD = 1 << 62
 # largest entry the enumerator lets each integer dtype reach
@@ -74,7 +74,7 @@ class TailbitingTrellis:
         self.K = code.K
 
         # forward tables over the full input alphabet
-        self.next_state, self.out_int = _transitions(spec)
+        self.next_state, self.out_int = spec.transitions
 
         views: dict[tuple[int, ...], SectionView] = {}
         self.sections: list[SectionView] = []
@@ -261,7 +261,7 @@ def _relax(dist: np.ndarray, src: np.ndarray, dst: np.ndarray, w: np.ndarray) ->
 def free_distance(spec: EncoderSpec) -> FreeDistanceReport:
     """Exact d_free and A_free: min-plus distances to and from state 0, then a
     count of the detours that use only edges of minimal detours."""
-    nxt, out_int = _transitions(spec)
+    nxt, out_int = spec.transitions
     out_w = np.bitwise_count(out_int).astype(np.int64)
     S, nu = 1 << spec.m, 1 << spec.k
 

@@ -70,8 +70,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .encoder import (TailbitingCode, _as_bits, _bits_to_section_ints, _input_index,
-                      _ints_to_bits)
+from .encoder import TailbitingCode, _as_bits, _bits_to_section_ints, _ints_to_bits
 from .trellis import TailbitingTrellis, build_trellis
 
 _LARGE = 1 << 40
@@ -362,5 +361,5 @@ def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
     if not np.array_equal(dist, best_dist):
         raise AssertionError("survivor metric disagrees with recomputed distance")
 
-    msg_bits = _ints_to_bits(best_u, trellis.k)[:, _input_index(trellis.code)]
+    msg_bits = _ints_to_bits(best_u, trellis.k)[:, trellis.code.input_index]
     return BatchDecodeResult(msg_bits, cw_bits, dist, iterations, converged, need)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from nestedtbcc.encoder import EncoderSpec, _transitions
+from nestedtbcc.encoder import EncoderSpec
 from nestedtbcc.trellis import FreeDistanceReport
 
 _OVERFLOW_GUARD = 1 << 62
@@ -48,7 +48,7 @@ def has_zero_weight_cycle(spec: EncoderSpec) -> bool:
     """Whether the zero-weight edges between nonzero states hold a cycle,
     on a minimal detour or not: a self-loop or a strongly connected
     component of two or more states."""
-    nxt, out_int = _transitions(spec)
+    nxt, out_int = spec.transitions
     S = 1 << spec.m
     src = np.repeat(np.arange(S), nxt.shape[1])
     dst = nxt.ravel()
@@ -63,7 +63,7 @@ def has_zero_weight_cycle(spec: EncoderSpec) -> bool:
 
 def reference_free_distance(spec: EncoderSpec) -> FreeDistanceReport:
     """Exact d_free and A_free by weight-bounded search over the state graph."""
-    nxt, out_int = _transitions(spec)
+    nxt, out_int = spec.transitions
     out_w = np.bitwise_count(out_int).astype(np.int64)
     S = 1 << spec.m
     nu = 1 << spec.k

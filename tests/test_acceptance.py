@@ -258,10 +258,7 @@ def test_criterion_09_design_pipeline_property_run():
     zero_pad = np.zeros((1 << short, vq_short.K - short), dtype=np.uint8)
     key_msgs = all_messages(short)
     merged = np.zeros((1 << short, vq_short.K), dtype=np.uint8)
-    from nestedtbcc.encoder import _layout
-
-    positions, offsets = _layout(vq_short)
-    ki = [offsets[t] + j for t in range(short) for j, p in enumerate(positions[t]) if p == 0]
+    ki = np.flatnonzero(vq_short.input_index % spec.k == 0)
     merged[:, ki] = key_msgs
     via_vq = encode_many(vq_short, merged)
     assert {tuple(r) for r in via_vq.tolist()} == sub

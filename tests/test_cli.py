@@ -397,16 +397,19 @@ def test_design_nested_checks_arguments_before_the_search(monkeypatch, capsys, p
     (["design-nested", "--workers", "-2"], "need workers >= 1, got -2"),
     (["evaluate", "--l-ref", "0"], "need L >= 1 and N >= 2, got L=0, N=12"),
     (["evaluate", "--l-ref", "-3"], "need L >= 1 and N >= 2, got L=-3, N=12"),
+    (["evaluate", "--distortion-trials", "0"], "need distortion_trials >= 1, got 0"),
+    (["evaluate", "--v", "0"], "need V >= 1, got 0"),
 ])
 def test_bad_option_exits_before_any_work(monkeypatch, capsys, toy_pair_file, argv, message):
     # --distortion-trials 0 used to fail only after the search and the
     # calibration, --workers 0 ran serially, --l-ref 0 was dropped silently
-    # and --l-ref -3 failed after the whole evaluation
+    # and --l-ref -3 failed after the whole evaluation, as evaluate
+    # --distortion-trials 0 did after the whole calibration
     def fail(*args, **kwargs):
         raise AssertionError("the run started before the options were checked")
 
     monkeypatch.setattr(cli.design, "search_fec", fail)
-    monkeypatch.setattr(cli.simulate, "evaluate", fail)
+    monkeypatch.setattr(cli.simulate, "calibrate_pc", fail)
     if argv[0] == "design-nested":
         argv = argv + ["--pa", "0.0149", "--target-pb", "0.1", "--kfec", "16",
                        "--n", "3", "--m", "4", "--wmax", "10"]

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from conftest import all_messages, bits, codeword_set, random_code, random_spec
 from encoder_reference import encode_reference, message_to_inputs
-from nestedtbcc import encoder, keyagree, wava
+from nestedtbcc import keyagree, wava
 from nestedtbcc.encoder import (
     EncoderSpec,
     EncoderSpecError,
@@ -20,19 +22,19 @@ from nestedtbcc.encoder import (
 )
 from nestedtbcc.gf2 import BitMatrix, BitVector, sample_uniform_matrix
 from nestedtbcc.keyagree import NestedCodePair
-from nestedtbcc.trellis import build_trellis, free_distance, weight_enumerator
+from nestedtbcc.trellis import build_trellis, weight_enumerator
 
 
 def test_step_examples():
     # one clock from packed state s on packed input u: out_int[s, u], next_state[s, u]
     spec = EncoderSpec.rate_one_over_n(BitMatrix.from_rows([[1, 0], [1, 1]]))
-    next_state, out_int = encoder._transitions(spec)
+    next_state, out_int = spec.transitions
     s, u = bits(1, 0).word, bits(1).word
     assert out_int[s, u] == bits(1, 1).word and next_state[s, u] == bits(1, 1).word
     assert out_int[0, 0] == 0 and next_state[0, 0] == 0
 
     spec1 = EncoderSpec.rate_one_over_n(BitMatrix.from_rows([[1]]))
-    next_state, out_int = encoder._transitions(spec1)
+    next_state, out_int = spec1.transitions
     assert out_int[1, 0] == 1 and next_state[1, 0] == 0
 
 
@@ -55,7 +57,7 @@ def test_tailbiting_state_closes():
         msg = rng.integers(0, 2, code.K)
         cw = encode_tailbiting(code, BitVector.from_bits(msg.tolist()))
         us = message_to_inputs(code, msg)
-        next_state, out_int = encoder._transitions(code.spec)
+        next_state, out_int = code.spec.transitions
 
         s = 0
         for u in us:
@@ -86,9 +88,9 @@ def test_matches_reference_encoder(B):
 def test_encode_many_checks_the_wrap(monkeypatch):
     # a state map that is not a shift never forgets its start state
     code = TailbitingCode.unfrozen(EncoderSpec.rate_one_over_n(BitMatrix.from_rows([[1, 1]])), 3)
-    _, out_int = encoder._transitions(code.spec)
+    _, out_int = code.spec.transitions
     rotate = np.tile((np.arange(4)[:, None] + 1) % 4, (1, 2))
-    monkeypatch.setattr(encoder, "_transitions", lambda spec: (rotate, out_int))
+    monkeypatch.setitem(code.spec.__dict__, "transitions", (rotate, out_int))
     with pytest.raises(AssertionError, match="end state differs"):
         encode_many(code, np.zeros((2, code.K), dtype=np.uint8))
 
@@ -99,16 +101,34 @@ def test_code_keyed_caches_are_bounded():
     while len(codes) < 100:
         codes.add(random_code(rng, m=3, k=2, n=3, ell=4))
     for code in codes:
-        free_distance(code.spec)
-        build_trellis(code)
-        encode_many(code, np.zeros((1, code.K), dtype=np.uint8))
         wava.wava_decode_many(build_trellis(code), np.ones((1, code.N), dtype=np.uint8))
-        pair = NestedCodePair(code)
-        keyagree.enroll_many(pair, np.zeros((1, code.N), dtype=np.uint8))
-        pair.fec_code
-    for cache in (encoder._transitions, encoder._layout, encoder._input_index,
-                  build_trellis, keyagree._fec_code, keyagree._role_indices, wava._tables):
+        keyagree.enroll_many(NestedCodePair(code), np.zeros((1, code.N), dtype=np.uint8))
+    for cache in (build_trellis, wava._tables):
         assert 0 < cache.cache_info().currsize <= 64
+
+
+def test_derived_tables_are_computed_once_per_code():
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        code = random_code(rng, m=3, k=3, n=2, ell=6, freeze_prob=0.4)
+        idx = code.input_index
+        assert idx is code.input_index and not idx.flags.writeable
+        assert code.spec.transitions is code.spec.transitions
+        assert not any(a.flags.writeable for a in code.spec.transitions)
+        assert code.K == sum(code.spec.k - len(f) for f in code.schedule.frozen) == len(idx)
+        # input t*k + i carries a message bit exactly when i is unfrozen at t
+        assert [divmod(int(j), 3) for j in idx] == \
+            [(t, i) for t, fs in enumerate(code.schedule.frozen) for i in range(3) if i not in fs]
+        twin = code_from_dict(code_to_dict(code))
+        assert twin == code and twin is not code
+        assert np.array_equal(twin.input_index, idx)
+        assert all(np.array_equal(a, b) for a, b in zip(twin.spec.transitions, code.spec.transitions))
+    # no module-level cache holds a code that only encode_many has seen
+    ref = weakref.ref(code)
+    encode_many(code, np.zeros((1, code.K), dtype=np.uint8))
+    del code, twin
+    gc.collect()
+    assert ref() is None
 
 
 def test_linearity_exhaustive():

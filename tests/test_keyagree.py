@@ -11,11 +11,16 @@ from conftest import (
     toy_pair_c,
 )
 from nestedtbcc.cli import _read_bits, _write_bits
-from nestedtbcc.encoder import EncoderSpecError, TailbitingCode, encode_many, encode_tailbiting
+from nestedtbcc.encoder import (
+    EncoderSpecError,
+    TailbitingCode,
+    encode_many,
+    encode_tailbiting,
+    fec_restriction,
+)
 from nestedtbcc.gf2 import BitVector
 from nestedtbcc.keyagree import (
     NestedCodePair,
-    _role_indices,
     enroll,
     enroll_cs,
     enroll_many,
@@ -43,10 +48,25 @@ def test_pair_dimensions_and_rejections():
         NestedCodePair(TailbitingCode.unfrozen(k1, 4))
 
 
+@pytest.mark.parametrize("make", [toy_pair_a, toy_pair_b, toy_pair_c])
+def test_pair_derived_values_are_computed_once(make):
+    pair = make()
+    assert pair.fec_code is pair.fec_code
+    assert pair.fec_code == TailbitingCode.unfrozen(fec_restriction(pair.vq_code.spec), pair.K_fec)
+    ki, hi = pair.key_index, pair.helper_index
+    assert ki is pair.key_index and hi is pair.helper_index
+    assert not ki.flags.writeable and not hi.flags.writeable
+    assert sorted([*ki, *hi]) == list(range(pair.K_vq)) and len(ki) == pair.K_fec
+    assert (pair.vq_code.input_index[ki] % pair.vq_code.spec.k == 0).all()
+    s = BitVector.from_bits(np.random.default_rng(2).integers(0, 2, pair.K_fec).tolist())
+    merged = pair.merge_message(s, BitVector.zeros(pair.K_vq - pair.K_fec)).to_numpy()
+    assert np.array_equal(merged[ki], s.to_numpy()) and not merged[hi].any()
+
+
 def test_split_merge_round_trip():
     # enroll_many splits a message by the role indices; merge_message undoes it
     pair = toy_pair_c()
-    ki, hi = _role_indices(pair.vq_code)
+    ki, hi = pair.key_index, pair.helper_index
     rng = np.random.default_rng(0)
     for _ in range(50):
         msg = rng.integers(0, 2, pair.K_vq)
@@ -60,7 +80,7 @@ def test_split_merge_round_trip():
 def test_encode_splits_linearly():
     # encode(s, w) = encode(s, 0) xor encode(0, w) for every message
     pair = toy_pair_a()
-    ki, hi = _role_indices(pair.vq_code)
+    ki, hi = pair.key_index, pair.helper_index
     zero_s = BitVector.zeros(pair.K_fec)
     zero_w = BitVector.zeros(pair.K_vq - pair.K_fec)
     msgs = all_messages(pair.K_vq)
@@ -93,7 +113,7 @@ def test_noiseless_round_trip_exhaustive(make_pair):
 
 def test_enroll_returns_the_encoded_message():
     pair = toy_pair_a()
-    ki, hi = _role_indices(pair.vq_code)
+    ki, hi = pair.key_index, pair.helper_index
     rng = np.random.default_rng(1)
     for _ in range(20):
         msg = rng.integers(0, 2, pair.K_vq)
@@ -166,7 +186,7 @@ def test_offset_decoding_tracks_coset_ml_under_noise():
     y = x ^ (rng.random((trials, pair.N)) < 0.05).astype(np.uint8)
     s_hat = reconstruct_many(pair, y, w_bits)
 
-    ki, hi = _role_indices(pair.vq_code)
+    ki, hi = pair.key_index, pair.helper_index
     key_msgs = all_messages(pair.K_fec)
     packed_y = pack_rows(y)
     agree = 0
@@ -185,7 +205,7 @@ def test_helper_offset_codeword():
     # the offset reconstruct_many subtracts, encode(0, W) from the helper
     # positions of a zero message, is the encoding of the merged message
     pair = toy_pair_a()
-    _, hi = _role_indices(pair.vq_code)
+    hi = pair.helper_index
     w = BitVector.from_bits([1, 0, 1, 1])
     msgs = np.zeros((1, pair.K_vq), dtype=np.uint8)
     msgs[:, hi] = w.to_numpy()

@@ -1,7 +1,7 @@
 """Reference WAVA decoder: the row-major implementation that the packed-key
 kernel in ``nestedtbcc.wava`` replaced, kept unchanged (apart from taking V
-directly and reading the input layout from ``encoder._layout``) as a test
-oracle.
+directly and reading the unfrozen inputs of each section from the freezing
+schedule) as a test oracle.
 
 Metrics are batch-major ``[B, S]``; each section builds ``[B, S, A]``
 candidates and takes ``argmin`` over the edge axis (first minimum, i.e. the
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from nestedtbcc.encoder import _layout
 from nestedtbcc.wava import BatchDecodeResult
 
 _LARGE = 1 << 40
@@ -214,9 +213,10 @@ def reference_decode_many(trellis, r_bits: np.ndarray, V: int = 4) -> BatchDecod
         raise AssertionError("survivor metric disagrees with recomputed distance")
 
     msg_bits = np.zeros((B, trellis.K), dtype=np.uint8)
-    positions, offsets = _layout(trellis.code)
-    for t in range(trellis.ell):
-        off = offsets[t]
-        for jj, pos in enumerate(positions[t]):
-            msg_bits[:, off + jj] = ((best_u[:, t] >> pos) & 1).astype(np.uint8)
+    off = 0
+    for t, frozen in enumerate(trellis.code.schedule.frozen):
+        for pos in range(trellis.k):
+            if pos not in frozen:
+                msg_bits[:, off] = ((best_u[:, t] >> pos) & 1).astype(np.uint8)
+                off += 1
     return BatchDecodeResult(msg_bits, cw_bits, dist, iterations, converged)
