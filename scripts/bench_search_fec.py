@@ -17,24 +17,17 @@ and scored candidate counts and the machine, core count and versions.
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import json  # noqa: E402
-import math  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
+import sys
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "scripts"), str(ROOT / "src"), str(ROOT / "tests")]
 
-import numpy  # noqa: E402
+import _bench  # noqa: E402  (first: it pins BLAS to one thread)
+import argparse  # noqa: E402
+import math  # noqa: E402
+import statistics  # noqa: E402
+import time  # noqa: E402
 
 from nestedtbcc.design import search_fec  # noqa: E402
 from search_fec_reference import reference_search_fec  # noqa: E402
@@ -45,16 +38,6 @@ POINTS = {
     "design-m6": [dict(n=3, m=6, K_fec=32, target_pb=0.1, w_max=20, seed=(7, i))
                   for i in range(1, 17)],
 }
-
-
-def _machine() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
 
 
 def _time(search, cfgs) -> float:
@@ -95,16 +78,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(ROOT / "BENCH_search_fec.json"))
     args = ap.parse_args(argv)
-    out = {
-        "command": "python3 scripts/bench_search_fec.py",
-        "machine": _machine(),
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "runs": RUNS,
-        "points": {name: bench_point(cfgs) for name, cfgs in POINTS.items()},
-    }
-    Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
+    out = _bench.write_report(args.out, __file__, RUNS, points={
+        name: bench_point(cfgs) for name, cfgs in POINTS.items()})
     for name, pt in out["points"].items():
         print(f"{name}: pruned {pt['pruned_s_per_search']['median']:.3f} s, reference "
               f"{pt['reference_s_per_search']['median']:.3f} s per search, "

@@ -24,21 +24,17 @@ machine, the core count, the versions and the seeds.
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
+import sys
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "scripts"), str(ROOT / "src"), str(ROOT / "tests")]
+
+import _bench  # noqa: E402  (first: it pins BLAS to one thread)
+import argparse  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -59,16 +55,6 @@ M8_WORDS = 64
 SEARCHES = {"two_phase": wava._two_phase_search,
             "exhaustive": lambda kern, r_ints, idx, lb, bp, *best:
                 exhaustive_constrained(kern, r_ints, idx, *best)}
-
-
-def _machine() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
 
 
 def _capture(trellis, words) -> list[tuple]:
@@ -185,16 +171,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(ROOT / "BENCH_wava_fallback.json"))
     args = ap.parse_args(argv)
-    out = {
-        "command": "python3 scripts/bench_wava_fallback.py",
-        "machine": _machine(),
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "runs": RUNS,
-        "points": {"pair_m6": bench_pair_m6(), "m8_k3": bench_m8_k3()},
-    }
-    Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
+    out = _bench.write_report(args.out, __file__, RUNS,
+                              points={"pair_m6": bench_pair_m6(), "m8_k3": bench_m8_k3()})
     pm6, m8 = out["points"]["pair_m6"], out["points"]["m8_k3"]
     print(f"pair_m6: {pm6['calls']} calls, two-phase {pm6['two_phase']['ms_per_call']['median']:.2f} ms "
           f"({pm6['two_phase']['columns_swept_per_call']:.0f} columns), exhaustive "

@@ -29,23 +29,19 @@ the machine, the core count, the versions and the seeds.
 
 from __future__ import annotations
 
-import os
+import sys
+from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "scripts"), str(ROOT / "src")]
 
+import _bench  # noqa: E402  (first: it pins BLAS to one thread)
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
-import platform  # noqa: E402
 import statistics  # noqa: E402
-import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
@@ -60,16 +56,6 @@ V = 4             # the decoder's default cap, used by every call below
 P_C_M8 = 0.0365   # the m=8 row of table2_reference.csv
 P_A = 0.0149      # identifier noise of the criterion-9 design point
 INPUTS = ROOT / "perfbench" / "inputs"
-
-
-def _machine() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
 
 
 def _m8_code() -> encoder.TailbitingCode:
@@ -193,17 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     points = {"fec_m8": bench(code_m8, _fec_m8_words(code_m8)),
               "pair_m6_quantizer": bench(pair.vq_code, xs),
               "pair_m6_fec": bench(pair.fec_code, shifted)}
-    out = {
-        "command": "python3 scripts/bench_wava_stop.py",
-        "machine": _machine(),
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "runs": RUNS,
-        "seeds": list(SEEDS),
-        "points": points,
-    }
-    Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
+    _bench.write_report(args.out, __file__, RUNS, seeds=list(SEEDS), points=points)
     for name, p in points.items():
         print(f"{name}: {p['words_per_s']['median']:.0f} words/s, {p['iter_mean']:.3f} forward "
               f"{p['iter_hist']} + {p['backward_mean']:.3f} backward sweeps/word, converged "

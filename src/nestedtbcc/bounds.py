@@ -1,9 +1,11 @@
 """Closed-form analysis: entropy algebra, union bound, rate region, quantizer
 bounds, and decoding-complexity estimates.
 
-The union-bound tail sums are done in log domain with compensated summation;
-the quantizer converse uses exact big-integer binomial sums so the floor-
-induced zigzag is reproduced bit-for-bit.
+The union bound is evaluated from flat arrays of every degree's log-domain
+binomial-tail row, laid out once per spectrum and reduced segment by segment,
+so solve_crossover's probes repeat no per-degree work; the quantizer converse
+uses exact big-integer binomial sums so the floor-induced zigzag is reproduced
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -43,26 +45,32 @@ def star(p: float, x: float) -> float:
     return p * (1.0 - x) + (1.0 - p) * x
 
 
-@lru_cache(maxsize=1024)
-def _half_tail_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The p-independent rows of _log_half_tail: i, d - i and log C(d, i)."""
-    i = np.arange((d + 1) // 2, d + 1, dtype=np.float64)
-    rows = (i, d - i, np.array([math.log(math.comb(d, int(j))) for j in i]))
-    for r in rows:
-        r.setflags(write=False)
-    return rows
+def _union_bound(spectrum: WeightSpectrum) -> Callable[[float], float]:
+    """p -> union bound of the spectrum, for 0 < p <= 0.5.
 
+    Degree d >= d_min adds A_d P[Bin(d, p) >= ceil(d/2)] from its own row
+    log C(d, i) + i log p + (d - i) log(1 - p), i = ceil(d/2)..d (per-index
+    log-factorials), so a truncated spectrum's terms are the full one's floats.
+    """
+    dmin = spectrum.d_min()
+    if dmin is None:
+        raise ValueError("spectrum has no nonzero-weight term")
+    degrees, coeffs = zip(*((d, a) for d, a in spectrum.items() if d >= dmin))
+    lens = np.array(degrees) // 2 + 1
+    starts = np.cumsum(lens) - lens
+    i = np.concatenate([np.arange((d + 1) // 2, d + 1) for d in degrees])
+    d_minus_i = np.repeat(degrees, lens) - i
+    log_fact = np.array([math.lgamma(k + 1) for k in range(degrees[-1] + 1)])
+    log_c = log_fact[i + d_minus_i] - log_fact[i] - log_fact[d_minus_i]
+    log_a = np.array([math.log(a) for a in coeffs])
 
-def _log_half_tail(d: int, p: float) -> float:
-    """log of sum_{i=ceil(d/2)}^{d} C(d,i) p^i (1-p)^(d-i)."""
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return 0.0
-    i, d_minus_i, logc = _half_tail_rows(d)
-    terms = logc + i * math.log(p) + d_minus_i * math.log1p(-p)
-    mx = float(terms.max())
-    return mx + math.log(float(np.exp(terms - mx).sum()))
+    def bound(p: float) -> float:
+        t = log_c + i * math.log(p) + d_minus_i * math.log1p(-p)
+        mx = np.maximum.reduceat(t, starts)
+        lt = log_a + (mx + np.log(np.add.reduceat(np.exp(t - np.repeat(mx, lens)), starts)))
+        return math.fsum(np.exp(lt[lt > -745.0]))
+
+    return bound
 
 
 def union_bound_pb(spectrum: WeightSpectrum, p_c: float) -> float:
@@ -73,18 +81,8 @@ def union_bound_pb(spectrum: WeightSpectrum, p_c: float) -> float:
     """
     if not 0.0 <= p_c <= 0.5:
         raise ValueError(f"p_c must be in [0, 0.5], got {p_c}")
-    dmin = spectrum.d_min()
-    if dmin is None:
-        raise ValueError("spectrum has no nonzero-weight term")
-    if p_c == 0.0:
-        return 0.0
-    terms = []
-    for d, a_d in spectrum.items():
-        if d < dmin:
-            continue
-        lt = math.log(a_d) + _log_half_tail(d, p_c)
-        terms.append(math.exp(lt) if lt > -745.0 else 0.0)
-    return math.fsum(terms)
+    bound = _union_bound(spectrum)
+    return bound(p_c) if p_c > 0.0 else 0.0
 
 
 # solve_crossover stops when the bound is within this fraction of the target,
@@ -113,7 +111,8 @@ def solve_crossover(spectrum: WeightSpectrum, target_pb: float) -> float:
     """
     if target_pb <= 0.0:
         raise ValueError(f"target must be positive, got {target_pb}")
-    top = union_bound_pb(spectrum, 0.5)
+    bound = _union_bound(spectrum)
+    top = bound(0.5)
     if target_pb >= top * (1.0 - 1e-12):
         if target_pb <= top * (1.0 + 1e-9):
             return 0.5
@@ -121,11 +120,11 @@ def solve_crossover(spectrum: WeightSpectrum, target_pb: float) -> float:
             f"target {target_pb} unreachable: bound at p=0.5 is {top}"
         )
     lo, hi = CROSSOVER_FLOOR, 0.5
-    if union_bound_pb(spectrum, lo) >= target_pb:
+    if bound(lo) >= target_pb:
         return lo
     for _ in range(CROSSOVER_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        val = union_bound_pb(spectrum, mid)
+        val = bound(mid)
         if above_band(val, target_pb):
             hi = mid
         elif target_pb - val > CROSSOVER_REL_TOL * target_pb:

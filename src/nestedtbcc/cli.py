@@ -17,13 +17,7 @@ import sys
 import numpy as np
 
 from . import bounds, design, fixtures, simulate
-from .encoder import (
-    EncoderSpecError,
-    TailbitingCode,
-    code_to_dict,
-    load_code,
-)
-from .gf2 import Gf2ShapeError
+from .encoder import TailbitingCode, code_to_dict, load_code
 from .keyagree import enroll_many, load_pair, pair_to_dict, reconstruct_many
 from .simulate import StopRule, TrialReport
 from .trellis import WeightSpectrum, free_distance, weight_enumerator
@@ -406,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     except (design.DesignFailure, simulate.CalibrationError) as exc:
         print(f"design failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, EncoderSpecError, Gf2ShapeError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,8 +18,10 @@ bound of that short spectrum at p_inc lies above solve_crossover's tolerance
 band (bounds.above_band) by a margin of PRUNE_MARGIN.  This is exact:
 
 - the short spectrum is exact up to its weight, so its union-bound terms are
-  a prefix of the full spectrum's (the same floats, summed by a correctly
-  rounded fsum), and the full bound is at least the short one at every p;
+  a prefix of the full spectrum's (the same floats, since each degree's term
+  comes from its own row alone, summed by a correctly rounded fsum:
+  tests/test_bounds.py::test_union_bound_terms_come_from_their_own_rows), and
+  the full bound is at least the short one at every p;
 - the bound does not decrease in p, so the full bound lies above the band at
   every bisection probe at or above p_inc (the margin covers the rounding of
   the log/exp evaluation between probes), each such probe moves the upper

@@ -19,8 +19,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def _load(monkeypatch, path: Path):
-    # the scripts pin the BLAS threads in os.environ and put src/ and tests/ on
-    # sys.path when imported; monkeypatch undoes both after the test
+    # the scripts put scripts/, src/ and tests/ on sys.path and, through _bench,
+    # pin the BLAS threads in os.environ when imported; monkeypatch undoes both
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(sys, "path", list(sys.path))

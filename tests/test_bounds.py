@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestedtbcc.bounds import (
-    _half_tail_rows,
     binary_entropy,
     complexity_estimates,
     distortion_limit,
@@ -20,7 +19,10 @@ from nestedtbcc.bounds import (
     star,
     union_bound_pb,
 )
-from nestedtbcc.trellis import WeightSpectrum
+from nestedtbcc.encoder import EncoderSpec, TailbitingCode
+from nestedtbcc.gf2 import sample_uniform_matrix
+from nestedtbcc.trellis import WeightSpectrum, weight_enumerator
+import union_bound_reference
 
 
 def spectrum_of(coeffs: dict, n: int | None = None) -> WeightSpectrum:
@@ -61,14 +63,67 @@ def test_union_bound_hand_value():
     assert union_bound_pb(sp, 0.0) == 0.0
 
 
-def test_half_tail_rows_are_log_binomials():
-    # up to 1536, the block length of the paper's geometry at m=11
+def test_union_bound_matches_reference():
+    # up to 1536, the block length of the paper's geometry at m=11; a term below
+    # the exp cutoff is 0 on both sides
     for d in [*range(1, 130), 191, 383, 384, 767, 768, 1535, 1536]:
-        i, d_minus_i, logc = _half_tail_rows.__wrapped__(d)
-        j = list(range((d + 1) // 2, d + 1))
-        assert i.tolist() == j and d_minus_i.tolist() == [d - x for x in j]
-        exact = np.array([math.log(math.comb(d, x)) for x in j])
-        assert np.allclose(logc, exact, rtol=1e-12, atol=0.0), d
+        sp = spectrum_of({0: 1, d: 1})
+        for p in (1e-9, 1e-3, 0.0365, 0.2, 0.5):
+            want = union_bound_reference.union_bound_pb(sp, p)
+            got = union_bound_pb(sp, p)
+            assert (got == 0.0) == (want == 0.0), (d, p)
+            assert abs(got - want) <= 1e-12 * want, (d, p, got, want)
+
+
+@pytest.fixture(scope="module")
+def m6_spectra() -> list[WeightSpectrum]:
+    """Spectra of 300 random rate-1/3 m=6 codes with K=32, up to the design's
+    truncation weight 4mn = 72; seeds whose code has no nonzero weight are skipped."""
+    out = []
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        spec = EncoderSpec.rate_one_over_n(sample_uniform_matrix(3, 6, rng))
+        sp = weight_enumerator(TailbitingCode.unfrozen(spec, 32), 72)
+        if sp.d_min() is not None:
+            out.append(sp)
+    return out
+
+
+def _outcome(solve, sp, target):
+    try:
+        return solve(sp, target)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_solve_crossover_matches_reference(m6_spectra):
+    # one target per spectrum, in turn: the reference solve takes about 5 ms
+    assert len(m6_spectra) >= 290
+    for k, sp in enumerate(m6_spectra):
+        target = (1e-1, 1e-3, 1e-6)[k % 3]
+        assert _outcome(solve_crossover, sp, target) == \
+            _outcome(union_bound_reference.solve_crossover, sp, target), (sp.coeffs, target)
+
+
+def test_union_bound_terms_come_from_their_own_rows(m6_spectra):
+    # design.py prunes on a truncated spectrum's bound: its terms must be the
+    # same floats as the full spectrum's, whatever other degrees are present
+    ps = (1e-9, 1e-3, 0.0365, 0.2, 0.5)
+    for sp in m6_spectra[:40]:
+        degrees = [d for d, _ in sp.items() if d >= sp.d_min()]
+        for p in ps:
+            alone = [union_bound_pb(spectrum_of({0: 1, d: sp.a(d)}), p) for d in degrees]
+            assert union_bound_pb(sp, p) == math.fsum(alone)
+            for w in (24, 48):
+                short = WeightSpectrum({d: a for d, a in sp.items() if d <= w}, w,
+                                       sp.block_length, sp.dimension)
+                if short.d_min() is not None:
+                    assert union_bound_pb(short, p) <= union_bound_pb(sp, p)
+    # degrees whose terms underflow add nothing: the bounds are the same float
+    full = spectrum_of({0: 1, 5: 3, 9: 40, 100: 10**6, 120: 10**9})
+    short = spectrum_of({0: 1, 5: 3, 9: 40})
+    assert union_bound_pb(spectrum_of({100: 10**6, 120: 10**9}), 1e-9) == 0.0
+    assert union_bound_pb(short, 1e-9) == union_bound_pb(full, 1e-9) > 0.0
 
 
 def test_union_bound_monotone():

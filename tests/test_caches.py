@@ -10,8 +10,6 @@ KEEP = {
                              "and perfbench/tracing.py wraps it by name",
     "wava._tables": "the decoder's packed tables; two entries hold a key-agreement pair's two "
                     "codes, and 64 raised a design run's peak RSS by about 0.7 MB",
-    "bounds._half_tail_rows": "keyed by a distance d alone: every union bound over a spectrum "
-                              "reuses the same log-binomial rows",
 }
 
 

@@ -71,6 +71,23 @@ def test_design_fec_and_spectrum_and_dfree_and_bound(tmp_path):
     assert len(brs) == 2 and float(brs[0]["PB_UB"]) < float(brs[1]["PB_UB"])
 
 
+def test_spectrum_truncation_note_and_default_bound_grid(tmp_path, capsys):
+    code_path, spec_path, bound_path = (tmp_path / f for f in ("fec.json", "sp.csv", "b.csv"))
+    save_code(toy_pair_a().fec_code, str(code_path))  # N = 12, d_min = 4
+    capsys.readouterr()
+    assert main(["spectrum", "--code", str(code_path), "--dmax", "6",
+                 "--out", str(spec_path)]) == 0
+    assert capsys.readouterr().err == "note: spectrum truncated at d_max=6\n"
+    assert max(int(r["d"]) for r in csv.DictReader(spec_path.open())) <= 6
+
+    # without --pc the bound is tabulated on the default --pc-grid 0.01 .. 0.2, 20 points
+    assert main(["bound", "--spectrum", str(spec_path), "--out", str(bound_path)]) == 0
+    rows = list(csv.DictReader(bound_path.open()))
+    assert [float(r["pc"]) for r in rows] == pytest.approx(np.linspace(0.01, 0.2, 20), rel=1e-5)
+    pbs = [float(r["PB_UB"]) for r in rows]
+    assert all(0.0 < a < b for a, b in zip(pbs, pbs[1:]))
+
+
 def test_design_vq_extension(tmp_path):
     code_path = tmp_path / "fec.json"
     main(["design-fec", "--n", "2", "--m", "3", "--kfec", "8",

@@ -230,6 +230,14 @@ def test_calibration_finds_a_passing_crossover():
     assert all(p_c <= p for p in failing)
 
 
+def test_calibration_returns_half_when_the_top_probe_passes(unit_toy):
+    # K = N = 2: the decoder returns the received word, which at p = 0.5 is wrong
+    # with probability 3/4, and an error rate of 3/4 passes a target of 0.99
+    p_c, log = calibrate_pc(unit_toy, 0.99, 0.0, seed=1)
+    assert p_c == 0.5
+    assert [(e["p"], e["passed"]) for e in log] == [(0.0, True), (0.5, True)]
+
+
 def test_calibration_failure_raises():
     pair = toy_pair_a()
     with pytest.raises(CalibrationError):
