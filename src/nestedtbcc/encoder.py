@@ -234,7 +234,7 @@ def encode_tailbiting(code: TailbitingCode, message: BitVector) -> BitVector:
     """Encode one message (a thin wrapper over encode_many)."""
     if message.n != code.K:
         raise Gf2ShapeError(f"message length {message.n} != K={code.K}")
-    return BitVector.from_bits(encode_many(code, message.to_numpy()[None, :])[0].tolist())
+    return BitVector.from_numpy(encode_many(code, message.to_numpy()[None, :])[0])
 
 
 def encode_many(code: TailbitingCode, messages: np.ndarray) -> np.ndarray:

@@ -41,6 +41,16 @@ class BitVector:
         return BitVector(word, n)
 
     @staticmethod
+    def from_numpy(bits: np.ndarray) -> "BitVector":
+        """The vector of a 1-d array of 0s and 1s, packed through bytes; any other
+        array goes through from_bits, which raises its errors."""
+        a = np.asarray(bits)
+        if a.ndim != 1 or ((a != 0) & (a != 1)).any():
+            return BitVector.from_bits(a.tolist())
+        packed = np.packbits(a.astype(np.uint8), bitorder="little")
+        return BitVector(int.from_bytes(packed.tobytes(), "little"), len(a))
+
+    @staticmethod
     def zeros(n: int) -> "BitVector":
         if n < 0:
             raise ValueError(f"vector length must be >= 0, got {n}")
@@ -76,7 +86,8 @@ class BitVector:
         return bin(self.word).count("1")
 
     def to_numpy(self) -> np.ndarray:
-        return np.fromiter(self, dtype=np.uint8, count=self.n)
+        raw = np.frombuffer(self.word.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=self.n, bitorder="little")
 
     def __repr__(self) -> str:
         return f"BitVector({''.join(str(b) for b in self)})"

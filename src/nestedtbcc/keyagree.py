@@ -89,7 +89,7 @@ class NestedCodePair:
         bits = np.zeros(self.K_vq, dtype=np.uint8)
         bits[key_idx] = s.to_numpy()
         bits[helper_idx] = w.to_numpy()
-        return BitVector.from_bits(bits.tolist())
+        return BitVector.from_numpy(bits)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -130,8 +130,8 @@ def enroll(pair: NestedCodePair, x: BitVector, V: int = 4) -> EnrollmentRecord:
     """Quantize x on the high-rate code and split the message into (S, W)."""
     s_bits, w_bits, dist = enroll_many(pair, x.to_numpy()[None, :], V)
     return EnrollmentRecord(
-        secret_key=BitVector.from_bits(s_bits[0].tolist()),
-        helper_data=BitVector.from_bits(w_bits[0].tolist()),
+        secret_key=BitVector.from_numpy(s_bits[0]),
+        helper_data=BitVector.from_numpy(w_bits[0]),
         distortion=float(dist[0]) / pair.N,
     )
 
@@ -150,7 +150,7 @@ def enroll_many(
 def reconstruct(pair: NestedCodePair, y: BitVector, w: BitVector, V: int = 4) -> BitVector:
     """Recover the key from the noisy measurement y and helper data W."""
     s_bits = reconstruct_many(pair, y.to_numpy()[None, :], w.to_numpy()[None, :], V)
-    return BitVector.from_bits(s_bits[0].tolist())
+    return BitVector.from_numpy(s_bits[0])
 
 
 def reconstruct_many(

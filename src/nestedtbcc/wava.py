@@ -7,18 +7,25 @@ with the previous iteration's end metrics as start metrics, and survivors
 that start and end in the same state are collected as tailbiting candidates.
 
 Kernel: survivors are kept state-major ([S, C] for C words) as packed keys
-metric | edge rank j | origin state.  A section's add-compare-select gathers
-whole predecessor rows, adds a (branch metric | j) table looked up by the
-received block and takes one min over the A edges: the smallest key has the
-smallest metric, then the smallest j, and carries backpointer and origin.
+metric | edge rank j | origin state; the smallest key has the smallest
+metric, then the smallest j, and carries backpointer and origin.
+Add-compare-select runs in pair form (the butterfly): states s and s ^ S/2
+reach the same states under the same input with the same output, and the
+admissible inputs come in classes of two that differ in the register input
+only.  A forward section gathers one (branch metric | j) row per (class,
+state) from a table looked up by the received block, adds the state's key,
+takes the min of each pair {s, s ^ S/2}, and per target picks its pair's min
+in each class, then the min over the classes; the backward sweep first takes
+the min of each successor pair, then per class adds the branch metric.
 Traceback runs for all words at once; words that stopped are not swept again.
-Temporaries (two [A, S, C] key buffers and one [ell, S, C] backpointer buffer,
-each allocated once per call and reused by every section and sweep) grow with
-C, which is capped so they fit in _BUDGET_BYTES.  The order is sweep-major:
-sweep v runs once per call over every word still active, in column blocks of
-that cap, and the backward bound sweep, each later sweep and the exact
-fallback each run once over the open words pooled from all blocks, so a few
-open words cost one small sweep, not one per block.  The [S, words] state that
+Temporaries (the [A/2, S, C] keys, their [A/2, S/2, C] pair minima and picks,
+and one [ell, S, C] backpointer buffer, each allocated once per call and
+reused by every section and sweep) grow with C, which is capped so they fit
+in _BUDGET_BYTES.  The order is sweep-major: sweep v runs once per call over
+every word still active, in column blocks of that cap, and the backward
+bound sweep, each later sweep and the exact fallback each run once over the
+open words pooled from all blocks, so a few open words cost one small sweep,
+not one per block.  The [S, words] state that
 crosses sweeps (start metrics, the fallback's bound) is held per row group,
 sized from the same budget and never below one block; larger batches run in
 several groups.  Every word's computation is the same in any order.
@@ -66,7 +73,7 @@ d >= LB > bd, or d >= LB == bd and s > bs, so (bd, bs) is the exact winner.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,8 +97,14 @@ class BatchDecodeResult:
 
 
 class _Tables:
-    """Packed-key add-compare-select tables of one trellis.  They hold no reference to
-    the trellis, so that caching them keeps no trellis alive."""
+    """Pair-form add-compare-select tables of one trellis.  They hold no reference to
+    the trellis, so that caching them keeps no trellis alive.
+
+    A state s is (h, i): its top bit and s mod S/2.  next_state(s, u) = (s << 1 & mask)
+    ^ bu[u], so s and s ^ S/2 reach the same state under the same input, with the same
+    output so[s] ^ du[u]; and since input 0 is the register input (never frozen, B
+    column e1, D column 0), the admissible inputs come in classes c = u >> 1 of two,
+    u = 2c and 2c + 1, with bu[2c + 1] = bu[2c] ^ 1 and du[2c + 1] = du[2c]."""
 
     def __init__(self, trellis: TailbitingTrellis):
         S, N, n = trellis.S, trellis.N, trellis.n
@@ -107,34 +120,33 @@ class _Tables:
             raise OverflowError(f"packed ACS key needs {top.bit_length()} bits")
         self.dtype = np.int32 if top < 1 << 31 else np.int64
         self.bp_dtype = np.uint8 if self.jmask < 1 << 8 else np.uint16
-        o, j = np.divmod(np.arange(A << n), A)      # lut[o * A + j, r]: output o, rank j, block r
+        j, o = np.divmod(np.arange(A << n), 1 << n)  # lut[j << n | o, r]: rank j, output o, block r
         bm = np.bitwise_count(o[:, None] ^ np.arange(1 << n)).astype(np.int64)
         self.lut = ((bm << self.sh) | (j[:, None] << self.ob)).astype(self.dtype)
-        # per section: predecessors [A, S], lut row of each edge [A, S], packed src|u|out [S, A]
-        tables: dict[int, tuple] = {}
-        for view in trellis.sections:
-            if id(view) not in tables:
-                edge = (view.in_src << (trellis.k + n)) | (view.in_u << n) | view.in_out
-                tables[id(view)] = (np.ascontiguousarray(view.in_src.T),
-                                    view.in_out.T * A + np.arange(view.out_degree)[:, None], edge)
-        self.sections = [tables[id(v)] for v in trellis.sections]
-        self.key_col_bytes = (2 * A * S + (A << n)) * np.dtype(self.dtype).itemsize
-        self.sizes = (A << n, A * S, A * S)
-        # what the reverse tables are built from: the full transition tables and
-        # each section's admissible inputs (one array per distinct view)
-        self.transitions = trellis.next_state, trellis.out_int
-        self.inputs = [v.inputs for v in trellis.sections]
-
-    @cached_property
-    def reverse(self) -> list[tuple]:
-        """The sections last to first, over out-edges: successors [A, S] and lut rows [A, S].
-        Swept from zero keys they end, at state s, with the best metric from s at t=0."""
-        (next_state, out_int), tables = self.transitions, {}
-        for u in self.inputs:
-            if id(u) not in tables:
-                tables[id(u)] = (np.ascontiguousarray(next_state[:, u].T),
-                                 out_int[:, u].T * self.A + np.arange(len(u))[:, None], None)
-        return [tables[id(u)] for u in reversed(self.inputs)]
+        # per distinct section, for its classes a (rank order, classes ascending) and states s:
+        # forward, the lut row [A/2, S] of the edge from s in class a, whose rank is 2a + h,
+        # and the row [A/2, S] of the [A/2 * S/2] pair minima that reaches s in class a;
+        # backward, the output [A/2, S] of the edges out of s in class a (a rank 0 lut row)
+        # and the pair i' [A/2, S] of its successors {2i', 2i' + 1}
+        bu, du, so = trellis.next_state[0], trellis.out_int[0], trellis.out_int[:, 0]
+        s, half = np.arange(S), S >> 1
+        h, i = np.divmod(s, half)
+        views = {id(v): v for v in trellis.sections}            # the distinct sections
+        index = {key: t for t, key in enumerate(views)}
+        self.order = [index[id(v)] for v in trellis.sections]    # distinct tables of section t
+        self.fwd, self.bwd, edges = [], [], []
+        for view in views.values():
+            a, c2 = np.arange(view.out_degree // 2)[:, None], view.inputs[0::2, None]
+            out = so ^ du[c2]
+            self.fwd.append((((2 * a + h) << n) | out, a * half + ((s ^ bu[c2]) >> 1)))
+            self.bwd.append((out, i ^ (bu[c2] >> 1)))
+            edges.append((view.in_src << (trellis.k + n)) | (view.in_u << n) | view.in_out)
+        self.edges = [edges[o] for o in self.order]   # the traceback's packed src | u | out [S, A]
+        # buffers per column: the lut rows of a block, the [A/2, S] keys, their [A/2, S/2]
+        # pair minima, and the [A/2, S] picks that sections of two or more classes reduce
+        self.sizes = (A << n, A // 2 * S, A // 2 * half, A // 2 * S if A > 2 else 0)
+        self.key_col_bytes = (sum(self.sizes) * np.dtype(self.dtype).itemsize
+                              + half * np.dtype(self.bp_dtype).itemsize)   # and each pair's h
 
 
 # two codes: a key-agreement run alternates between a pair's quantizer and FEC
@@ -151,7 +163,8 @@ class _Kernel:
     def __init__(self, trellis: TailbitingTrellis):
         self.trellis = trellis
         self.tab = _tables(trellis.code)
-        self.buf = [np.empty(0, self.tab.dtype)] * 3
+        self.buf = [np.empty(0, self.tab.dtype)] * len(self.tab.sizes)
+        self.pair_h = None
 
     def columns(self) -> int:
         """Columns per block so that one block's temporaries fit the budget."""
@@ -177,35 +190,82 @@ class _Kernel:
               reverse: bool = False) -> np.ndarray:
         """One Viterbi sweep of packed keys P [S, C] (row-major, updated in place) over blocks
         r_cols [ell, C], or over the reversed sections and blocks when reverse; bp[t]
-        receives the key bits from j up, truncated to bp's width."""
-        tab = self.tab
-        S, C, clear = self.trellis.S, P.shape[1], ~(tab.jmask << tab.ob)
-        sections = tab.reverse if reverse else tab.sections
-        if reverse:
-            r_cols = r_cols[::-1]
+        receives each state's edge rank j in its low bits (the bits above are not read)."""
+        tab, C = self.tab, P.shape[1]
         if len(self.buf[0]) < tab.sizes[0] * C:   # buffers outlive the sweep; free old first
-            self.buf[:] = [np.empty(0, tab.dtype)] * 3
+            self.buf[:], self.pair_h = [np.empty(0, tab.dtype)] * len(tab.sizes), None
             self.buf[:] = [np.empty(size * C, tab.dtype) for size in tab.sizes]
+            self.pair_h = np.empty((self.trellis.S >> 1) * C, tab.bp_dtype)
+        if reverse:
+            return self._backward(r_cols[::-1], P)
+        S, half, clear = self.trellis.S, self.trellis.S >> 1, ~(tab.jmask << tab.ob)
         lut_r = self.buf[0][:tab.sizes[0] * C].reshape(-1, C)
-        keys, preds = (b[:tab.sizes[1] * C].reshape(-1, S, C) for b in self.buf[1:])
-        for t, (src, lut_rows, _) in enumerate(sections):
-            key, pred = keys[:len(src)], preds[:len(src)]
-            tab.lut.take(r_cols[t], axis=1, out=lut_r, mode="clip")     # [A << n, C]
-            lut_r.take(lut_rows, axis=0, out=key, mode="clip")         # branch metric | j
-            key += P.take(src, axis=0, out=pred, mode="clip")          # + metric | origin
-            np.minimum.reduce(key, axis=0, out=P)
-            if bp is not None:
-                np.right_shift(P, tab.ob, out=bp[t], casting="unsafe")
-            P &= clear
+        plan = []                    # per distinct section: its tables and buffer views
+        for lut_rows, pick in tab.fwd:
+            a = len(lut_rows)
+            T = self.buf[1][:a * S * C].reshape(a, S, C)
+            R = self.buf[2][:a * half * C].reshape(a, half, C)
+            G = self.buf[3][:a * S * C].reshape(a, S, C) if a > 1 else None
+            plan.append((lut_rows, pick if a > 1 else pick[0], T, T[:, :half], T[:, half:],
+                         R, R.reshape(a * half, C), G))
+        pair_h = self.pair_h[:half * C].reshape(half, C)   # one class: h of each pair's min, its j
+        pair_h_out = pair_h.view(bool) if pair_h.itemsize == 1 else pair_h
+        for t, o in enumerate(tab.order):
+            lut_rows, pick, T, T_lo, T_hi, R, R_rows, G = plan[o]
+            tab.lut.take(r_cols[t], axis=1, out=lut_r, mode="clip")   # [A << n, C]
+            lut_r.take(lut_rows, axis=0, out=T, mode="clip")          # bm | j per (class, s)
+            T += P                                                     # + metric | origin
+            np.minimum(T_lo, T_hi, out=R)                              # min over the pair h
+            if G is None:              # one class: j = h, and target x takes pair x >> 1
+                if bp is not None:     # (a pair's two keys differ in j, so they never tie)
+                    np.less(T_hi[0], T_lo[0], out=pair_h_out, casting="unsafe")
+                    pair_h.take(pick, axis=0, out=bp[t], mode="clip")
+                R &= clear
+                R_rows.take(pick, axis=0, out=P, mode="clip")
+            else:
+                R_rows.take(pick, axis=0, out=G, mode="clip")          # per class, target x
+                np.minimum.reduce(G, axis=0, out=P)
+                if bp is not None:
+                    np.right_shift(P, tab.ob, out=bp[t], casting="unsafe")
+                P &= clear
+        return P
+
+    def _backward(self, r_cols: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """The sweep over the out-edges of the sections last to first, from metric-only keys
+        P [S, C]: first the min over each pair of successors {2i', 2i' + 1}, which every
+        class shares, then per class the branch metric (rank 0 rows) plus that pair minimum."""
+        tab, S, C = self.tab, self.trellis.S, P.shape[1]
+        if not P.flags.c_contiguous:      # the pair views below must not be copies
+            raise ValueError("the backward sweep needs C-contiguous keys")
+        half, rows = S >> 1, 1 << self.trellis.n
+        lut, lut_r = tab.lut[:rows], self.buf[0][:rows * C].reshape(rows, C)
+        M = self.buf[2][:half * C].reshape(half, C)
+        succ, halves = P.reshape(half, 2, C), P.reshape(2, half, C)
+        plan = []
+        for out, pick in tab.bwd:
+            a = len(out)
+            plan.append((out, pick, self.buf[1][:a * S * C].reshape(a, S, C),
+                         self.buf[3][:a * S * C].reshape(a, S, C) if a > 1 else None))
+        for t, o in enumerate(reversed(tab.order)):
+            out, pick, T, G = plan[o]
+            lut.take(r_cols[t], axis=1, out=lut_r, mode="clip")       # [2^n, C]
+            np.minimum(succ[:, 0], succ[:, 1], out=M)
+            if G is None:                                              # one class: pair i' = i
+                lut_r.take(out[0], axis=0, out=P, mode="clip")
+                halves += M
+            else:
+                lut_r.take(out, axis=0, out=T, mode="clip")
+                T += M.take(pick, axis=0, out=G, mode="clip")
+                np.minimum.reduce(T, axis=0, out=P)
         return P
 
     def traceback(self, bp: np.ndarray, s: np.ndarray, cols: np.ndarray):
         """Follow backpointers from state s[c] in column cols[c] of bp [ell, S, C];
         returns (start states, u_ints [c, ell], out_ints [c, ell])."""
-        k, n, sections, jmask = self.trellis.k, self.trellis.n, self.tab.sections, self.tab.jmask
-        path = np.empty((len(sections), len(cols)), dtype=np.int64)
-        for t in range(len(sections) - 1, -1, -1):
-            path[t] = sections[t][2][s, bp[t, s, cols] & jmask]
+        k, n, edges, jmask = self.trellis.k, self.trellis.n, self.tab.edges, self.tab.jmask
+        path = np.empty((len(edges), len(cols)), dtype=np.int64)
+        for t in range(len(edges) - 1, -1, -1):
+            path[t] = edges[t][s, bp[t, s, cols] & jmask]
             s = path[t] >> (k + n)
         return s, ((path >> n) & ((1 << k) - 1)).T, (path & ((1 << n) - 1)).T
 

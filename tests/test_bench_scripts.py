@@ -54,3 +54,16 @@ def test_wava_stop_counts_kernel_calls(monkeypatch):
     assert calls["backward"] == (calls["backward_words"] > 0)
     assert (calls["constrained"] > 0) == res.fallback.any()
     assert 1 <= calls["traceback"] <= calls["forward"] + calls["constrained"]
+
+
+def test_wava_sweep_times_every_layer(monkeypatch):
+    bench = _load(monkeypatch, SCRIPTS / "bench_wava_sweep.py")
+    codes = bench.codes()
+    assert set(codes) == {"code_m8", "pair_m6_quantizer", "pair_m6_fec"}
+    point = bench.time_layers(codes["pair_m6_quantizer"], columns=3, runs=1, reps=1)
+    assert (point["S"], point["ell"], point["columns"]) == (64, 32, 3)
+    for layer, per in (("forward", "ns_per_section_state_column"),
+                       ("backward", "ns_per_section_state_column"),
+                       ("constrained", "ns_per_section_state_column"),
+                       ("traceback", "ns_per_section_column")):
+        assert len(point[layer]["runs_ms"]) == 1 and point[layer][per] > 0

@@ -74,3 +74,21 @@ def test_bitvector_basics():
     assert (v ^ v).weight() == 0
     with pytest.raises(ValueError):
         BitVector.from_bits([2])
+
+
+def test_bitvector_numpy_round_trip_matches_the_bitwise_definition():
+    # to_numpy/from_numpy pack through bytes; bit j of the word is element j
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 7, 8, 9, 63, 64, 65, 200):
+        bits = rng.integers(0, 2, n)
+        v = BitVector.from_numpy(bits)
+        assert v == BitVector.from_bits(bits.tolist())
+        assert v == BitVector.from_numpy(bits.astype(bool))
+        out = v.to_numpy()
+        assert out.dtype == np.uint8 and out.tolist() == [(v.word >> j) & 1 for j in range(n)]
+    for bad, shown in (([0, 2, 1], "2"), ([0.5, 1.0], "0.5"), ([-1], "-1")):
+        for pack in (BitVector.from_bits, lambda b: BitVector.from_numpy(np.array(b))):
+            with pytest.raises(ValueError, match=f"must be 0 or 1, got {shown}$"):
+                pack(bad)
+    with pytest.raises(ValueError, match=r"got \[0, 0\]$"):
+        BitVector.from_numpy(np.zeros((2, 2), dtype=np.uint8))

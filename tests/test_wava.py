@@ -14,6 +14,7 @@ from nestedtbcc.encoder import encode_many
 from nestedtbcc.trellis import build_trellis
 from nestedtbcc.wava import wava_decode_many
 from wava_fallback_reference import CountingKernel, exhaustive_constrained
+from wava_gather_reference import GatherTables, gather_sweep
 import wava_reference
 from wava_reference import reference_decode_many
 
@@ -365,24 +366,29 @@ def test_tailbiting_tie_with_the_first_minimum_stops_at_sweep_one(repetition_toy
 
 
 def test_sweep_reuses_its_section_buffers():
-    # the [A, S, C] key temporaries are allocated once per decode call, not
-    # once per section: a second sweep of the same columns on the same kernel
-    # allocates less than half of one of them
+    # the pair-form key temporaries ([A/2, S, C] keys, [A/2, S/2, C] pair minima,
+    # [A/2, S, C] picks) are allocated once per decode call, not once per section:
+    # a second sweep of the same columns on the same kernel, forward or backward,
+    # allocates less than half of the smallest of them (numpy's own ufunc buffers
+    # are bounded, so the columns are many enough to tell them apart)
     rng = np.random.default_rng(9)
     code = random_code(rng, m=4, k=3, n=3, ell=12)
     kern = wava._Kernel(build_trellis(code))
-    r_ints = wava._bits_to_section_ints(_oracle_words(rng, code, 200), code.spec.n)
+    r_ints = wava._bits_to_section_ints(_oracle_words(rng, code, 2000), code.spec.n)
     cols = np.ascontiguousarray(r_ints.T)
-    start = np.zeros((kern.trellis.S, 200), dtype=kern.tab.dtype)
-    kern.sweep(cols, start.copy(), None)
-    key_bytes = kern.buf[1].nbytes
-    tracemalloc.start()
-    try:
-        kern.sweep(cols, start.copy(), None)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < key_bytes // 2
+    start = np.zeros((kern.trellis.S, 2000), dtype=kern.tab.dtype)
+    for reverse in (False, True):
+        kern.sweep(cols, start.copy(), None, reverse)
+        key_bytes = min(b.nbytes for b in kern.buf[1:])
+        assert key_bytes >= 2000 * kern.trellis.S // 2 * kern.tab.dtype().itemsize
+        P = start.copy()
+        tracemalloc.start()
+        try:
+            kern.sweep(cols, P, None, reverse)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < key_bytes // 2, reverse
 
 
 def _tie_words(rng, code, B):
@@ -435,3 +441,88 @@ def test_fallback_matches_exhaustive(monkeypatch):
         columns += S * len(idx)
     # the bounds pruned columns: the test does not pass by sweeping them all
     assert swept < columns
+
+
+def _gather_cases():
+    """(rng, trellis, kernel, gather tables): random frozen codes, m 1-6 and k 1-3."""
+    rng = np.random.default_rng(13)
+    for i in range(36):
+        m, k = 1 + i % 6, 1 + (i // 6) % 3
+        n = int(rng.integers(1, 4)) if k == 1 else k + int(rng.integers(0, 2))
+        code = random_code(rng, m=m, k=k, n=n, ell=m + int(rng.integers(0, 6)), freeze_prob=0.4)
+        tr = build_trellis(code)
+        kern = wava._Kernel(tr)
+        yield rng, tr, kern, GatherTables(tr, kern.tab)
+
+
+def test_pair_form_sweep_matches_the_gather_reference():
+    # forward from keys of any metric and origin, with and without backpointers, and
+    # backward from metric-only keys: end keys equal bit for bit, and so do the edge
+    # ranks j in the backpointers' low bits (the traceback reads no other bits)
+    for rng, tr, kern, gt in _gather_cases():
+        tab, S = kern.tab, tr.S
+        for C in (1, 2, int(rng.integers(3, 70))):
+            r_cols = rng.integers(0, 1 << tr.n, (tr.ell, C))
+            metric = rng.integers(0, tr.N + 2, (S, C)) << tab.sh
+            for P0, bp_dtype in ((metric | np.arange(S)[:, None], tab.bp_dtype),
+                                 (np.zeros((S, C), np.int64), None)):
+                P0 = P0.astype(tab.dtype)
+                bps = [np.zeros((tr.ell, S, C), bp_dtype) if bp_dtype else None for _ in "ab"]
+                new = kern.sweep(r_cols, P0.copy(), bps[0])
+                old = gather_sweep(gt, r_cols, P0.copy(), bps[1])
+                assert new.dtype == old.dtype and np.array_equal(new, old)
+                assert bp_dtype is None or np.array_equal(*(b & tab.jmask for b in bps))
+            P0 = metric.astype(tab.dtype)
+            new = kern.sweep(r_cols, P0.copy(), None, reverse=True)
+            assert np.array_equal(new, gather_sweep(gt, r_cols, P0.copy(), None, reverse=True))
+
+
+def test_every_decoder_sweep_matches_the_gather_reference(monkeypatch, kernel_calls):
+    # every sweep a decode makes (forward with backpointers, backward bound, constrained
+    # fallback sweeps), under the default budget and one of a few KB
+    sweep = wava._Kernel.sweep
+
+    def checked(kern, r_cols, P, bp, reverse=False):
+        P0, bp_ref = P.copy(), None if bp is None else np.zeros_like(bp)
+        out = sweep(kern, r_cols, P, bp, reverse)
+        ref = gather_sweep(GatherTables(kern.trellis, kern.tab), r_cols, P0, bp_ref, reverse)
+        jmask = kern.tab.jmask
+        assert np.array_equal(out, ref) and (bp is None or np.array_equal(bp & jmask, bp_ref & jmask))
+        return out
+
+    monkeypatch.setattr(wava._Kernel, "sweep", checked)
+    rng = np.random.default_rng(14)
+    for i in range(12):
+        monkeypatch.setattr(wava, "_BUDGET_BYTES", 4096 if i % 2 else 8 << 20)
+        k = 1 + i % 3
+        code = random_code(rng, m=1 + i % 6, k=k, n=max(k, 2), ell=7, freeze_prob=0.4)
+        _assert_same_as_reference(build_trellis(code), _oracle_words(rng, code, 48), 4)
+    assert {kind for kind, _ in kernel_calls} == {"forward", "backward", "constrained",
+                                                   "traceback"}
+
+
+def test_pair_form_tables_follow_the_section_edge_order():
+    # forward: the rank-j in-edge of state x (j = 2a + h) comes from the state of top
+    # bit h in pair pick[a, x] under input 2c_a + ((x ^ bu[2c_a]) & 1), as SectionView
+    # lists it (input, then source); backward: the two out-edges of s in class a reach
+    # the pair {2i', 2i' + 1}, i' = pick[a, s], with output out[a, s]
+    for _, tr, kern, _ in _gather_cases():
+        tab, S, n = kern.tab, tr.S, tr.n
+        half, x = S >> 1, np.arange(S)
+        for t, view in enumerate(tr.sections):
+            (lut_rows, pick), (out, succ) = tab.fwd[tab.order[t]], tab.bwd[tab.order[t]]
+            assert len(lut_rows) == len(out) == view.out_degree // 2
+            assert np.array_equal(tab.edges[t], (view.in_src << (tr.k + n))
+                                  | (view.in_u << n) | view.in_out)
+            for a, c2 in enumerate(view.inputs[0::2]):
+                bu = tr.next_state[0, c2]
+                for h in (0, 1):
+                    j = 2 * a + h
+                    src = h * half + pick[a] - a * half
+                    assert np.array_equal(view.in_src[:, j], src)
+                    assert np.array_equal(view.in_u[:, j], c2 + ((x ^ bu) & 1))
+                    assert np.array_equal(lut_rows[a, src] >> n, np.full(S, j))
+                    assert np.array_equal(lut_rows[a, src] & ((1 << n) - 1), view.in_out[:, j])
+                targets = np.sort(tr.next_state[:, [c2, c2 + 1]], axis=1)
+                assert np.array_equal(targets, 2 * succ[a][:, None] + [0, 1])
+                assert np.array_equal(out[a], tr.out_int[:, c2])
