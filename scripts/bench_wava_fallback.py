@@ -76,7 +76,7 @@ def _capture(trellis, words) -> list[tuple]:
 def _replay(trellis, search, call) -> tuple[float, int, tuple]:
     r_ints, idx, lb, best_u, best_out, best_dist = (a.copy() for a in call)
     kern = CountingKernel(trellis)
-    bp = np.empty((trellis.ell, trellis.S, len(idx)), dtype=kern.tab.bp_dtype)
+    bp = np.empty((trellis.ell, trellis.S // 2, len(idx)), dtype=kern.tab.bp_dtype)
     t0 = time.perf_counter()
     improved = search(kern, r_ints, idx, lb, bp, best_u, best_out, best_dist)
     return time.perf_counter() - t0, kern.swept, (improved, best_u, best_out, best_dist)

@@ -24,7 +24,9 @@ mean of ``REPS`` calls, in one process with one BLAS thread:
 
 Each sweep also records nanoseconds per (section, state, column), and the
 traceback per (section, column).  The JSON records the machine, the core
-count, the versions, the seed and the column counts.
+count, the versions, the seed, and per code the key dtype, the renormalisation
+interval (sections between two subtractions of each column's least metric; an
+interval of ell or more never renormalises) and the block's column count.
 """
 
 from __future__ import annotations
@@ -77,8 +79,8 @@ def time_layers(code, columns: int | None = None, runs: int = RUNS, reps: int = 
     r_cols = kern.r_cols(r_ints, rows)
     states = np.arange(S)[:, None]
     start = np.broadcast_to(states, (S, C)).astype(kern.tab.dtype)    # zero metric | origin
-    bp = np.empty((ell, S, C), dtype=kern.tab.bp_dtype)
-    fwd = (kern.sweep(r_cols, start.copy(), bp) >> kern.tab.sh).astype(np.int64)
+    bp = np.empty((ell, S // 2, C), dtype=kern.tab.bp_dtype)     # one per state pair
+    fwd = (kern.sweep(r_cols, start.copy(), bp) >> kern.tab.sh) + kern.offset
     ends = fwd.argmin(axis=0)
     starts = rng.integers(0, S, C)
     calls = {
@@ -87,7 +89,8 @@ def time_layers(code, columns: int | None = None, runs: int = RUNS, reps: int = 
         "constrained": lambda: kern.constrained(r_ints, rows, starts),
         "traceback": lambda: kern.traceback(bp, ends, cols),
     }
-    out = {"S": S, "ell": ell, "columns": C}
+    out = {"S": S, "ell": ell, "columns": C, "block_columns": kern.columns(),
+           "key_dtype": np.dtype(kern.tab.dtype).name, "renorm_every": kern.tab.every}
     for name, call in calls.items():
         call()                                          # buffers allocated before timing
         median, times = _median_s(call, runs, reps)
@@ -112,7 +115,8 @@ def main(argv: list[str] | None = None) -> int:
     points = {name: time_layers(code) for name, code in codes().items()}
     _bench.write_report(args.out, __file__, RUNS, reps=REPS, seed=SEED, points=points)
     for name, p in points.items():
-        print(f"{name} (S={p['S']}, C={p['columns']}): " + ", ".join(
+        print(f"{name} (S={p['S']}, C={p['columns']}, {p['key_dtype']} keys, renormalised "
+              f"every {p['renorm_every']} sections): " + ", ".join(
             f"{layer} {p[layer]['median_ms']:.3f} ms" for layer in
             ("forward", "backward", "constrained", "traceback")))
     return 0

@@ -124,6 +124,8 @@ def cmd_design_nested(args) -> int:
         f"p_c={report.p_c_sim:.6g} q_max={report.q_max:.6g} q_bar={report.q_bar:.6g}",
         file=sys.stderr,
     )
+    print("stage seconds: " + " ".join(f"{stage} {s:.3f}" for stage, s in
+                                       report.stage_seconds.items()), file=sys.stderr)
     return 0
 
 

@@ -42,6 +42,7 @@ as without pruning.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -238,6 +239,9 @@ class NestedDesignReport:
     frozen_steps: int
     calibration_log: tuple[dict, ...]
     fec: FecSearchResult
+    # wall seconds of the four stages (search_fec, calibrate, extend, freeze); kept
+    # out of the pair's provenance, which stays a pure function of (inputs, seed)
+    stage_seconds: dict[str, float]
 
 
 def design_nested(
@@ -266,9 +270,11 @@ def design_nested(
         raise ValueError(f"p_A must be in [0, 0.5), got {p_A}")
     _at_least_one(V=V, distortion_trials=distortion_trials, workers=workers)
     key = seed_key(seed)
+    clock = [time.perf_counter()]          # the start, then the end of each stage
 
     fec = search_fec(n, m, K_fec, target_pb, w_max, seed=key)
     ell = K_fec
+    clock.append(time.perf_counter())
 
     try:
         p_c_sim, calib_log = calibrate_pc(
@@ -277,6 +283,7 @@ def design_nested(
     except CalibrationError as exc:
         raise DesignFailure(f"crossover calibration failed: {exc}") from exc
     q_max = distortion_limit(p_c_sim, p_A)
+    clock.append(time.perf_counter())
 
     # grow one input at a time until the measured distortion fits the budget
     spec = fec.code.spec
@@ -297,6 +304,7 @@ def design_nested(
             f"distortion budget q_max={q_max:.6g} unreachable even at rate 1 "
             f"(k_vq = n = {n}); last measured q_bar={ext_log[-1]['q_bar']:.6g}"
         )
+    clock.append(time.perf_counter())
 
     # freeze as many time steps of the last added input as the budget allows;
     # distortion grows as the codebook shrinks, so binary-search the boundary
@@ -316,6 +324,7 @@ def design_nested(
         else:
             hi = mid - 1
     final_code = _frozen_code(spec, ell, _evenly_spaced_steps(ell, lo))
+    clock.append(time.perf_counter())
 
     report = NestedDesignReport(
         p_c_union=fec.p_c,
@@ -326,6 +335,8 @@ def design_nested(
         frozen_steps=lo,
         calibration_log=tuple(calib_log),
         fec=fec,
+        stage_seconds=dict(zip(("search_fec", "calibrate", "extend", "freeze"),
+                               np.diff(clock).tolist())),
     )
     pair = NestedCodePair(final_code, provenance={
         "seed": list(key),

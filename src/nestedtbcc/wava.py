@@ -17,18 +17,40 @@ state) from a table looked up by the received block, adds the state's key,
 takes the min of each pair {s, s ^ S/2}, and per target picks its pair's min
 in each class, then the min over the classes; the backward sweep first takes
 the min of each successor pair, then per class adds the branch metric.
-Traceback runs for all words at once; words that stopped are not swept again.
+
+Keys are uint16 where the metric field holds m*n + 1 + n*every for a
+renormalisation interval every >= m, else int32 (the paper's m=8, k=3
+quantizer and the m=11 codes), else int64.  Narrow keys are exact because
+the register input is never frozen and shifts one bit into the state per
+section: every state reaches every state in exactly m sections, each adding
+at most n, so from section m on a column's survivor metrics span at most
+m*n.  Start metrics lie in [0, m*n + 1]: zero, the previous sweep's end
+metrics minus their minimum (ell >= m), or the exact fallback's start, whose
+other states start at m*n + 1, which no path from the start state exceeds by
+section m, so no other start survives past it.  Every `every` sections each
+column's least metric is subtracted, folded into that section's branch
+metrics (the wrap-around of unsigned keys cancels in the add), and the sum of
+the subtractions is an int64 offset per column that the sweep's readers add
+back.  States x and x ^ 1 end every section with the same key, since the
+register input's bit reaches no output until the next section, so a sweep
+keeps one backpointer per state pair, [ell, S/2, C].  Traceback follows the
+pairs X = src >> 1 through the in-edges of each pair's even target, which
+the odd target shares but for the register bit of the input, and then flips
+that bit in one pass where the section's target (the next section's source)
+is odd.  It runs for all words at once; words that stopped are not swept
+again.
+
 Temporaries (the [A/2, S, C] keys, their [A/2, S/2, C] pair minima and picks,
-and one [ell, S, C] backpointer buffer, each allocated once per call and
-reused by every section and sweep) grow with C, which is capped so they fit
-in _BUDGET_BYTES.  The order is sweep-major: sweep v runs once per call over
-every word still active, in column blocks of that cap, and the backward
-bound sweep, each later sweep and the exact fallback each run once over the
-open words pooled from all blocks, so a few open words cost one small sweep,
-not one per block.  The [S, words] state that
-crosses sweeps (start metrics, the fallback's bound) is held per row group,
-sized from the same budget and never below one block; larger batches run in
-several groups.  Every word's computation is the same in any order.
+and the backpointer buffer, each allocated once per call and reused by every
+section and sweep) grow with C, which is capped so they fit in _BUDGET_BYTES.
+The order is sweep-major: sweep v runs once per call over every word still
+active, in column blocks of that cap, and the backward bound sweep, each later
+sweep and the exact fallback each run once over the open words pooled from
+all blocks, so a few open words cost one small sweep, not one per block.  The
+[S, words] state that crosses sweeps (start metrics, the fallback's bound) is
+held per row group, sized from the same budget and never below one block;
+larger batches run in several groups.  Every word's computation is the same
+in any order.
 
 Stop rule: a word stops after sweep v when its best candidate distance equals
 the certificate's bound, or when its best survivor is tailbiting and (end
@@ -107,22 +129,31 @@ class _Tables:
     u = 2c and 2c + 1, with bu[2c + 1] = bu[2c] ^ 1 and du[2c + 1] = du[2c]."""
 
     def __init__(self, trellis: TailbitingTrellis):
-        S, N, n = trellis.S, trellis.N, trellis.n
+        S, n = trellis.S, trellis.n
         self.A = A = max(v.out_degree for v in trellis.sections)
-        self.ob = S.bit_length() - 1                 # origin field: m bits
+        m = self.ob = S.bit_length() - 1             # origin field: m bits
         self.sh = self.ob + (A - 1).bit_length()     # metric field starts here
         self.jmask = (1 << (self.sh - self.ob)) - 1
-        # keys stay below top: renormalised start metrics are <= N (the free
-        # register input reaches every state within ell >= m sections), a
-        # block adds <= N, and the fallback's unreachable start is N+1
-        top = (2 * N + 2) << self.sh
-        if top >= 1 << 63:
-            raise OverflowError(f"packed ACS key needs {top.bit_length()} bits")
-        self.dtype = np.int32 if top < 1 << 31 else np.int64
+        # the narrowest keys whose metric field holds m*n + 1 + n*every for a
+        # renormalisation interval every >= m: start metrics are <= m*n + 1 (the
+        # fallback's unreachable start; renormalised end metrics span <= m*n, as the
+        # free register input reaches every state in m sections), and the sections up
+        # to the next renormalisation add <= n*every
+        for dtype in (np.uint16, np.int32, np.int64):
+            room = int(np.iinfo(dtype).max) >> self.sh
+            self.every = (room - (m * n + 1)) // n
+            if self.every >= max(m, 1):
+                break
+        else:
+            raise OverflowError(f"packed ACS key needs over 63 bits (metric from bit {self.sh})")
+        self.dtype = dtype
+        self.unreachable = (m * n + 1) << self.sh
+        self.clear = np.array(~(self.jmask << self.ob)).astype(dtype)[()]   # all bits but j
+        self.metric_mask = np.array(-1 << self.sh).astype(dtype)[()]
         self.bp_dtype = np.uint8 if self.jmask < 1 << 8 else np.uint16
         j, o = np.divmod(np.arange(A << n), 1 << n)  # lut[j << n | o, r]: rank j, output o, block r
         bm = np.bitwise_count(o[:, None] ^ np.arange(1 << n)).astype(np.int64)
-        self.lut = ((bm << self.sh) | (j[:, None] << self.ob)).astype(self.dtype)
+        self.lut = ((bm << self.sh) | (j[:, None] << self.ob)).astype(dtype)
         # per distinct section, for its classes a (rank order, classes ascending) and states s:
         # forward, the lut row [A/2, S] of the edge from s in class a, whose rank is 2a + h,
         # and the row [A/2, S] of the [A/2 * S/2] pair minima that reaches s in class a;
@@ -140,13 +171,15 @@ class _Tables:
             out = so ^ du[c2]
             self.fwd.append((((2 * a + h) << n) | out, a * half + ((s ^ bu[c2]) >> 1)))
             self.bwd.append((out, i ^ (bu[c2] >> 1)))
-            edges.append((view.in_src << (trellis.k + n)) | (view.in_u << n) | view.in_out)
-        self.edges = [edges[o] for o in self.order]   # the traceback's packed src | u | out [S, A]
+            # targets 2X and 2X + 1 share the source and output of each rank, and their
+            # inputs differ in the register bit only: the even target's row stands for both
+            edges.append((view.in_src[0::2] << (trellis.k + n)) | (view.in_u[0::2] << n)
+                         | view.in_out[0::2])
+        self.edges = [edges[o] for o in self.order]   # traceback: packed src | u | out [S/2, A]
         # buffers per column: the lut rows of a block, the [A/2, S] keys, their [A/2, S/2]
         # pair minima, and the [A/2, S] picks that sections of two or more classes reduce
         self.sizes = (A << n, A // 2 * S, A // 2 * half, A // 2 * S if A > 2 else 0)
-        self.key_col_bytes = (sum(self.sizes) * np.dtype(self.dtype).itemsize
-                              + half * np.dtype(self.bp_dtype).itemsize)   # and each pair's h
+        self.key_col_bytes = sum(self.sizes) * np.dtype(dtype).itemsize
 
 
 # two codes: a key-agreement run alternates between a pair's quantizer and FEC
@@ -164,13 +197,13 @@ class _Kernel:
         self.trellis = trellis
         self.tab = _tables(trellis.code)
         self.buf = [np.empty(0, self.tab.dtype)] * len(self.tab.sizes)
-        self.pair_h = None
+        self.offset = np.zeros(0, np.int64)
 
     def columns(self) -> int:
         """Columns per block so that one block's temporaries fit the budget."""
         S, ell = self.trellis.S, self.trellis.ell
         per_col = self.tab.key_col_bytes + 8 * (ell + 9 * S)   # keys, blocks, [S, C] metrics, bound
-        per_col += ell * S * np.dtype(self.tab.bp_dtype).itemsize
+        per_col += ell * (S >> 1) * np.dtype(self.tab.bp_dtype).itemsize
         return max(1, _BUDGET_BYTES // per_col)
 
     def group_rows(self) -> int:
@@ -186,19 +219,29 @@ class _Kernel:
         widened to intp once, so that no section's take casts its indices."""
         return np.ascontiguousarray(r_ints[rows].T, dtype=np.intp)
 
+    def _renormalise(self, low: np.ndarray, lut_r: np.ndarray) -> None:
+        """Subtract low [C], each column's least metric (shifted into the metric field),
+        from the section's branch metrics lut_r [rows, C]; every key it is added to is at
+        least low, so the wrap-around of unsigned keys cancels."""
+        lut_r -= low
+        self.offset += low >> self.tab.sh
+
     def sweep(self, r_cols: np.ndarray, P: np.ndarray, bp: np.ndarray | None,
               reverse: bool = False) -> np.ndarray:
         """One Viterbi sweep of packed keys P [S, C] (row-major, updated in place) over blocks
-        r_cols [ell, C], or over the reversed sections and blocks when reverse; bp[t]
-        receives each state's edge rank j in its low bits (the bits above are not read)."""
+        r_cols [ell, C], or over the reversed sections and blocks when reverse; bp[t] [S/2, C]
+        receives the edge rank j of each state pair {2X, 2X + 1} in its low bits (the bits
+        above are not read).  Start metrics lie in [0, m*n + 1]; the metric of a returned key
+        plus self.offset [C] (int64) of its column is the path's metric."""
         tab, C = self.tab, P.shape[1]
         if len(self.buf[0]) < tab.sizes[0] * C:   # buffers outlive the sweep; free old first
-            self.buf[:], self.pair_h = [np.empty(0, tab.dtype)] * len(tab.sizes), None
+            self.buf[:] = [np.empty(0, tab.dtype)] * len(tab.sizes)
             self.buf[:] = [np.empty(size * C, tab.dtype) for size in tab.sizes]
-            self.pair_h = np.empty((self.trellis.S >> 1) * C, tab.bp_dtype)
+        self.offset = np.zeros(C, np.int64)
+        marks = range(tab.every, len(tab.order), tab.every)   # sections that renormalise
         if reverse:
-            return self._backward(r_cols[::-1], P)
-        S, half, clear = self.trellis.S, self.trellis.S >> 1, ~(tab.jmask << tab.ob)
+            return self._backward(r_cols[::-1], P, marks)
+        S, half, clear = self.trellis.S, self.trellis.S >> 1, tab.clear
         lut_r = self.buf[0][:tab.sizes[0] * C].reshape(-1, C)
         plan = []                    # per distinct section: its tables and buffer views
         for lut_rows, pick in tab.fwd:
@@ -208,29 +251,32 @@ class _Kernel:
             G = self.buf[3][:a * S * C].reshape(a, S, C) if a > 1 else None
             plan.append((lut_rows, pick if a > 1 else pick[0], T, T[:, :half], T[:, half:],
                          R, R.reshape(a * half, C), G))
-        pair_h = self.pair_h[:half * C].reshape(half, C)   # one class: h of each pair's min, its j
-        pair_h_out = pair_h.view(bool) if pair_h.itemsize == 1 else pair_h
+        # one class: j = h of the pair's min, written as bool where bp has bytes; more
+        # classes: targets 2X and 2X + 1 hold the same key, whose j the even one gives
+        bp_h = bp.view(bool) if bp is not None and bp.itemsize == 1 else bp
+        P_even = P[0::2]
         for t, o in enumerate(tab.order):
             lut_rows, pick, T, T_lo, T_hi, R, R_rows, G = plan[o]
             tab.lut.take(r_cols[t], axis=1, out=lut_r, mode="clip")   # [A << n, C]
+            if t in marks:
+                self._renormalise(P.min(axis=0) & tab.metric_mask, lut_r)
             lut_r.take(lut_rows, axis=0, out=T, mode="clip")          # bm | j per (class, s)
             T += P                                                     # + metric | origin
             np.minimum(T_lo, T_hi, out=R)                              # min over the pair h
-            if G is None:              # one class: j = h, and target x takes pair x >> 1
+            if G is None:              # one class: target x takes pair x >> 1, with j = h
                 if bp is not None:     # (a pair's two keys differ in j, so they never tie)
-                    np.less(T_hi[0], T_lo[0], out=pair_h_out, casting="unsafe")
-                    pair_h.take(pick, axis=0, out=bp[t], mode="clip")
+                    np.less(T_hi[0], T_lo[0], out=bp_h[t])
                 R &= clear
                 R_rows.take(pick, axis=0, out=P, mode="clip")
             else:
                 R_rows.take(pick, axis=0, out=G, mode="clip")          # per class, target x
                 np.minimum.reduce(G, axis=0, out=P)
                 if bp is not None:
-                    np.right_shift(P, tab.ob, out=bp[t], casting="unsafe")
+                    np.right_shift(P_even, tab.ob, out=bp[t], casting="unsafe")
                 P &= clear
         return P
 
-    def _backward(self, r_cols: np.ndarray, P: np.ndarray) -> np.ndarray:
+    def _backward(self, r_cols: np.ndarray, P: np.ndarray, marks: range) -> np.ndarray:
         """The sweep over the out-edges of the sections last to first, from metric-only keys
         P [S, C]: first the min over each pair of successors {2i', 2i' + 1}, which every
         class shares, then per class the branch metric (rank 0 rows) plus that pair minimum."""
@@ -250,6 +296,8 @@ class _Kernel:
             out, pick, T, G = plan[o]
             lut.take(r_cols[t], axis=1, out=lut_r, mode="clip")       # [2^n, C]
             np.minimum(succ[:, 0], succ[:, 1], out=M)
+            if t in marks:
+                self._renormalise(M.min(axis=0), lut_r)
             if G is None:                                              # one class: pair i' = i
                 lut_r.take(out[0], axis=0, out=P, mode="clip")
                 halves += M
@@ -260,34 +308,40 @@ class _Kernel:
         return P
 
     def traceback(self, bp: np.ndarray, s: np.ndarray, cols: np.ndarray):
-        """Follow backpointers from state s[c] in column cols[c] of bp [ell, S, C];
+        """Follow backpointers from state s[c] in column cols[c] of bp [ell, S/2, C];
         returns (start states, u_ints [c, ell], out_ints [c, ell])."""
         k, n, edges, jmask = self.trellis.k, self.trellis.n, self.tab.edges, self.tab.jmask
-        path = np.empty((len(edges), len(cols)), dtype=np.int64)
-        for t in range(len(edges) - 1, -1, -1):
-            path[t] = edges[t][s, bp[t, s, cols] & jmask]
-            s = path[t] >> (k + n)
-        return s, ((path >> n) & ((1 << k) - 1)).T, (path & ((1 << n) - 1)).T
+        ell = len(edges)
+        path = np.empty((ell + 1, len(cols)), dtype=np.int64)
+        path[ell] = s << (k + n)             # the last section's targets, as a source field
+        X = s >> 1
+        for t in range(ell - 1, -1, -1):
+            path[t] = edges[t][X, bp[t, X, cols] & jmask]
+            X = path[t] >> (k + n + 1)
+        # each edge is its pair's even target's: an odd target flips the register bit of u
+        u = ((path[:-1] >> n) & ((1 << k) - 1)) ^ ((path[1:] >> (k + n)) & 1)
+        return path[0] >> (k + n), u.T, (path[:-1] & ((1 << n) - 1)).T
 
     def constrained(self, r_ints, rows, starts, bp=None) -> np.ndarray:
-        """Metric of the best path from starts[c] back to starts[c] on word rows[c]."""
+        """Metric of the best path from starts[c] back to starts[c] on word rows[c]: the other
+        states start at m*n + 1, which no path from starts[c] exceeds by section m."""
         cols, tab = np.arange(len(rows)), self.tab
-        P = np.full((self.trellis.S, len(rows)), (self.trellis.N + 1) << tab.sh, dtype=tab.dtype)
+        P = np.full((self.trellis.S, len(rows)), tab.unreachable, dtype=tab.dtype)
         P[starts, cols] = 0
         end = self.sweep(self.r_cols(r_ints, rows), P, bp)
-        return (end[starts, cols] >> tab.sh).astype(np.int64)
+        return (end[starts, cols] >> tab.sh) + self.offset
 
     def bound(self, r_cols, fwd) -> np.ndarray:
         """Lower bound [S, C] on every constrained s -> s metric of the words r_cols [ell, C],
         given fwd [S, C], the end metrics of a forward sweep from zero: the larger of the best
         metric of a path that ends at s and of a path that starts at s."""
         h0 = self.sweep(r_cols, np.zeros(fwd.shape, self.tab.dtype), None, reverse=True)
-        return np.maximum(fwd, h0 >> self.tab.sh)
+        return np.maximum(fwd, (h0 >> self.tab.sh) + self.offset)
 
 
 def _two_phase_search(kern, r_ints, idx, lb, bp, best_u, best_out, best_dist):
     """Exact search over start states for the rows in idx (rare fallback), given lb, their
-    lower bounds (`_Kernel.bound`), and bp, a backpointer buffer [ell, S, C]: the best path
+    lower bounds (`_Kernel.bound`), and bp, a backpointer buffer [ell, S/2, C]: the best path
     constrained to start and end at s, for the states s whose bound can still win (module
     docstring); the winner (smallest distance, then smallest s) replaces the candidate when
     strictly better or when none exists, C rows at a time.  Returns the mask of replaced rows."""
@@ -328,10 +382,10 @@ def _forward(kern, r_ints, g, M, step, bp_buf, best_dist, best_u, best_out):
     for lo in range(0, len(g), step):
         rows, M_blk = g[lo:lo + step], M[:, lo:lo + step]
         cols = np.arange(len(rows))
-        bp = bp_buf[:ell * S * len(rows)].reshape(ell, S, len(rows))
+        bp = bp_buf[:ell * (S >> 1) * len(rows)].reshape(ell, S >> 1, len(rows))
         end = kern.sweep(kern.r_cols(r_ints, rows),
                          ((M_blk << tab.sh) | states).astype(tab.dtype), bp)
-        Mend = (end >> tab.sh).astype(np.int64)
+        Mend = (end >> tab.sh) + kern.offset
         origin = (end & (S - 1)).astype(np.int64)
         blockdist = Mend - np.take_along_axis(M_blk, origin, axis=0)
         tb = origin == states
@@ -374,7 +428,7 @@ def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
     need = np.zeros(B, dtype=bool)
 
     step, group = kern.columns(), kern.group_rows()
-    bp_buf = np.empty(ell * S * min(step, B), dtype=kern.tab.bp_dtype)
+    bp_buf = np.empty(ell * (S >> 1) * min(step, B), dtype=kern.tab.bp_dtype)
     for lo in range(0, B, group):
         g = np.arange(lo, min(lo + group, B))          # rows still active
         M = np.zeros((S, len(g)), dtype=np.int64)
@@ -413,7 +467,8 @@ def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
         fb = np.flatnonzero(need[g1])
         if len(fb):
             improved = _two_phase_search(kern, r_ints, g1[fb], lb[:, fb],
-                                         bp_buf.reshape(ell, S, -1), best_u, best_out, best_dist)
+                                         bp_buf.reshape(ell, S >> 1, -1), best_u, best_out,
+                                         best_dist)
             converged[g1[fb[improved]]] = False
 
     cw_bits = _ints_to_bits(best_out, trellis.n)

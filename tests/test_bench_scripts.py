@@ -62,6 +62,10 @@ def test_wava_sweep_times_every_layer(monkeypatch):
     assert set(codes) == {"code_m8", "pair_m6_quantizer", "pair_m6_fec"}
     point = bench.time_layers(codes["pair_m6_quantizer"], columns=3, runs=1, reps=1)
     assert (point["S"], point["ell"], point["columns"]) == (64, 32, 3)
+    # the criterion-9 quantizer keeps uint16 keys and never renormalises in 32 sections
+    kern = wava._Kernel(build_trellis(codes["pair_m6_quantizer"]))
+    assert (point["key_dtype"], point["renorm_every"]) == ("uint16", 36)
+    assert point["block_columns"] == kern.columns() > 3
     for layer, per in (("forward", "ns_per_section_state_column"),
                        ("backward", "ns_per_section_state_column"),
                        ("constrained", "ns_per_section_state_column"),

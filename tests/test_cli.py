@@ -3,6 +3,7 @@ import csv
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -477,7 +478,7 @@ def test_runtime_imports_no_scipy():
     assert proc.stdout == "[]\n"
 
 
-def test_design_nested_cli_smoke(tmp_path):
+def test_design_nested_cli_smoke(tmp_path, capsys):
     out = tmp_path / "pair.json"
     rc = main([
         "design-nested", "--pa", "0.0", "--target-pb", "1e-2",
@@ -486,7 +487,11 @@ def test_design_nested_cli_smoke(tmp_path):
         "--seed", "21", "--out", str(out),
     ])
     assert rc == 0
+    # the summary prints the stage times, which stay out of the pair file
+    assert re.search(r"stage seconds: search_fec [0-9.]+ calibrate [0-9.]+ extend [0-9.]+ "
+                     r"freeze [0-9.]+$", capsys.readouterr().err, re.M)
     d = json.loads(out.read_text())
+    assert "stage" not in out.read_text()
     assert d["provenance"]["q_bar"] <= d["provenance"]["q_max"]
     from nestedtbcc.keyagree import load_pair
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -189,10 +190,16 @@ def test_search_vq_extension_without_a_usable_candidate_keeps_zero_columns(monke
 
 
 def test_design_nested_toy_pipeline():
+    start = time.perf_counter()
     pair, report = design_nested(
         p_A=0.0, target_pb=1e-2, K_fec=16, n=3, m=4, seed=42, w_max=64,
         stop=StopRule(max_trials=100_000), distortion_trials=1024,
     )
+    wall = time.perf_counter() - start
+    # the four stage times, within the call's wall time
+    stages = report.stage_seconds
+    assert list(stages) == ["search_fec", "calibrate", "extend", "freeze"]
+    assert min(stages.values()) >= 0 and sum(stages.values()) <= wall
     # p_A = 0 collapses the budget to q <= p_c
     assert report.q_max == pytest.approx(report.p_c_sim)
     assert report.q_bar <= report.q_max

@@ -1,4 +1,8 @@
+import copy
+import json
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +14,8 @@ from conftest import (
     random_code,
 )
 from nestedtbcc import wava
-from nestedtbcc.encoder import encode_many
+from nestedtbcc.encoder import code_from_dict, encode_many
+from nestedtbcc.keyagree import pair_from_dict
 from nestedtbcc.trellis import build_trellis
 from nestedtbcc.wava import wava_decode_many
 from wava_fallback_reference import CountingKernel, exhaustive_constrained
@@ -302,7 +307,7 @@ def test_small_byte_budget_gives_identical_results(monkeypatch, kernel_calls):
 def test_follow_up_sweeps_run_once_per_call(monkeypatch, kernel_calls):
     # a budget under which one row group spans several column blocks: the backward
     # sweeps and the sweeps at v >= 2 pool the open rows of every block
-    monkeypatch.setattr(wava, "_BUDGET_BYTES", 40_000)
+    monkeypatch.setattr(wava, "_BUDGET_BYTES", 17_400)
     rng = np.random.default_rng(12)
     code = random_code(rng, m=4, k=1, n=3, ell=32)
     tr = build_trellis(code)
@@ -428,7 +433,7 @@ def test_fallback_matches_exhaustive(monkeypatch):
         best_dist = np.full(B, wava._LARGE, dtype=np.int64)
         near = np.maximum(dist.min(axis=0) + rng.integers(-1, 2, len(idx)), 0)
         best_dist[idx] = np.where(rng.random(len(idx)) < 0.5, near, wava._LARGE)
-        counting, bp = CountingKernel(tr), np.empty((tr.ell, S, len(idx)), kern.tab.bp_dtype)
+        counting, bp = CountingKernel(tr), np.empty((tr.ell, S // 2, len(idx)), kern.tab.bp_dtype)
         out = []
         for search in (lambda *best: wava._two_phase_search(counting, r_ints, idx, lb, bp, *best),
                        lambda *best: exhaustive_constrained(kern, r_ints, idx, *best)):
@@ -443,8 +448,28 @@ def test_fallback_matches_exhaustive(monkeypatch):
     assert swept < columns
 
 
+def _wide(kern):
+    """Gather-oracle tables on the kernel's packing with int64 keys, which never need a
+    renormalisation."""
+    tab = kern.tab
+    return GatherTables(kern.trellis, SimpleNamespace(A=tab.A, sh=tab.sh, ob=tab.ob,
+                                                      jmask=tab.jmask, dtype=np.int64))
+
+
+def _absolute(kern, keys):
+    """The keys a sweep returned as int64, with its per-column offset added to their metric."""
+    return keys.astype(np.int64) + (kern.offset << kern.tab.sh)
+
+
+def _assert_pair_bp(bp, bp_ref, jmask):
+    """bp [ell, S/2, C] holds the edge rank j of each pair that bp_ref [ell, S, C] holds
+    for both of its states."""
+    assert np.array_equal(bp_ref[:, 0::2] & jmask, bp_ref[:, 1::2] & jmask)
+    assert np.array_equal(bp & jmask, bp_ref[:, 0::2] & jmask)
+
+
 def _gather_cases():
-    """(rng, trellis, kernel, gather tables): random frozen codes, m 1-6 and k 1-3."""
+    """(rng, trellis, kernel, int64 gather tables): random frozen codes, m 1-6 and k 1-3."""
     rng = np.random.default_rng(13)
     for i in range(36):
         m, k = 1 + i % 6, 1 + (i // 6) % 3
@@ -452,29 +477,35 @@ def _gather_cases():
         code = random_code(rng, m=m, k=k, n=n, ell=m + int(rng.integers(0, 6)), freeze_prob=0.4)
         tr = build_trellis(code)
         kern = wava._Kernel(tr)
-        yield rng, tr, kern, GatherTables(tr, kern.tab)
+        yield rng, tr, kern, _wide(kern)
+
+
+def _check_sweeps(rng, tr, kern, gt, C):
+    """Forward from keys of any metric in [0, m*n + 1] and origin, with and without
+    backpointers, and backward from metric-only keys: the absolute end keys equal the
+    int64 oracle's bit for bit, and so do the edge ranks j of each state pair in the
+    backpointers' low bits (the traceback reads no other bits)."""
+    tab, S = kern.tab, tr.S
+    r_cols = rng.integers(0, 1 << tr.n, (tr.ell, C))
+    metric = rng.integers(0, tab.ob * tr.n + 2, (S, C)) << tab.sh
+    for P0, bp_dtype in ((metric | np.arange(S)[:, None], tab.bp_dtype),
+                         (np.zeros((S, C), np.int64), None)):
+        bp = np.zeros((tr.ell, S // 2, C), bp_dtype) if bp_dtype else None
+        bp_ref = np.zeros((tr.ell, S, C), np.int64) if bp_dtype else None
+        new = kern.sweep(r_cols, P0.astype(tab.dtype), bp)
+        assert new.dtype == tab.dtype
+        assert np.array_equal(_absolute(kern, new), gather_sweep(gt, r_cols, P0.copy(), bp_ref))
+        if bp_dtype:
+            _assert_pair_bp(bp, bp_ref, tab.jmask)
+    new = kern.sweep(r_cols, metric.astype(tab.dtype), None, reverse=True)
+    ref = gather_sweep(gt, r_cols, metric.copy(), None, reverse=True)
+    assert np.array_equal(_absolute(kern, new), ref)
 
 
 def test_pair_form_sweep_matches_the_gather_reference():
-    # forward from keys of any metric and origin, with and without backpointers, and
-    # backward from metric-only keys: end keys equal bit for bit, and so do the edge
-    # ranks j in the backpointers' low bits (the traceback reads no other bits)
     for rng, tr, kern, gt in _gather_cases():
-        tab, S = kern.tab, tr.S
         for C in (1, 2, int(rng.integers(3, 70))):
-            r_cols = rng.integers(0, 1 << tr.n, (tr.ell, C))
-            metric = rng.integers(0, tr.N + 2, (S, C)) << tab.sh
-            for P0, bp_dtype in ((metric | np.arange(S)[:, None], tab.bp_dtype),
-                                 (np.zeros((S, C), np.int64), None)):
-                P0 = P0.astype(tab.dtype)
-                bps = [np.zeros((tr.ell, S, C), bp_dtype) if bp_dtype else None for _ in "ab"]
-                new = kern.sweep(r_cols, P0.copy(), bps[0])
-                old = gather_sweep(gt, r_cols, P0.copy(), bps[1])
-                assert new.dtype == old.dtype and np.array_equal(new, old)
-                assert bp_dtype is None or np.array_equal(*(b & tab.jmask for b in bps))
-            P0 = metric.astype(tab.dtype)
-            new = kern.sweep(r_cols, P0.copy(), None, reverse=True)
-            assert np.array_equal(new, gather_sweep(gt, r_cols, P0.copy(), None, reverse=True))
+            _check_sweeps(rng, tr, kern, gt, C)
 
 
 def test_every_decoder_sweep_matches_the_gather_reference(monkeypatch, kernel_calls):
@@ -483,11 +514,13 @@ def test_every_decoder_sweep_matches_the_gather_reference(monkeypatch, kernel_ca
     sweep = wava._Kernel.sweep
 
     def checked(kern, r_cols, P, bp, reverse=False):
-        P0, bp_ref = P.copy(), None if bp is None else np.zeros_like(bp)
+        P0 = P.astype(np.int64)
+        bp_ref = None if bp is None else np.zeros((bp.shape[0], P.shape[0], bp.shape[2]), np.int64)
         out = sweep(kern, r_cols, P, bp, reverse)
-        ref = gather_sweep(GatherTables(kern.trellis, kern.tab), r_cols, P0, bp_ref, reverse)
-        jmask = kern.tab.jmask
-        assert np.array_equal(out, ref) and (bp is None or np.array_equal(bp & jmask, bp_ref & jmask))
+        ref = gather_sweep(_wide(kern), r_cols, P0, bp_ref, reverse)
+        assert np.array_equal(_absolute(kern, out), ref)
+        if bp is not None:
+            _assert_pair_bp(bp, bp_ref, kern.tab.jmask)
         return out
 
     monkeypatch.setattr(wava._Kernel, "sweep", checked)
@@ -505,15 +538,20 @@ def test_pair_form_tables_follow_the_section_edge_order():
     # forward: the rank-j in-edge of state x (j = 2a + h) comes from the state of top
     # bit h in pair pick[a, x] under input 2c_a + ((x ^ bu[2c_a]) & 1), as SectionView
     # lists it (input, then source); backward: the two out-edges of s in class a reach
-    # the pair {2i', 2i' + 1}, i' = pick[a, s], with output out[a, s]
+    # the pair {2i', 2i' + 1}, i' = pick[a, s], with output out[a, s]; traceback: the
+    # rank-j in-edges of targets 2X and 2X + 1 share source and output, their inputs
+    # differ in the register bit, and the pair's table row is the even target's
     for _, tr, kern, _ in _gather_cases():
         tab, S, n = kern.tab, tr.S, tr.n
         half, x = S >> 1, np.arange(S)
         for t, view in enumerate(tr.sections):
             (lut_rows, pick), (out, succ) = tab.fwd[tab.order[t]], tab.bwd[tab.order[t]]
             assert len(lut_rows) == len(out) == view.out_degree // 2
-            assert np.array_equal(tab.edges[t], (view.in_src << (tr.k + n))
-                                  | (view.in_u << n) | view.in_out)
+            assert np.array_equal(view.in_src[0::2], view.in_src[1::2])
+            assert np.array_equal(view.in_out[0::2], view.in_out[1::2])
+            assert np.array_equal(view.in_u[0::2] ^ 1, view.in_u[1::2])
+            assert np.array_equal(tab.edges[t], ((view.in_src << (tr.k + n))
+                                                 | (view.in_u << n) | view.in_out)[0::2])
             for a, c2 in enumerate(view.inputs[0::2]):
                 bu = tr.next_state[0, c2]
                 for h in (0, 1):
@@ -526,3 +564,117 @@ def test_pair_form_tables_follow_the_section_edge_order():
                 targets = np.sort(tr.next_state[:, [c2, c2 + 1]], axis=1)
                 assert np.array_equal(targets, 2 * succ[a][:, None] + [0, 1])
                 assert np.array_equal(out[a], tr.out_int[:, c2])
+
+
+def _renorm_cases(rng, count, quantizer=False):
+    """(trellis, kernel): random frozen codes, m 2-6 and k 1-3 (quantizer: unfrozen, m 4-6
+    and k = n = 3, rate one, where uniform words reach the exact fallback), whose ell is at
+    least three renormalisation intervals, so that every sweep renormalises three times."""
+    for i in range(count):
+        if quantizer:
+            m, k, n = 4 + i % 3, 3, 3
+        else:
+            m, k, n = 2 + i % 5, 1 + i % 3, int(rng.integers(6, 9))
+        every = wava._Kernel(build_trellis(random_code(rng, m, k, n, ell=m))).tab.every
+        code = random_code(rng, m=m, k=k, n=n, ell=3 * every + int(rng.integers(0, m + 1)),
+                           freeze_prob=0 if quantizer else 0.4)
+        tr = build_trellis(code)
+        kern = wava._Kernel(tr)
+        assert kern.tab.every == every and tr.ell >= 3 * every
+        yield tr, kern
+
+
+def test_renormalising_sweeps_match_the_int64_reference():
+    # forward with backpointers, backward and constrained sweeps that subtract each
+    # column's least metric every `every` sections leave the int64 oracle's keys
+    rng = np.random.default_rng(15)
+    for tr, kern in _renorm_cases(rng, 15):
+        gt, tab, S = _wide(kern), kern.tab, tr.S
+        for C in (1, int(rng.integers(3, 40))):
+            _check_sweeps(rng, tr, kern, gt, C)
+            assert kern.offset.min() > 0        # the last sweep did renormalise
+            # constrained: the kernel starts the other states at m*n + 1, the oracle at N + 1
+            r_ints = rng.integers(0, 1 << tr.n, (C, tr.ell)).astype(np.uint8)
+            starts, cols = rng.integers(0, S, C), np.arange(C)
+            P0 = np.full((S, C), (tr.N + 1) << tab.sh, np.int64)
+            P0[starts, cols] = 0
+            ref = gather_sweep(gt, np.ascontiguousarray(r_ints.T), P0, None)
+            assert np.array_equal(kern.constrained(r_ints, cols, starts),
+                                  ref[starts, cols] >> tab.sh)
+
+
+def _oracle_steps(gt, r_cols, P, reverse=False):
+    """The int64 oracle's keys P after each section of a sweep, one section at a time."""
+    sections = gt.reverse if reverse else gt.sections
+    step = copy.copy(gt)
+    for t, blocks in enumerate(r_cols[::-1] if reverse else r_cols):
+        setattr(step, "reverse" if reverse else "sections", sections[t:t + 1])
+        yield gather_sweep(step, blocks[None], P, None, reverse)
+
+
+def test_survivor_metrics_span_at_most_m_n_from_section_m():
+    # every state reaches every state in m sections (the register input is never frozen),
+    # so from section m on a column's survivor metrics lie within m*n of each other,
+    # whatever the start metrics: the argument behind the narrow keys
+    rng = np.random.default_rng(16)
+    cases = [(tr, kern, gt) for _, tr, kern, gt in _gather_cases()]
+    cases += [(tr, kern, _wide(kern)) for tr, kern in _renorm_cases(rng, 5)]
+    for tr, kern, gt in cases:
+        tab, S, C, m = kern.tab, tr.S, 8, kern.tab.ob
+        r_cols = rng.integers(0, 1 << tr.n, (tr.ell, C))
+        starts = rng.integers(0, 4 * tr.N + 2, (S, C)) << tab.sh
+        for P, reverse in ((starts | np.arange(S)[:, None], False), (starts.copy(), True)):
+            for t, keys in enumerate(_oracle_steps(gt, r_cols, P, reverse), 1):
+                metric = keys >> tab.sh
+                if t >= m:
+                    assert (metric.max(axis=0) - metric.min(axis=0)).max() <= m * tr.n
+
+
+@pytest.fixture
+def start_metrics(monkeypatch):
+    """Check that every sweep starts with metrics in [0, m*n + 1], and record its kind (a
+    decode sweeps forward with backpointers, and without them only the exact fallback's
+    constrained distances)."""
+    kinds, sweep = [], wava._Kernel.sweep
+
+    def spy(kern, r_cols, P, bp, reverse=False):
+        metric = P.astype(np.int64) >> kern.tab.sh
+        assert 0 <= metric.min() and metric.max() <= kern.tab.ob * kern.trellis.n + 1
+        kinds.append("backward" if reverse else "forward" if bp is not None else "constrained")
+        return sweep(kern, r_cols, P, bp, reverse)
+
+    monkeypatch.setattr(wava._Kernel, "sweep", spy)
+    return kinds
+
+
+def test_renormalising_decodes_match_the_reference(monkeypatch, start_metrics):
+    rng = np.random.default_rng(17)
+    budget = wava._BUDGET_BYTES
+    cases = [*_renorm_cases(rng, 10), *_renorm_cases(rng, 4, quantizer=True)]
+    for i, (tr, kern) in enumerate(cases):
+        # every other code in blocks of a few columns
+        monkeypatch.setattr(wava, "_BUDGET_BYTES", 4 * tr.ell * tr.S if i % 2 else budget)
+        if i % 2:
+            assert wava._Kernel(tr).columns() < 8
+        _assert_same_as_reference(tr, _oracle_words(rng, tr.code, 16), 1 + i % 4)
+    assert {"forward", "backward", "constrained"} <= set(start_metrics)
+
+
+def test_key_widths():
+    # uint16 keys where the metric field holds m*n + 1 + n*every for some every >= m
+    # (the perfbench codes: code_m8 renormalises 3 times a sweep, pair_m6 never in 32
+    # sections), int32 for the paper-geometry m=8, k=3 quantizer; at the default budget
+    # a column block holds the per-pair backpointers and keys of this many words
+    inputs = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+    pair = pair_from_dict(json.loads((inputs / "pair_m6.json").read_text()))
+    codes = {"code_m8": code_from_dict(json.loads((inputs / "code_m8.json").read_text())),
+             "pair_m6_quantizer": pair.vq_code, "pair_m6_fec": pair.fec_code,
+             "m8_k3": random_code(np.random.default_rng(18), m=8, k=3, n=3, ell=128)}
+    expect = {"code_m8": (np.uint16, 9, 34, 228), "pair_m6_quantizer": (np.uint16, 9, 36, 1149),
+              "pair_m6_fec": (np.uint16, 7, 164, None), "m8_k3": (np.int32, 11, None, None)}
+    for name, (dtype, sh, every, columns) in expect.items():
+        kern = wava._Kernel(build_trellis(codes[name]))
+        assert (kern.tab.dtype, kern.tab.sh) == (dtype, sh), name
+        assert every is None or kern.tab.every == every, name
+        assert kern.tab.every >= kern.trellis.ell or dtype == np.uint16, name
+        assert columns is None or kern.columns() == columns, name

@@ -30,7 +30,7 @@ def exhaustive_constrained(kern, r_ints, idx, best_u, best_out, best_dist):
     step = kern.columns()
     for lo in range(0, len(rows), step):
         blk = rows[lo:lo + step]
-        bp = np.empty((ell, S, len(blk)), dtype=kern.tab.bp_dtype)
+        bp = np.empty((ell, S // 2, len(blk)), dtype=kern.tab.bp_dtype)
         kern.constrained(r_ints, idx[blk], win_state[blk], bp)
         start, best_u[idx[blk]], best_out[idx[blk]] = kern.traceback(
             bp, win_state[blk], np.arange(len(blk)))
