@@ -76,16 +76,21 @@ class TailbitingTrellis:
         # forward tables over the full input alphabet
         self.next_state, self.out_int = spec.transitions
 
-        views: dict[tuple[int, ...], SectionView] = {}
-        self.sections: list[SectionView] = []
+        # the distinct sections once, in order of first use, and per section t
+        # the index of its view: sections[t] is views[order[t]]
+        index: dict[tuple[int, ...], int] = {}
+        self.views: list[SectionView] = []
+        self.order: list[int] = []
         for t in range(self.ell):
             adm = tuple(
                 u for u in range(1 << spec.k)
                 if all((u >> i) & 1 == 0 for i in code.schedule.frozen[t])
             )
-            if adm not in views:
-                views[adm] = self._build_view(np.array(adm, dtype=np.int64))
-            self.sections.append(views[adm])
+            if adm not in index:
+                index[adm] = len(self.views)
+                self.views.append(self._build_view(np.array(adm, dtype=np.int64)))
+            self.order.append(index[adm])
+        self.sections = [self.views[o] for o in self.order]
 
     def _build_view(self, inputs: np.ndarray) -> SectionView:
         S, A = self.S, len(inputs)
@@ -166,7 +171,7 @@ def _gathers(view: SectionView, S: int, L: int) -> tuple[list[np.ndarray], int]:
 
 
 def _closed_paths(
-    trellis: TailbitingTrellis, gathers: dict, starts: np.ndarray, L: int
+    trellis: TailbitingTrellis, gathers: list, starts: np.ndarray, L: int
 ) -> np.ndarray:
     """Closed-path counts by output weight (< L) summed over a block of starts.
 
@@ -183,8 +188,9 @@ def _closed_paths(
     P = np.zeros_like(T)
     P[starts, np.arange(g)] = 1
     live, bound = 1, 1
-    for section in trellis.sections:
-        A = section.out_degree
+    for o in trellis.order:
+        rows, max_w = gathers[o]
+        A = len(rows)  # one gather per edge rank
         limit = _INT_LIMITS.get(P.dtype)
         if limit is not None and bound * A > limit:
             bound = int(P[: live * S].max())
@@ -193,7 +199,6 @@ def _closed_paths(
                 P = P.astype(_WIDER[P.dtype])
                 Q, T = np.zeros_like(P), np.empty_like(P)
         bound *= A
-        rows, max_w = gathers[id(section)]
         live = min(L, live + max_w)
         n = live * S
         np.take(P, rows[0][:n], axis=0, out=Q[:n], mode="clip")
@@ -219,8 +224,7 @@ def weight_enumerator(code: TailbitingCode, d_max: int | None = None) -> WeightS
     if d_max > code.N:
         raise ValueError(f"d_max={d_max} exceeds block length N={code.N}")
     S, L = trellis.S, d_max + 1
-    views = {id(v): v for v in trellis.sections}
-    gathers = {key: _gathers(v, S, L) for key, v in views.items()}
+    gathers = [_gathers(v, S, L) for v in trellis.views]
     G = max(1, min(S, _BUDGET_BYTES // (3 * 8 * (S * L + 1))))
     coeffs: dict[int, int] = {}
     for lo in range(0, S, G):

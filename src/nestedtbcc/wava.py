@@ -130,7 +130,7 @@ class _Tables:
 
     def __init__(self, trellis: TailbitingTrellis):
         S, n = trellis.S, trellis.n
-        self.A = A = max(v.out_degree for v in trellis.sections)
+        self.A = A = max(v.out_degree for v in trellis.views)
         m = self.ob = S.bit_length() - 1             # origin field: m bits
         self.sh = self.ob + (A - 1).bit_length()     # metric field starts here
         self.jmask = (1 << (self.sh - self.ob)) - 1
@@ -162,11 +162,9 @@ class _Tables:
         bu, du, so = trellis.next_state[0], trellis.out_int[0], trellis.out_int[:, 0]
         s, half = np.arange(S), S >> 1
         h, i = np.divmod(s, half)
-        views = {id(v): v for v in trellis.sections}            # the distinct sections
-        index = {key: t for t, key in enumerate(views)}
-        self.order = [index[id(v)] for v in trellis.sections]    # distinct tables of section t
+        self.order = trellis.order                               # distinct tables of section t
         self.fwd, self.bwd, edges = [], [], []
-        for view in views.values():
+        for view in trellis.views:
             a, c2 = np.arange(view.out_degree // 2)[:, None], view.inputs[0::2, None]
             out = so ^ du[c2]
             self.fwd.append((((2 * a + h) << n) | out, a * half + ((s ^ bu[c2]) >> 1)))

@@ -1,4 +1,4 @@
-"""The bench scripts import, and bench_wava_stop's kernel-call counter runs.
+"""The bench scripts import, and bench_wava's kernel-call counter and layer timer run.
 
 The scripts patch private names of the package (``wava._Kernel`` methods,
 ``wava._two_phase_search``), so a rename fails here rather than in the next
@@ -19,7 +19,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def _load(monkeypatch, path: Path):
-    # the scripts put scripts/, src/ and tests/ on sys.path and, through _bench,
+    # the scripts put scripts/, src/, tests/ and perfbench/ on sys.path and, through _bench,
     # pin the BLAS threads in os.environ when imported; monkeypatch undoes both
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
@@ -37,12 +37,12 @@ def test_bench_script_imports(monkeypatch, path):
 
 
 def test_wava_stop_counts_kernel_calls(monkeypatch):
-    bench = _load(monkeypatch, SCRIPTS / "bench_wava_stop.py")
-    code = bench._m8_code()
-    words = bench._fec_m8_words(code)[0][:16]
+    bench = _load(monkeypatch, SCRIPTS / "bench_wava.py")
+    code, _ = bench.load_inputs()
+    words = bench.m8_words(code)[0][:16]
     trellis = build_trellis(code)
     saved = wava._Kernel.sweep, wava._Kernel.constrained, wava._Kernel.traceback
-    (res,), (calls,) = bench.kernel_calls(trellis, [words])
+    (res,), (calls,) = bench.count_calls(trellis, [words])
     assert (wava._Kernel.sweep, wava._Kernel.constrained, wava._Kernel.traceback) == saved
     plain = wava.wava_decode_many(trellis, words)
     for field in ("msg_bits", "distance", "iterations", "converged", "fallback"):
@@ -57,17 +57,18 @@ def test_wava_stop_counts_kernel_calls(monkeypatch):
 
 
 def test_wava_sweep_times_every_layer(monkeypatch):
-    bench = _load(monkeypatch, SCRIPTS / "bench_wava_sweep.py")
-    codes = bench.codes()
-    assert set(codes) == {"code_m8", "pair_m6_quantizer", "pair_m6_fec"}
-    point = bench.time_layers(codes["pair_m6_quantizer"], columns=3, runs=1, reps=1)
-    assert (point["S"], point["ell"], point["columns"]) == (64, 32, 3)
+    bench = _load(monkeypatch, SCRIPTS / "bench_wava.py")
+    monkeypatch.setattr(bench, "RUNS", 1)
+    _, pair = bench.load_inputs()
+    trellis = build_trellis(pair.vq_code)
+    layers = bench.time_layers(trellis)
+    assert (trellis.S, trellis.ell) == (64, 32)
     # the criterion-9 quantizer keeps uint16 keys and never renormalises in 32 sections
-    kern = wava._Kernel(build_trellis(codes["pair_m6_quantizer"]))
-    assert (point["key_dtype"], point["renorm_every"]) == ("uint16", 36)
-    assert point["block_columns"] == kern.columns() > 3
+    assert (layers["key_dtype"], layers["renorm_every"]) == ("uint16", 36)
+    assert layers["block_columns"] == wava._Kernel(trellis).columns() > 3
     for layer, per in (("forward", "ns_per_section_state_column"),
                        ("backward", "ns_per_section_state_column"),
                        ("constrained", "ns_per_section_state_column"),
                        ("traceback", "ns_per_section_column")):
-        assert len(point[layer]["runs_ms"]) == 1 and point[layer][per] > 0
+        ms = layers[layer]["ms"]
+        assert len(ms["runs"]) == 1 and ms["iqr_over_median"] == 0 and layers[layer][per] > 0

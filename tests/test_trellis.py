@@ -49,6 +49,9 @@ def test_frozen_section_halves_out_degree():
     tr = build_trellis(TailbitingCode(spec, FreezingSchedule(4, frozen)))
     assert tr.sections[0].out_degree == 4
     assert tr.sections[1].out_degree == 2
+    # the two distinct sections are listed once, in order of first use
+    assert tr.order == [0, 1, 0, 0] and len(tr.views) == 2
+    assert all(tr.sections[t] is tr.views[o] for t, o in enumerate(tr.order))
 
 
 def test_paths_biject_with_messages():

@@ -22,6 +22,7 @@ from wava_fallback_reference import CountingKernel, exhaustive_constrained
 from wava_gather_reference import GatherTables, gather_sweep
 import wava_reference
 from wava_reference import reference_decode_many
+from wava_spy import kernel_spies
 
 
 def test_codeword_is_fixed_point(repetition_toy):
@@ -249,31 +250,11 @@ def test_fallback_flag_marks_the_rows_of_the_exact_search(fallback_rows):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Record every kernel sweep as (kind, columns), kind forward, backward or constrained
-    (a sweep of `_Kernel.constrained`), and every traceback as ("traceback", columns)."""
-    calls, inside = [], []
-    sweep, constrained, traceback = (wava._Kernel.sweep, wava._Kernel.constrained,
-                                     wava._Kernel.traceback)
-
-    def spy_sweep(kern, r_cols, P, bp, reverse=False):
-        kind = "constrained" if inside else "backward" if reverse else "forward"
-        calls.append((kind, P.shape[1]))
-        return sweep(kern, r_cols, P, bp, reverse)
-
-    def spy_constrained(kern, *args):
-        inside.append(True)
-        try:
-            return constrained(kern, *args)
-        finally:
-            inside.pop()
-
-    def spy_traceback(kern, bp, s, cols):
-        calls.append(("traceback", len(cols)))
-        return traceback(kern, bp, s, cols)
-
-    monkeypatch.setattr(wava._Kernel, "sweep", spy_sweep)
-    monkeypatch.setattr(wava._Kernel, "constrained", spy_constrained)
-    monkeypatch.setattr(wava._Kernel, "traceback", spy_traceback)
+    """Every kernel sweep and traceback of the test, as `wava_spy.kernel_spies` records
+    them."""
+    calls, spies = kernel_spies()
+    for name, spy in spies.items():
+        monkeypatch.setattr(wava._Kernel, name, spy)
     return calls
 
 
@@ -305,9 +286,10 @@ def test_small_byte_budget_gives_identical_results(monkeypatch, kernel_calls):
 
 
 def test_follow_up_sweeps_run_once_per_call(monkeypatch, kernel_calls):
-    # a budget under which one row group spans several column blocks: the backward
-    # sweeps and the sweeps at v >= 2 pool the open rows of every block
-    monkeypatch.setattr(wava, "_BUDGET_BYTES", 17_400)
+    # one row group spans three column blocks: the backward sweeps and the sweeps at
+    # v >= 2 pool the open rows of every block
+    monkeypatch.setattr(wava._Kernel, "columns", lambda kern: 9)
+    monkeypatch.setattr(wava._Kernel, "group_rows", lambda kern: 27)
     rng = np.random.default_rng(12)
     code = random_code(rng, m=4, k=1, n=3, ell=32)
     tr = build_trellis(code)
