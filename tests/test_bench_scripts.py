@@ -1,4 +1,5 @@
-"""The bench scripts import, and bench_wava's kernel-call counter and layer timer run.
+"""The bench scripts import, the merged WAVA bench keeps the part of each
+retired WAVA script, and bench_wava's kernel-call counter and layer timer run.
 
 The scripts patch private names of the package (``wava._Kernel`` methods,
 ``wava._two_phase_search``), so a rename fails here rather than in the next
@@ -31,9 +32,19 @@ def _load(monkeypatch, path: Path):
     return module
 
 
-@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("bench_*.py")), ids=lambda p: p.stem)
-def test_bench_script_imports(monkeypatch, path):
-    assert callable(_load(monkeypatch, path).main)
+# the parts of bench_wava.py that took over each retired WAVA bench script
+RETIRED = {"bench_wava_stop": ("bench_code", "count_calls"),
+           "bench_wava_sweep": ("time_layers",),
+           "bench_wava_fallback": ("bench_pair_m6", "bench_m8_k3", "fallback")}
+CASES = ([(p.stem, p, ("main",)) for p in sorted(SCRIPTS.glob("bench_*.py"))]
+         + [(name, SCRIPTS / "bench_wava.py", ("main", *parts)) for name, parts in RETIRED.items()])
+
+
+@pytest.mark.parametrize("path,names", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_bench_script_imports(monkeypatch, path, names):
+    module = _load(monkeypatch, path)
+    for name in names:
+        assert callable(getattr(module, name)), name
 
 
 def test_wava_stop_counts_kernel_calls(monkeypatch):
