@@ -1,9 +1,12 @@
-"""What the bench scripts share: one BLAS thread, the machine header, the JSON write.
+"""What the bench scripts share: one BLAS thread, the timer, the machine header,
+the JSON write.
 
 Import this module before numpy: importing it pins the BLAS libraries to one
-thread.  ``write_report`` writes a ``BENCH_<topic>.json`` that opens with the
-command, machine, core count, versions and run count, followed by the
-script's own fields.
+thread.  ``median_of_runs`` records a measurement's median, every run and
+(q3 - q1) / median, the spread a change must exceed to be seen.
+``write_report`` writes a ``BENCH_<topic>.json`` that opens with the command,
+machine, core count, versions and run count, followed by the script's own
+fields.
 """
 
 from __future__ import annotations
@@ -15,7 +18,30 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import json  # noqa: E402
 import platform  # noqa: E402
+import time  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+
+def median_of_runs(run, runs: int) -> dict:
+    """Per name of the measurements dict that run() returns, over runs calls: the
+    median, every run and (q3 - q1) / median."""
+    import numpy
+
+    results = [run() for _ in range(runs)]
+    out = {}
+    for name in results[0]:
+        values = [r[name] for r in results]
+        q1, median, q3 = (float(q) for q in numpy.percentile(values, [25, 50, 75]))
+        out[name] = {"median": median, "runs": values, "iqr_over_median": (q3 - q1) / median}
+    return out
+
+
+def seconds(call, reps: int = 1) -> float:
+    """The mean wall seconds of reps calls of call()."""
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        call()
+    return (time.perf_counter() - t0) / reps
 
 
 def machine() -> str:

@@ -2,8 +2,9 @@
 
     python3 scripts/bench_search_fec.py [--out BENCH_search_fec.json]
 
-Two points, each timed as the median of ``RUNS`` runs of both searches,
-run back to back in one process with one BLAS thread:
+Two points, each timed in ``RUNS`` runs of both searches, run back to back
+in one process with one BLAS thread, and recorded as the median, every run
+and (q3 - q1) / median:
 
 - ``criterion-9``: the acceptance design's search (n=3, m=6, K_fec=32,
   target_pb=1e-3, w_max=500, seed 2024);
@@ -26,8 +27,6 @@ sys.path[:0] = [str(ROOT / "scripts"), str(ROOT / "src"), str(ROOT / "tests")]
 import _bench  # noqa: E402  (first: it pins BLAS to one thread)
 import argparse  # noqa: E402
 import math  # noqa: E402
-import statistics  # noqa: E402
-import time  # noqa: E402
 
 from nestedtbcc.design import search_fec  # noqa: E402
 from search_fec_reference import reference_search_fec  # noqa: E402
@@ -40,13 +39,6 @@ POINTS = {
 }
 
 
-def _time(search, cfgs) -> float:
-    t0 = time.perf_counter()
-    for cfg in cfgs:
-        search(**cfg)
-    return (time.perf_counter() - t0) / len(cfgs)
-
-
 def bench_point(cfgs: list[dict]) -> dict:
     counts = {"pruned": 0, "skipped": 0, "scored": 0}
     for cfg in cfgs:
@@ -57,20 +49,19 @@ def bench_point(cfgs: list[dict]) -> dict:
         counts["pruned"] += res.pruned
         counts["skipped"] += res.skipped
         counts["scored"] += sum(p is not None and p != -math.inf for _, p in res.candidate_log)
-    pruned_s, reference_s = [], []
-    for _ in range(RUNS):
-        pruned_s.append(_time(search_fec, cfgs))
-        reference_s.append(_time(reference_search_fec, cfgs))
+    searches = {"pruned": search_fec, "reference": reference_search_fec}
+    times = _bench.median_of_runs(lambda: {
+        f"{name}_s_per_search": _bench.seconds(lambda: [search(**cfg) for cfg in cfgs]) / len(cfgs)
+        for name, search in searches.items()}, RUNS)
     params = {k: v for k, v in cfgs[0].items() if k != "seed"}
     return {
         "params": {**params, "truncation": res.spectrum.d_max},
         "seeds": [list(c["seed"]) if isinstance(c["seed"], tuple) else c["seed"] for c in cfgs],
         "searches": len(cfgs),
         "candidates": counts,
-        "pruned_s_per_search": {"median": statistics.median(pruned_s), "runs": pruned_s},
-        "reference_s_per_search": {"median": statistics.median(reference_s),
-                                   "runs": reference_s},
-        "speedup": statistics.median(reference_s) / statistics.median(pruned_s),
+        **times,
+        "speedup": (times["reference_s_per_search"]["median"]
+                    / times["pruned_s_per_search"]["median"]),
     }
 
 

@@ -84,26 +84,6 @@ SEARCHES = {"two_phase": wava._two_phase_search,
                 exhaustive_constrained(kern, r_ints, idx, *best)}
 
 
-def median_of_runs(run) -> dict:
-    """Per name of the measurements dict that run() returns, over RUNS calls: the
-    median, every run and (q3 - q1) / median."""
-    runs = [run() for _ in range(RUNS)]
-    out = {}
-    for name in runs[0]:
-        values = [r[name] for r in runs]
-        q1, median, q3 = (float(q) for q in np.percentile(values, [25, 50, 75]))
-        out[name] = {"median": median, "runs": values, "iqr_over_median": (q3 - q1) / median}
-    return out
-
-
-def seconds(call, reps: int = 1) -> float:
-    """The mean wall seconds of reps calls of call()."""
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        call()
-    return (time.perf_counter() - t0) / reps
-
-
 def fallback(search):
     """A context in which wava's exact fallback is search."""
     return mock.patch.object(wava, "_two_phase_search", search)
@@ -184,7 +164,7 @@ def time_layers(trellis) -> dict:
            "block_columns": C}
     for name, call in calls.items():
         call()                                          # buffers allocated before timing
-        out[name] = median_of_runs(lambda: {"ms": 1e3 * seconds(call, REPS)})
+        out[name] = _bench.median_of_runs(lambda: {"ms": 1e3 * _bench.seconds(call, REPS)}, RUNS)
         per, count = (("ns_per_section_column", ell * C) if name == "traceback"
                       else ("ns_per_section_state_column", ell * S * C))
         out[name][per] = out[name]["ms"]["median"] * 1e6 / count
@@ -200,8 +180,8 @@ def bench_code(code, batches: list[np.ndarray]) -> dict:
     words, backward = len(iters), sum(c["backward_words"] for c in calls) / len(iters)
     spec = code.spec
     est = complexity_estimates(code.N, spec.n, trellis.k, spec.m, V)
-    out = median_of_runs(lambda: {"words_per_s": words / seconds(
-        lambda: [wava_decode_many(trellis, r) for r in batches])})
+    out = _bench.median_of_runs(lambda: {"words_per_s": words / _bench.seconds(
+        lambda: [wava_decode_many(trellis, r) for r in batches])}, RUNS)
     ns_word = 1e9 / out["words_per_s"]["median"]
     return {
         "params": {"m": spec.m, "k": trellis.k, "n": spec.n, "N": code.N, "K": code.K,
@@ -250,8 +230,9 @@ def bench_pair_m6(trellis) -> dict:
            "fallback_rows_per_call": sum(len(c[1]) for c in calls) / len(calls)}
     for name, search in SEARCHES.items():
         out[name] = {"columns_swept_per_call": sum(r[1] for r in replays[name]) / len(calls),
-                     **median_of_runs(lambda: {"ms_per_call": 1e3 * sum(
-                         _replay(trellis, search, call)[0] for call in calls) / len(calls)})}
+                     **_bench.median_of_runs(lambda: {"ms_per_call": 1e3 * sum(
+                         _replay(trellis, search, call)[0] for call in calls) / len(calls)},
+                         RUNS)}
     out["speedup"] = (out["exhaustive"]["ms_per_call"]["median"]
                       / out["two_phase"]["ms_per_call"]["median"])
     return out
@@ -285,7 +266,7 @@ def bench_m8_k3() -> dict:
                 results[name] = [wava_decode_many(t, w) for t, w in cases]
                 total = time.perf_counter() - t0
             return {"words_per_s": M8_WORDS * len(cases) / total, "fallback_s": spent[0]}
-        out[name] = median_of_runs(run)
+        out[name] = _bench.median_of_runs(run, RUNS)
     _check_equal(*map(_arrays, results.values()), "decodes differ between the two searches")
     out["fallback_rows"] = int(sum(res.fallback.sum() for res in results["two_phase"]))
     out["speedup"] = (out["two_phase"]["words_per_s"]["median"]

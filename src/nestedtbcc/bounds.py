@@ -41,7 +41,7 @@ def binary_entropy(x: float) -> float:
 def star(p: float, x: float) -> float:
     """Binary convolution p*x = p(1-x) + (1-p)x."""
     if not 0.0 <= p <= 1.0 or not 0.0 <= x <= 1.0:
-        raise ValueError(f"probabilities out of range: {p}, {x}")
+        raise ValueError(f"p and x must be in [0, 1], got {p}, {x}")
     return p * (1.0 - x) + (1.0 - p) * x
 
 
@@ -110,7 +110,7 @@ def solve_crossover(spectrum: WeightSpectrum, target_pb: float) -> float:
     target, and the lower end of the bracket if the band is never hit.
     """
     if target_pb <= 0.0:
-        raise ValueError(f"target must be positive, got {target_pb}")
+        raise ValueError(f"target_pb must be positive, got {target_pb}")
     bound = _union_bound(spectrum)
     top = bound(0.5)
     if target_pb >= top * (1.0 - 1e-12):
@@ -226,7 +226,7 @@ def complexity_estimates(N: int, n: int, k: int, m: int, V: int) -> ComplexityEs
     subcode column.
     """
     if min(N, n, k, m, V) < 1:
-        raise ValueError("all complexity parameters must be positive")
+        raise ValueError(f"need N, n, k, m, V >= 1, got {N}, {n}, {k}, {m}, {V}")
     if k > n:
         raise ValueError(f"the trellis complexity model needs k <= n, got k={k} > n={n}")
     if N % n:

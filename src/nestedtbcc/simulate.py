@@ -66,7 +66,7 @@ class StopRule:
 
     def __post_init__(self) -> None:
         if self.max_trials < 1 or self.target_errors < 1:
-            raise ValueError("stopping rule needs positive trial and error targets")
+            raise ValueError("need max_trials >= 1 and target_errors >= 1")
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def simulate_fer(
     tie-breaking); an error is any decoded-message mismatch.
     """
     if not 0.0 <= p_c <= 1.0:
-        raise ValueError(f"crossover must be in [0, 1], got {p_c}")
+        raise ValueError(f"p_c must be in [0, 1], got {p_c}")
     key = seed_key(seed)
     trellis = build_trellis(code)
 
@@ -208,7 +208,7 @@ def simulate_end_to_end(
 ) -> TrialReport:
     """Key-mismatch rate of the full enroll/measure/reconstruct pipeline."""
     if not 0.0 <= p_A <= 1.0:
-        raise ValueError(f"crossover must be in [0, 1], got {p_A}")
+        raise ValueError(f"p_A must be in [0, 1], got {p_A}")
     key = seed_key(seed)
 
     def trial_fn(i: int, count: int) -> np.ndarray:
@@ -248,7 +248,7 @@ def calibrate_pc(
     target_errors or to a trial budget just large enough to certify a pass.
     """
     if not 0.0 < target_pb < 1.0:
-        raise ValueError(f"target must be in (0, 1), got {target_pb}")
+        raise ValueError(f"target_pb must be in (0, 1), got {target_pb}")
     key = seed_key(seed)
     log: list[dict] = []
     probe_stop = StopRule(

@@ -20,11 +20,12 @@ the min of each successor pair, then per class adds the branch metric.
 
 Keys are uint16 where the metric field holds m*n + 1 + n*every for a
 renormalisation interval every >= m, else int32 (the paper's m=8, k=3
-quantizer and the m=11 codes), else int64.  Narrow keys are exact because
-the register input is never frozen and shifts one bit into the state per
-section: every state reaches every state in exactly m sections, each adding
-at most n, so from section m on a column's survivor metrics span at most
-m*n.  Start metrics lie in [0, m*n + 1]: zero, the previous sweep's end
+quantizer and the m=11 codes); codes past int32 (from m=18, k=5, n=8) or
+past one-byte backpointers (k >= 9) are rejected.  Narrow keys are exact
+because the register input is never frozen and shifts one bit into the state
+per section: every state reaches every state in exactly m sections, each
+adding at most n, so from section m on a column's survivor metrics span at
+most m*n.  Start metrics lie in [0, m*n + 1]: zero, the previous sweep's end
 metrics minus their minimum (ell >= m), or the exact fallback's start, whose
 other states start at m*n + 1, which no path from the start state exceeds by
 section m, so no other start survives past it.  Every `every` sections each
@@ -53,21 +54,17 @@ larger batches run in several groups.  Every word's computation is the same
 in any order.
 
 Stop rule: a word stops after sweep v when its best candidate distance equals
-the certificate's bound, or when its best survivor is tailbiting and (end
-state, origin, block distance) of that survivor repeats the previous sweep's.
-The first test is an ML certificate.  The first sweep starts from zero
-metrics, so fwd[s], its end metric at s, is the distance of the best path of
-any start that ends at s; one backward sweep (below) gives h0[s], the best of
-any path that starts at s.  A tailbiting path s -> s is both, so its distance
-is at least LB[s] = max(fwd[s], h0[s]), and LB* = min_s LB[s] bounds every
-tailbiting codeword from below.  The bound is min fwd for the words whose
-candidate reaches it at sweep 1; only the others run the backward sweep, and
-their bound is LB* >= min fwd.  A candidate at the bound is ML, later sweeps
-replace a candidate only when strictly better, and the exact fallback cannot
-improve on it, so stopping there changes no message, codeword or distance,
-only the iteration count.  The second test can only fire from v=3 on: at v=1
-there is no previous tuple, and a v=2 tuple that repeats v=1's has the
-non-tailbiting origin of a v=1 best survivor (a tailbiting one is certified).
+the bound of an ML certificate, or after sweep V.  The first sweep starts from
+zero metrics, so fwd[s], its end metric at s, is the distance of the best path
+of any start that ends at s; one backward sweep (below) gives h0[s], the best
+of any path that starts at s.  A tailbiting path s -> s is both, so its
+distance is at least LB[s] = max(fwd[s], h0[s]), and LB* = min_s LB[s] bounds
+every tailbiting codeword from below.  The bound is min fwd for the words
+whose candidate reaches it at sweep 1; only the others run the backward sweep,
+and their bound is LB* >= min fwd.  A candidate at the bound is ML, later
+sweeps replace a candidate only when strictly better, and the exact fallback
+cannot improve on it, so stopping there changes no message, codeword or
+distance, only the iteration count.
 
 Determinism rules (all ties): incoming edges are ranked by input int (the
 input tuple read little-endian) then source state; tailbiting candidates by
@@ -113,8 +110,8 @@ class BatchDecodeResult:
         self.msg_bits = msg_bits        # uint8 [B, K]
         self.cw_bits = cw_bits          # uint8 [B, N]
         self.distance = distance        # int64 [B]
-        self.iterations = iterations    # int64 [B]: forward sweeps run; V where no stop test fired
-        self.converged = converged      # bool  [B]: a stop test fired, no fallback replacement
+        self.iterations = iterations    # int64 [B]: forward sweeps run, V where none certified
+        self.converged = converged      # bool  [B]: certified ML (no fallback replaces it)
         self.fallback = fallback        # bool  [B]: the row reached the exact search
 
 
@@ -131,6 +128,8 @@ class _Tables:
     def __init__(self, trellis: TailbitingTrellis):
         S, n = trellis.S, trellis.n
         self.A = A = max(v.out_degree for v in trellis.views)
+        if A > 1 << 8:
+            raise ValueError(f"{A} in-edges per state overflow one-byte WAVA backpointers (k <= 8)")
         m = self.ob = S.bit_length() - 1             # origin field: m bits
         self.sh = self.ob + (A - 1).bit_length()     # metric field starts here
         self.jmask = (1 << (self.sh - self.ob)) - 1
@@ -139,18 +138,18 @@ class _Tables:
         # fallback's unreachable start; renormalised end metrics span <= m*n, as the
         # free register input reaches every state in m sections), and the sections up
         # to the next renormalisation add <= n*every
-        for dtype in (np.uint16, np.int32, np.int64):
+        for dtype in (np.uint16, np.int32):
             room = int(np.iinfo(dtype).max) >> self.sh
             self.every = (room - (m * n + 1)) // n
             if self.every >= max(m, 1):
                 break
         else:
-            raise OverflowError(f"packed ACS key needs over 63 bits (metric from bit {self.sh})")
+            raise ValueError(f"WAVA keys need over 32 bits (metric bit {self.sh}, m={m}, n={n})")
         self.dtype = dtype
         self.unreachable = (m * n + 1) << self.sh
         self.clear = np.array(~(self.jmask << self.ob)).astype(dtype)[()]   # all bits but j
         self.metric_mask = np.array(-1 << self.sh).astype(dtype)[()]
-        self.bp_dtype = np.uint8 if self.jmask < 1 << 8 else np.uint16
+        self.bp_dtype = np.uint8
         j, o = np.divmod(np.arange(A << n), 1 << n)  # lut[j << n | o, r]: rank j, output o, block r
         bm = np.bitwise_count(o[:, None] ^ np.arange(1 << n)).astype(np.int64)
         self.lut = ((bm << self.sh) | (j[:, None] << self.ob)).astype(dtype)
@@ -201,7 +200,7 @@ class _Kernel:
         """Columns per block so that one block's temporaries fit the budget."""
         S, ell = self.trellis.S, self.trellis.ell
         per_col = self.tab.key_col_bytes + 8 * (ell + 9 * S)   # keys, blocks, [S, C] metrics, bound
-        per_col += ell * (S >> 1) * np.dtype(self.tab.bp_dtype).itemsize
+        per_col += ell * (S >> 1)                                # one-byte backpointers
         return max(1, _BUDGET_BYTES // per_col)
 
     def group_rows(self) -> int:
@@ -228,8 +227,8 @@ class _Kernel:
               reverse: bool = False) -> np.ndarray:
         """One Viterbi sweep of packed keys P [S, C] (row-major, updated in place) over blocks
         r_cols [ell, C], or over the reversed sections and blocks when reverse; bp[t] [S/2, C]
-        receives the edge rank j of each state pair {2X, 2X + 1} in its low bits (the bits
-        above are not read).  Start metrics lie in [0, m*n + 1]; the metric of a returned key
+        (uint8) receives the edge rank j of each state pair {2X, 2X + 1} in its low bits (the
+        bits above are not read).  Start metrics lie in [0, m*n + 1]; the metric of a returned key
         plus self.offset [C] (int64) of its column is the path's metric."""
         tab, C = self.tab, P.shape[1]
         if len(self.buf[0]) < tab.sizes[0] * C:   # buffers outlive the sweep; free old first
@@ -251,7 +250,7 @@ class _Kernel:
                          R, R.reshape(a * half, C), G))
         # one class: j = h of the pair's min, written as bool where bp has bytes; more
         # classes: targets 2X and 2X + 1 hold the same key, whose j the even one gives
-        bp_h = bp.view(bool) if bp is not None and bp.itemsize == 1 else bp
+        bp_h = None if bp is None else bp.view(bool)
         P_even = P[0::2]
         for t, o in enumerate(tab.order):
             lut_rows, pick, T, T_lo, T_hi, R, R_rows, G = plan[o]
@@ -373,8 +372,7 @@ def _forward(kern, r_ints, g, M, step, bp_buf, best_dist, best_u, best_out):
     """One forward sweep of the rows g from start metrics M [S, len(g)], in column blocks of
     step that share the backpointer buffer bp_buf: a block's tailbiting candidates that
     beat best_dist are traced back before the next block overwrites it.  Returns the end
-    metrics [S, len(g)] and, per row, whether its best survivor is tailbiting and that
-    survivor's (end state, origin, block distance)."""
+    metrics [S, len(g)]."""
     S, ell, tab = kern.trellis.S, kern.trellis.ell, kern.tab
     states, blocks = np.arange(S)[:, None], []
     for lo in range(0, len(g), step):
@@ -386,8 +384,7 @@ def _forward(kern, r_ints, g, M, step, bp_buf, best_dist, best_u, best_out):
         Mend = (end >> tab.sh) + kern.offset
         origin = (end & (S - 1)).astype(np.int64)
         blockdist = Mend - np.take_along_axis(M_blk, origin, axis=0)
-        tb = origin == states
-        cand_dist = np.where(tb, blockdist, _LARGE)
+        cand_dist = np.where(origin == states, blockdist, _LARGE)
         s_tb = cand_dist.argmin(axis=0)
         d_tb = cand_dist[s_tb, cols]
         upd = np.flatnonzero(d_tb < best_dist[rows])
@@ -396,13 +393,8 @@ def _forward(kern, r_ints, g, M, step, bp_buf, best_dist, best_u, best_out):
             if not np.array_equal(start, s_tb[upd]):
                 raise AssertionError("tailbiting candidate traceback mismatch")
             best_dist[rows[upd]] = d_tb[upd]
-        s_best = Mend.argmin(axis=0)
-        blocks.append((Mend, tb[s_best, cols],
-                       np.stack([s_best, origin[s_best, cols], blockdist[s_best, cols]], axis=1)))
-    if len(blocks) == 1:
-        return blocks[0]
-    Mend, tb_best, cur_tuple = zip(*blocks)
-    return np.concatenate(Mend, axis=1), np.concatenate(tb_best), np.concatenate(cur_tuple)
+        blocks.append(Mend)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
 def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
@@ -430,10 +422,8 @@ def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
     for lo in range(0, B, group):
         g = np.arange(lo, min(lo + group, B))          # rows still active
         M = np.zeros((S, len(g)), dtype=np.int64)
-        prev_tuple = np.full((len(g), 3), -1)
         for v in range(1, V + 1):
-            Mend, tb_best, cur_tuple = _forward(kern, r_ints, g, M, step, bp_buf,
-                                                best_dist, best_u, best_out)
+            Mend = _forward(kern, r_ints, g, M, step, bp_buf, best_dist, best_u, best_out)
             if v == 1:
                 # the certificate's bound (module docstring): the first sweep's minimum, then
                 # LB* for the rows that it leaves open, whose LB the exact fallback reuses
@@ -448,7 +438,6 @@ def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
                                                            Mend[:, blk])
                     bound[open_] = lb.min(axis=0)
             stop = best_dist[g] == bound                     # an ML candidate
-            stop |= tb_best & (cur_tuple == prev_tuple).all(axis=1)
             converged[g[stop]] = True
             iterations[g[stop]] = v
             keep = ~stop
@@ -456,18 +445,16 @@ def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
                 break
             # compress, not a mask index: masking columns would return column-major arrays
             Mend -= Mend.min(axis=0)
-            g, prev_tuple, bound = g[keep], cur_tuple[keep], bound[keep]
+            g, bound = g[keep], bound[keep]
             M = Mend.compress(keep, axis=1)
 
         # exact fallback: no candidate at all, or a perfect-match path was seen
         # on the first sweep but no candidate reached distance 0
         need[g1] = (best_dist[g1] >= _LARGE) | (perfect & (best_dist[g1] > 0))
         fb = np.flatnonzero(need[g1])
-        if len(fb):
-            improved = _two_phase_search(kern, r_ints, g1[fb], lb[:, fb],
-                                         bp_buf.reshape(ell, S >> 1, -1), best_u, best_out,
-                                         best_dist)
-            converged[g1[fb[improved]]] = False
+        if len(fb):   # it never replaces a certified candidate, so converged stands
+            _two_phase_search(kern, r_ints, g1[fb], lb[:, fb], bp_buf.reshape(ell, S >> 1, -1),
+                              best_u, best_out, best_dist)
 
     cw_bits = _ints_to_bits(best_out, trellis.n)
     dist = np.bitwise_count(best_out ^ r_ints).sum(axis=1, dtype=np.int64)

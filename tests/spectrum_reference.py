@@ -1,12 +1,13 @@
 """Reference weight enumerator: the state-major block propagation that the
-degree-major kernel in ``nestedtbcc.trellis`` replaced, kept unchanged as a
-test oracle.
+degree-major kernel in ``nestedtbcc.trellis`` replaced, kept as a test
+oracle.
 
 Partial-path counts are ``[S, G, L]`` (state, start, degree) tensors; each
 section adds the shifted counts of every edge rank with boolean-mask
 read-modify-writes grouped by branch weight, in int64 with a max-entry guard
-that reruns the block in object dtype on overflow.  The kernel must reproduce
-its spectra exactly.
+that reruns the block in object dtype on overflow; a block's closed counts
+are summed in object dtype, since entries below the guard can sum past int64.
+The kernel must reproduce its spectra exactly.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def reference_weight_enumerator(code, d_max: int | None = None) -> WeightSpectru
             P = _propagate_block(trellis, starts, L, np.int64)
         except _Overflow:
             P = _propagate_block(trellis, starts, L, object)
-        closed = P[starts, np.arange(len(starts)), :].sum(axis=0)
+        closed = P[starts, np.arange(len(starts)), :].astype(object).sum(axis=0)
         for d in range(L):
             v = int(closed[d])
             if v:

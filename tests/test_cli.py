@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import toy_pair_a
+from conftest import random_code, toy_pair_a
 from nestedtbcc import cli
 from nestedtbcc.bounds import solve_crossover
 from nestedtbcc.cli import main
@@ -340,6 +340,22 @@ def test_negative_truncation_exit_code(tmp_path, argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:") and "d_max" in proc.stderr
+
+
+def test_code_past_the_decoder_widths_exit_code(tmp_path):
+    # k = 9: 512 in-edges per state, whose edge ranks overflow one-byte backpointers
+    code_path = tmp_path / "code.json"
+    save_code(random_code(np.random.default_rng(19), m=1, k=9, n=9, ell=4), str(code_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestedtbcc.cli", "sim-distortion", "--code", str(code_path),
+         "--trials", "8", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "one-byte WAVA backpointers (k <= 8)" in lines[0]
 
 
 @pytest.mark.parametrize("kvq, wmax, message", [

@@ -136,6 +136,12 @@ def test_matches_reference_enumerator():
             got = weight_enumerator(code, d_max)
             assert got == reference_weight_enumerator(code, d_max), (m, k, d_max)
     assert frozen_sections >= 20
+    # every count fits int64, but one start block's closed counts sum past 2^63
+    spec = EncoderSpec.from_lists(3, 1, 2, [[]] * 3, [[0, 1, 0], [0, 0, 1]], [[]] * 2)
+    code = TailbitingCode.unfrozen(spec, 67)
+    got = weight_enumerator(code)
+    assert sum(got.coeffs.values()) == 2 ** code.K
+    assert got == reference_weight_enumerator(code)
 
 
 def _repetition(K):
