@@ -14,6 +14,8 @@ and (q3 - q1) / median:
 Before timing, every point checks that both searches return the same
 winner and crossover.  The JSON also records the pruned, skipped
 and scored candidate counts and the machine, core count and versions.
+``count_point`` computes the deterministic fields and times nothing, so that
+a test can recompute them and compare them with the committed JSON.
 """
 
 from __future__ import annotations
@@ -39,30 +41,35 @@ POINTS = {
 }
 
 
+def count_point(cfgs: list[dict]) -> tuple[dict, list]:
+    """The deterministic fields of bench_point (no timing), and the pruned searches'
+    results."""
+    results = [search_fec(**cfg) for cfg in cfgs]
+    counts = {"pruned": sum(res.pruned for res in results),
+              "skipped": sum(res.skipped for res in results),
+              "scored": sum(p is not None and p != -math.inf
+                            for res in results for _, p in res.candidate_log)}
+    params = {k: v for k, v in cfgs[0].items() if k != "seed"}
+    return {
+        "params": {**params, "truncation": results[-1].spectrum.d_max},
+        "seeds": [list(c["seed"]) if isinstance(c["seed"], tuple) else c["seed"] for c in cfgs],
+        "searches": len(cfgs),
+        "candidates": counts,
+    }, results
+
+
 def bench_point(cfgs: list[dict]) -> dict:
-    counts = {"pruned": 0, "skipped": 0, "scored": 0}
-    for cfg in cfgs:
-        res, ref = search_fec(**cfg), reference_search_fec(**cfg)
-        same = (res.code, res.p_c) == (ref.code, ref.p_c)
-        if not same:
+    out, results = count_point(cfgs)
+    for cfg, res in zip(cfgs, results):
+        ref = reference_search_fec(**cfg)
+        if (res.code, res.p_c) != (ref.code, ref.p_c):
             raise AssertionError(f"pruned search differs from the reference at {cfg}")
-        counts["pruned"] += res.pruned
-        counts["skipped"] += res.skipped
-        counts["scored"] += sum(p is not None and p != -math.inf for _, p in res.candidate_log)
     searches = {"pruned": search_fec, "reference": reference_search_fec}
     times = _bench.median_of_runs(lambda: {
         f"{name}_s_per_search": _bench.seconds(lambda: [search(**cfg) for cfg in cfgs]) / len(cfgs)
         for name, search in searches.items()}, RUNS)
-    params = {k: v for k, v in cfgs[0].items() if k != "seed"}
-    return {
-        "params": {**params, "truncation": res.spectrum.d_max},
-        "seeds": [list(c["seed"]) if isinstance(c["seed"], tuple) else c["seed"] for c in cfgs],
-        "searches": len(cfgs),
-        "candidates": counts,
-        **times,
-        "speedup": (times["reference_s_per_search"]["median"]
-                    / times["pruned_s_per_search"]["median"]),
-    }
+    return {**out, **times, "speedup": (times["reference_s_per_search"]["median"]
+                                        / times["pruned_s_per_search"]["median"])}
 
 
 def main(argv: list[str] | None = None) -> int:

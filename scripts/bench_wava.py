@@ -38,7 +38,9 @@ the seconds spent in the fallback.
 Every timing is ``RUNS`` runs in one process with one BLAS thread, recorded
 as its median, every run and (q3 - q1) / median, the spread a change must
 exceed to be seen.  The script raises if a spied decode differs from a plain
-one, or the two searches differ in any result.
+one, or the two searches differ in any result.  The deterministic fields come
+from ``count_code``, ``count_pair_m6`` and ``count_m8_k3``, which time nothing,
+so that a test can recompute them and compare them with the committed JSON.
 """
 
 from __future__ import annotations
@@ -105,6 +107,15 @@ def load_inputs() -> tuple[encoder.TailbitingCode, keyagree.NestedCodePair]:
             keyagree.pair_from_dict(load_input("pair_m6.json")))
 
 
+def code_cases() -> dict[str, tuple]:
+    """Per code of ``codes``, the code and its batches of words, one per seed."""
+    code_m8, pair = load_inputs()
+    xs, shifted = pair_words(pair)
+    return {"code_m8": (code_m8, m8_words(code_m8)),
+            "pair_m6_quantizer": (pair.vq_code, xs),
+            "pair_m6_fec": (pair.fec_code, shifted)}
+
+
 def m8_words(code) -> list[np.ndarray]:
     out = []
     for seed in SEEDS:
@@ -143,6 +154,12 @@ def count_calls(trellis, batches: list[np.ndarray]) -> tuple[list, list[dict]]:
     return results, counts
 
 
+def layer_params(kern) -> dict:
+    """The kernel's key dtype, renormalisation interval and block column count."""
+    return {"key_dtype": np.dtype(kern.tab.dtype).name, "renorm_every": kern.tab.every,
+            "block_columns": kern.columns()}
+
+
 def time_layers(trellis) -> dict:
     """The kernel's parameters and, per layer, the ms of one call on one column block
     and ns per element."""
@@ -153,15 +170,14 @@ def time_layers(trellis) -> dict:
     cols = np.arange(C)
     r_cols = kern.r_cols(r_ints, cols)
     start = np.broadcast_to(np.arange(S)[:, None], (S, C)).astype(kern.tab.dtype)  # 0 | origin
-    bp = np.empty((ell, S // 2, C), dtype=kern.tab.bp_dtype)     # one per state pair
+    bp = np.empty((ell, S // 2, C), dtype=np.uint8)     # one per state pair
     fwd = (kern.sweep(r_cols, start.copy(), bp) >> kern.tab.sh) + kern.offset
     ends, starts = fwd.argmin(axis=0), rng.integers(0, S, C)
     calls = {"forward": lambda: kern.sweep(r_cols, start.copy(), bp),
              "backward": lambda: kern.bound(r_cols, fwd),
              "constrained": lambda: kern.constrained(r_ints, cols, starts),
              "traceback": lambda: kern.traceback(bp, ends, cols)}
-    out = {"key_dtype": np.dtype(kern.tab.dtype).name, "renorm_every": kern.tab.every,
-           "block_columns": C}
+    out = layer_params(kern)
     for name, call in calls.items():
         call()                                          # buffers allocated before timing
         out[name] = _bench.median_of_runs(lambda: {"ms": 1e3 * _bench.seconds(call, REPS)}, RUNS)
@@ -171,22 +187,19 @@ def time_layers(trellis) -> dict:
     return out
 
 
-def bench_code(code, batches: list[np.ndarray]) -> dict:
+def count_code(code, batches: list[np.ndarray]) -> dict:
+    """The deterministic fields of bench_code: no timing."""
     trellis = build_trellis(code)
-    plain = [wava_decode_many(trellis, r) for r in batches]     # tables built before timing
+    plain = [wava_decode_many(trellis, r) for r in batches]
     results, calls = count_calls(trellis, batches)
     _check_equal(_arrays(results), _arrays(plain), "a spied decode differs from a plain one")
     iters = np.concatenate([res.iterations for res in results])
-    words, backward = len(iters), sum(c["backward_words"] for c in calls) / len(iters)
+    backward = sum(c["backward_words"] for c in calls) / len(iters)
     spec = code.spec
     est = complexity_estimates(code.N, spec.n, trellis.k, spec.m, V)
-    out = _bench.median_of_runs(lambda: {"words_per_s": words / _bench.seconds(
-        lambda: [wava_decode_many(trellis, r) for r in batches])}, RUNS)
-    ns_word = 1e9 / out["words_per_s"]["median"]
     return {
         "params": {"m": spec.m, "k": trellis.k, "n": spec.n, "N": code.N, "K": code.K,
                    "S": trellis.S, "ell": trellis.ell, "V": V, "words_per_seed": len(batches[0])},
-        **out,
         "iter_mean": float(iters.mean()),
         "backward_mean": backward,
         "sweeps_mean": float(iters.mean()) + backward,
@@ -195,22 +208,33 @@ def bench_code(code, batches: list[np.ndarray]) -> dict:
         "converged_share": float(np.concatenate([res.converged for res in results]).mean()),
         "fallback_share": float(np.concatenate([res.fallback for res in results]).mean()),
         "kappa": {"F": est.kappa_f, "P": est.kappa_p, "M": est.kappa_m, "kind": est.kind},
-        "ns_per_word": ns_word,
-        "ns_per_kappa": ns_word / est.kappa_min,
-        "layers": time_layers(trellis),
+        "layers": layer_params(wava._Kernel(trellis)),
     }
+
+
+def bench_code(code, batches: list[np.ndarray]) -> dict:
+    out = count_code(code, batches)           # decodes first: tables built before timing
+    trellis, words = build_trellis(code), sum(len(r) for r in batches)
+    out |= _bench.median_of_runs(lambda: {"words_per_s": words / _bench.seconds(
+        lambda: [wava_decode_many(trellis, r) for r in batches])}, RUNS)
+    ns_word, kappa = 1e9 / out["words_per_s"]["median"], out["kappa"]
+    out |= {"ns_per_word": ns_word, "ns_per_kappa": ns_word / kappa[kappa["kind"]],
+            "layers": time_layers(trellis)}
+    return out
 
 
 def _replay(trellis, search, call) -> tuple[float, int, list]:
     r_ints, idx, lb, best_u, best_out, best_dist = (a.copy() for a in call)
     kern = CountingKernel(trellis)
-    bp = np.empty((trellis.ell, trellis.S // 2, len(idx)), dtype=kern.tab.bp_dtype)
+    bp = np.empty((trellis.ell, trellis.S // 2, len(idx)), dtype=np.uint8)
     t0 = time.perf_counter()
     improved = search(kern, r_ints, idx, lb, bp, best_u, best_out, best_dist)
     return time.perf_counter() - t0, kern.swept, [improved, best_u, best_out, best_dist]
 
 
-def bench_pair_m6(trellis) -> dict:
+def count_pair_m6(trellis) -> tuple[dict, list]:
+    """The deterministic fields of bench_pair_m6 (no timing), and the fallback calls
+    of the quantizer's decodes, which it replays."""
     calls = []
 
     def capture(kern, r_ints, idx, lb, bp, best_u, best_out, best_dist):
@@ -228,17 +252,23 @@ def bench_pair_m6(trellis) -> dict:
                       "words_per_call": PAIR_WORDS},
            "seeds": list(PAIR_SEEDS), "calls": len(calls),
            "fallback_rows_per_call": sum(len(c[1]) for c in calls) / len(calls)}
+    for name in SEARCHES:
+        out[name] = {"columns_swept_per_call": sum(r[1] for r in replays[name]) / len(calls)}
+    return out, calls
+
+
+def bench_pair_m6(trellis) -> dict:
+    out, calls = count_pair_m6(trellis)
     for name, search in SEARCHES.items():
-        out[name] = {"columns_swept_per_call": sum(r[1] for r in replays[name]) / len(calls),
-                     **_bench.median_of_runs(lambda: {"ms_per_call": 1e3 * sum(
-                         _replay(trellis, search, call)[0] for call in calls) / len(calls)},
-                         RUNS)}
+        out[name] |= _bench.median_of_runs(lambda: {"ms_per_call": 1e3 * sum(
+            _replay(trellis, search, call)[0] for call in calls) / len(calls)}, RUNS)
     out["speedup"] = (out["exhaustive"]["ms_per_call"]["median"]
                       / out["two_phase"]["ms_per_call"]["median"])
     return out
 
 
-def bench_m8_k3() -> dict:
+def m8_k3_cases() -> list[tuple]:
+    """Per seed of M8_SEEDS, the trellis of a random m=8, k=3 code and its words."""
     cases = []
     for seed in M8_SEEDS:
         rng = np.random.default_rng(seed)
@@ -248,8 +278,19 @@ def bench_m8_k3() -> dict:
         trellis = build_trellis(encoder.TailbitingCode.unfrozen(spec, 128))
         words = np.random.default_rng(seed).integers(0, 2, (M8_WORDS, trellis.N), dtype=np.uint8)
         cases.append((trellis, words))
-    results, out = {}, {"params": {"m": 8, "k": 3, "n": 3, "ell": 128, "words_per_seed": M8_WORDS},
-                        "seeds": list(M8_SEEDS)}
+    return cases
+
+
+def count_m8_k3(cases: list[tuple]) -> dict:
+    """The deterministic fields of bench_m8_k3: its decodes' fallback rows, no timing."""
+    return {"params": {"m": 8, "k": 3, "n": 3, "ell": 128, "words_per_seed": M8_WORDS},
+            "seeds": list(M8_SEEDS),
+            "fallback_rows": int(sum(wava_decode_many(t, w).fallback.sum() for t, w in cases))}
+
+
+def bench_m8_k3() -> dict:
+    cases = m8_k3_cases()
+    results, out = {}, count_m8_k3(cases)
     for name, search in SEARCHES.items():
         def run():
             spent = [0.0]
@@ -268,7 +309,6 @@ def bench_m8_k3() -> dict:
             return {"words_per_s": M8_WORDS * len(cases) / total, "fallback_s": spent[0]}
         out[name] = _bench.median_of_runs(run, RUNS)
     _check_equal(*map(_arrays, results.values()), "decodes differ between the two searches")
-    out["fallback_rows"] = int(sum(res.fallback.sum() for res in results["two_phase"]))
     out["speedup"] = (out["two_phase"]["words_per_s"]["median"]
                       / out["exhaustive"]["words_per_s"]["median"])
     return out
@@ -278,15 +318,12 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(ROOT / "BENCH_wava.json"))
     args = ap.parse_args(argv)
-    code_m8, pair = load_inputs()
-    xs, shifted = pair_words(pair)
-    codes = {"code_m8": bench_code(code_m8, m8_words(code_m8)),
-             "pair_m6_quantizer": bench_code(pair.vq_code, xs),
-             "pair_m6_fec": bench_code(pair.fec_code, shifted)}
+    cases = code_cases()
+    codes = {name: bench_code(*case) for name, case in cases.items()}
+    quantizer = build_trellis(cases["pair_m6_quantizer"][0])
     out = _bench.write_report(
         args.out, __file__, RUNS, reps=REPS, seeds=list(SEEDS), layer_seed=LAYER_SEED,
-        codes=codes, fallback={"pair_m6": bench_pair_m6(build_trellis(pair.vq_code)),
-                               "m8_k3": bench_m8_k3()})
+        codes=codes, fallback={"pair_m6": bench_pair_m6(quantizer), "m8_k3": bench_m8_k3()})
     for name, p in codes.items():
         print(f"{name}: {p['words_per_s']['median']:.0f} words/s (spread "
               f"{p['words_per_s']['iqr_over_median']:.3f}), {p['sweeps_mean']:.3f} sweeps/word, "

@@ -9,34 +9,30 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import json
 import sys
 
 import numpy as np
 
 from . import bounds, design, fixtures, simulate
-from .encoder import TailbitingCode, code_to_dict, load_code
+from .encoder import TailbitingCode, code_to_dict, load_code, write_json
 from .keyagree import enroll_many, load_pair, pair_to_dict, reconstruct_many
-from .simulate import StopRule, TrialReport
+from .simulate import StopRule
 from .trellis import WeightSpectrum, free_distance, weight_enumerator
 
 
-def _out_stream(path: str | None):
-    return open(path, "w", newline="") if path else sys.stdout
+def _output(path: str | None):
+    """The --out file, or stdout (left open) when there is none."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _write_rows(path: str | None, header: list[str], rows) -> None:
-    fh = _out_stream(path)
-    try:
+    with _output(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-    finally:
-        if path:
-            fh.close()
+        w.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _fmt(v) -> str:
@@ -46,19 +42,8 @@ def _fmt(v) -> str:
 
 
 def _write_json(path: str | None, obj) -> None:
-    fh = _out_stream(path)
-    try:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-    finally:
-        if path:
-            fh.close()
-
-
-def _report_dict(rep: TrialReport) -> dict:
-    d = dataclasses.asdict(rep)
-    d["seed"] = list(d["seed"])
-    return d
+    with _output(path) as fh:
+        write_json(obj, fh)
 
 
 def _stop(args) -> StopRule:
@@ -152,14 +137,13 @@ def cmd_dfree(args) -> int:
 
 def _load_spectrum_csv(path: str) -> WeightSpectrum:
     coeffs: dict[int, int] = {}
-    with open(path, newline="") as fh:
-        for r in csv.DictReader(fh):
-            if r.get("d") is None or r.get("A_d") is None:
-                raise ValueError(f"{path}: row {r} lacks a d or A_d field")
-            d, a_d = int(r["d"]), int(r["A_d"])
-            if d < 0 or a_d <= 0:
-                raise ValueError(f"{path}: row {r} needs d >= 0 and A_d > 0")
-            coeffs[d] = a_d
+    for r in fixtures.read_csv(path)[1]:
+        if r.get("d") is None or r.get("A_d") is None:
+            raise ValueError(f"{path}: row {r} lacks a d or A_d field")
+        d, a_d = int(r["d"]), int(r["A_d"])
+        if d < 0 or a_d <= 0:
+            raise ValueError(f"{path}: row {r} needs d >= 0 and A_d > 0")
+        coeffs[d] = a_d
     if not coeffs:
         raise ValueError(f"{path}: empty spectrum")
     d_max = max(coeffs)
@@ -183,7 +167,7 @@ def cmd_sim_fer(args) -> int:
     rep = simulate.simulate_fer(
         code, args.pc, args.v, _stop(args), args.seed, args.workers
     )
-    _write_json(args.out, _report_dict(rep))
+    _write_json(args.out, dataclasses.asdict(rep))
     return 0
 
 
@@ -192,7 +176,7 @@ def cmd_sim_distortion(args) -> int:
     rep = simulate.simulate_distortion(
         code, args.v, args.trials, args.seed, args.workers
     )
-    _write_json(args.out, _report_dict(rep))
+    _write_json(args.out, dataclasses.asdict(rep))
     return 0
 
 
@@ -201,7 +185,7 @@ def cmd_sim_e2e(args) -> int:
     rep = simulate.simulate_end_to_end(
         pair, args.pa, args.v, _stop(args), args.seed, args.workers
     )
-    _write_json(args.out, _report_dict(rep))
+    _write_json(args.out, dataclasses.asdict(rep))
     return 0
 
 
@@ -253,11 +237,10 @@ def cmd_evaluate(args) -> int:
     pair = load_pair(args.pair)
     # before the run, so that a bad --l-ref fails at once
     pc_ref = None if args.l_ref is None else bounds.pc_complexity(args.l_ref, pair.N)
-    row = simulate.evaluate(
+    out = simulate.evaluate(
         pair, args.target_pb, args.v, args.seed, _stop(args),
         args.distortion_trials, args.workers,
     )
-    out = row.to_dict()
     if pc_ref is not None:
         out["pc_reference_log2"] = float(np.log2(pc_ref))
     _write_json(args.out, out)

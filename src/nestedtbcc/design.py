@@ -122,8 +122,7 @@ def search_fec(
 
     Candidates that provably lose are pruned (see the module docstring).
     """
-    if w_max < 1:
-        raise ValueError(f"need w_max >= 1, got {w_max}")
+    _at_least_one(w_max=w_max)
     if not 0.0 < target_pb < 1.0:
         raise ValueError(f"target_pb must be in (0, 1), got {target_pb}")
     if K_fec < m:
@@ -195,8 +194,7 @@ def search_vq_extension(
     candidate reaches d_free >= 1."""
     if k_vq <= parent.k:
         raise ValueError(f"need k_vq > k = {parent.k} of the parent, got {k_vq}")
-    if w_max < 1:
-        raise ValueError(f"need w_max >= 1, got {w_max}")
+    _at_least_one(w_max=w_max)
     key = seed_key(seed)
     cols = k_vq - parent.k
     best = _extend_spec(parent, BitMatrix.zeros(parent.m, cols), BitMatrix.zeros(parent.n, cols))

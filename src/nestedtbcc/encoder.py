@@ -276,18 +276,12 @@ def append_input_column(spec: EncoderSpec, b_col: BitVector, d_col: BitVector) -
         raise Gf2ShapeError(f"b_col length {b_col.n} != m={spec.m}")
     if d_col.n != spec.n:
         raise Gf2ShapeError(f"d_col length {d_col.n} != n={spec.n}")
-    bt = spec.B_tilde.to_lists()
-    dt = spec.D_tilde.to_lists()
-    for r, row in enumerate(bt):
-        row.append(b_col[r])
-    for r, row in enumerate(dt):
-        row.append(d_col[r])
-    return EncoderSpec(
-        m=spec.m, k=spec.k + 1, n=spec.n,
-        B_tilde=BitMatrix.from_rows(bt, spec.k),
-        C=spec.C,
-        D_tilde=BitMatrix.from_rows(dt, spec.k),
-    )
+    def widen(mat: BitMatrix, col: BitVector) -> BitMatrix:  # col becomes the last column
+        return BitMatrix(tuple(w | col[r] << mat.ncols for r, w in enumerate(mat.row_words)),
+                         mat.ncols + 1)
+
+    return EncoderSpec(m=spec.m, k=spec.k + 1, n=spec.n, B_tilde=widen(spec.B_tilde, b_col),
+                       C=spec.C, D_tilde=widen(spec.D_tilde, d_col))
 
 
 def fec_restriction(spec: EncoderSpec) -> EncoderSpec:
@@ -330,10 +324,15 @@ def code_from_dict(d: dict) -> TailbitingCode:
         raise EncoderSpecError(f"malformed code spec: {exc}") from exc
 
 
+def write_json(obj, fh) -> None:
+    """obj as JSON indented by two, then a newline: every JSON file the package writes."""
+    json.dump(obj, fh, indent=2)
+    fh.write("\n")
+
+
 def save_code(code: TailbitingCode, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(code_to_dict(code), fh, indent=2)
-        fh.write("\n")
+        write_json(code_to_dict(code), fh)
 
 
 def load_code(path: str) -> TailbitingCode:

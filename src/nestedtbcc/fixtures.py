@@ -17,25 +17,25 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-_PACKAGED = {
-    "mc_rcu_n384_r13": "mc_rcu_n384_r13.csv",
-    "mc_rcu_n512_r14": "mc_rcu_n512_r14.csv",
-    "pc_fer_n512_r14": "pc_fer_n512_r14.csv",
-    "table2_reference": "table2_reference.csv",
-}
-
-
 def fixture_path(name: str) -> Path:
     """Filesystem path of a packaged fixture (by short name or file name)."""
-    fname = _PACKAGED.get(name, name)
-    p = resources.files("nestedtbcc").joinpath("data", fname)
-    return Path(str(p))
+    fname = name if name.endswith(".csv") else f"{name}.csv"
+    return Path(str(resources.files("nestedtbcc").joinpath("data", fname)))
+
+
+def read_csv(path: str | Path) -> tuple[set[str], list[dict[str, str]]]:
+    """The header fields and the rows of a CSV file: the package's one CSV reader."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return set(reader.fieldnames or ()), list(reader)
 
 
 def load_mc_rcu(path: str | Path) -> list[dict[str, float]]:
     """Rows {p, mc, rcu} of a channel-bound fixture."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    return _mc_rcu_rows(path, read_csv(path)[1])
+
+
+def _mc_rcu_rows(path: str | Path, rows: list[dict[str, str]]) -> list[dict[str, float]]:
     if not rows or set(rows[0]) != {"p", "mc", "rcu"}:
         raise ValueError(f"{path}: expected header p,mc,rcu")
     return [{k: float(v) for k, v in r.items()} for r in rows]
@@ -67,30 +67,29 @@ class ReferenceRow:
 def load_reference_table(path: str | Path | None = None) -> list[ReferenceRow]:
     if path is None:
         path = fixture_path("table2_reference")
-    rows = []
-    with open(path, newline="") as fh:
-        for r in csv.DictReader(fh):
-            num, den = r["R_fec"].split("/")
-            rows.append(ReferenceRow(
-                code=r["code"],
-                m=int(r["m"]) if r["m"] else None,
-                N=int(r["N"]),
-                n=int(r["n"]) if r["n"] else None,
-                R_fec=Fraction(int(num), int(den)),
-                p_c=float(r["p_c"]),
-                q_bar=float(r["q_bar"]),
-                R_vq=float(r["R_vq"]),
-                R_w=float(r["R_w"]),
-                helper_bits=int(r["helper_bits"]),
-                ratio=float(r["ratio"]),
-                c_fec_log2=float(r["c_fec_log2"]),
-                c_fec_kind=r["c_fec_kind"],
-                c_vq_log2=float(r["c_vq_log2"]),
-                c_vq_kind=r["c_vq_kind"],
-                V=int(r["V"]) if r["V"] else None,
-                L=int(r["L"]) if r["L"] else None,
-            ))
-    return rows
+    return _reference_rows(read_csv(path)[1])
+
+
+def _reference_rows(rows: list[dict[str, str]]) -> list[ReferenceRow]:
+    return [ReferenceRow(
+        code=r["code"],
+        m=int(r["m"]) if r["m"] else None,
+        N=int(r["N"]),
+        n=int(r["n"]) if r["n"] else None,
+        R_fec=Fraction(r["R_fec"]),
+        p_c=float(r["p_c"]),
+        q_bar=float(r["q_bar"]),
+        R_vq=float(r["R_vq"]),
+        R_w=float(r["R_w"]),
+        helper_bits=int(r["helper_bits"]),
+        ratio=float(r["ratio"]),
+        c_fec_log2=float(r["c_fec_log2"]),
+        c_fec_kind=r["c_fec_kind"],
+        c_vq_log2=float(r["c_vq_log2"]),
+        c_vq_kind=r["c_vq_kind"],
+        V=int(r["V"]) if r["V"] else None,
+        L=int(r["L"]) if r["L"] else None,
+    ) for r in rows]
 
 
 def fixture_overlay(paths: list[str | Path]) -> list[tuple[str, float, float]]:
@@ -102,20 +101,16 @@ def fixture_overlay(paths: list[str | Path]) -> list[tuple[str, float, float]]:
     """
     out: list[tuple[str, float, float]] = []
     for path in paths:
-        with open(path, newline="") as fh:
-            header = set(csv.DictReader(fh).fieldnames or [])
+        header, rows = read_csv(path)
         if header == {"p", "mc", "rcu"}:
-            for r in load_mc_rcu(path):
+            for r in _mc_rcu_rows(path, rows):
                 out.append(("mc", r["p"], r["mc"]))
                 out.append(("rcu", r["p"], r["rcu"]))
         elif header == {"p", "fer", "ber"}:
-            with open(path, newline="") as fh:
-                for r in csv.DictReader(fh):
-                    out.append(("pc_fer", float(r["p"]), float(r["fer"])))
+            out.extend(("pc_fer", float(r["p"]), float(r["fer"])) for r in rows)
         elif "R_vq" in header and "code" in header:
-            for row in load_reference_table(path):
-                series = f"{row.code.lower()}_rate_point"
-                out.append((series, row.R_w, float(row.R_fec)))
+            out.extend((f"{row.code.lower()}_rate_point", row.R_w, float(row.R_fec))
+                       for row in _reference_rows(rows))
         else:
             raise ValueError(f"{path}: unrecognized fixture header {sorted(header)}")
     return out

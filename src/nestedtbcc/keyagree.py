@@ -27,6 +27,7 @@ from .encoder import (
     code_to_dict,
     encode_many,
     fec_restriction,
+    write_json,
 )
 from .gf2 import BitVector
 from .trellis import build_trellis
@@ -204,8 +205,7 @@ def pair_from_dict(d: dict) -> NestedCodePair:
 
 def save_pair(pair: NestedCodePair, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(pair_to_dict(pair), fh, indent=2)
-        fh.write("\n")
+        write_json(pair_to_dict(pair), fh)
 
 
 def load_pair(path: str) -> NestedCodePair:

@@ -19,7 +19,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .bounds import (
-    ComplexityEstimate,
     complexity_estimates,
     gs_region_point,
     key_storage_ratio,
@@ -55,6 +54,13 @@ def seed_key(seed: int | Sequence[int]) -> tuple[int, ...]:
 
 def chunk_rng(key: tuple[int, ...], stream: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(key + (stream, chunk))
+
+
+def _at_least_one(**values: int) -> None:
+    """ValueError for the first value below 1; callers check before hours of work."""
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"need {name} >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +100,8 @@ def _chunks(
     With workers > 1 the chunks run on a thread pool; closing the generator
     early cancels the queued chunks without waiting for them.
     """
-    starts = range(0, total, CHUNK)
-    spans = ((i, min(CHUNK, total - done)) for i, done in enumerate(starts))
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
+    _at_least_one(workers=workers)
+    spans = ((i, min(CHUNK, total - done)) for i, done in enumerate(range(0, total, CHUNK)))
     if workers == 1:
         yield from (chunk_fn(i, c) for i, c in spans)
         return
@@ -108,37 +112,37 @@ def _chunks(
         ex.shutdown(wait=False, cancel_futures=True)
 
 
-def _run_counting(
-    trial_fn: Callable[[int, int], np.ndarray],
+def _error_rate(
+    trial_fn: Callable[[np.random.Generator, int], np.ndarray],
+    stream: int,
     stop: StopRule,
+    seed: int | Sequence[int],
     workers: int,
-) -> tuple[int, int, float]:
-    """Drive chunks of Bernoulli trials until the stop rule cuts.
+) -> TrialReport:
+    """Error rate of chunks of Bernoulli trials, driven until the stop rule cuts.
 
-    trial_fn(chunk_index, count) returns a bool error array for that chunk.
-    Returns (trials_used, errors, wallclock).
+    trial_fn(rng, count) returns a bool error array for one chunk, drawn from
+    rng, the chunk's generator of (seed, stream, chunk index).
     """
+    key = seed_key(seed)
     t0 = time.perf_counter()
-    total_trials = 0
-    total_errors = 0
-    with closing(_chunks(trial_fn, stop.max_trials, workers)) as batches:
+    trials = errors = 0
+    chunks = _chunks(lambda i, count: trial_fn(chunk_rng(key, stream, i), count),
+                     stop.max_trials, workers)
+    with closing(chunks) as batches:
         for errs in batches:
             n_err = int(errs.sum())
-            if total_errors + n_err >= stop.target_errors:
+            if errors + n_err >= stop.target_errors:
                 cum = np.cumsum(errs)
-                cut = int(np.searchsorted(cum, stop.target_errors - total_errors))
-                total_trials += cut + 1
-                total_errors += int(cum[cut])
+                cut = int(np.searchsorted(cum, stop.target_errors - errors))
+                trials += cut + 1
+                errors += int(cum[cut])
                 break
-            total_trials += len(errs)
-            total_errors += n_err
-    return total_trials, total_errors, time.perf_counter() - t0
-
-
-def _rate_report(trials: int, errors: int, key, wallclock: float) -> TrialReport:
+            trials += len(errs)
+            errors += n_err
     est = errors / trials
     hw = 1.96 * math.sqrt(max(est * (1.0 - est), 0.0) / trials)
-    return TrialReport(est, trials, float(errors), hw, key, wallclock)
+    return TrialReport(est, trials, float(errors), hw, key, time.perf_counter() - t0)
 
 
 def simulate_fer(
@@ -156,19 +160,16 @@ def simulate_fer(
     """
     if not 0.0 <= p_c <= 1.0:
         raise ValueError(f"p_c must be in [0, 1], got {p_c}")
-    key = seed_key(seed)
     trellis = build_trellis(code)
 
-    def trial_fn(i: int, count: int) -> np.ndarray:
-        rng = chunk_rng(key, STREAM_FER, i)
+    def trial_fn(rng: np.random.Generator, count: int) -> np.ndarray:
         msgs = rng.integers(0, 2, size=(count, code.K), dtype=np.uint8)
         flips = (rng.random((count, code.N)) < p_c).astype(np.uint8)
         r = encode_many(code, msgs) ^ flips
         res = wava_decode_many(trellis, r, V=V)
         return (res.msg_bits != msgs).any(axis=1)
 
-    trials, errors, wall = _run_counting(trial_fn, stop, workers)
-    return _rate_report(trials, errors, key, wall)
+    return _error_rate(trial_fn, STREAM_FER, stop, seed, workers)
 
 
 def simulate_distortion(
@@ -179,8 +180,7 @@ def simulate_distortion(
     workers: int = 1,
 ) -> TrialReport:
     """Average quantization distortion of Bern(1/2) words, d_H(x, x_q)/N."""
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+    _at_least_one(trials=trials)
     key = seed_key(seed)
     trellis = build_trellis(vq_code)
     t0 = time.perf_counter()
@@ -209,18 +209,15 @@ def simulate_end_to_end(
     """Key-mismatch rate of the full enroll/measure/reconstruct pipeline."""
     if not 0.0 <= p_A <= 1.0:
         raise ValueError(f"p_A must be in [0, 1], got {p_A}")
-    key = seed_key(seed)
 
-    def trial_fn(i: int, count: int) -> np.ndarray:
-        rng = chunk_rng(key, STREAM_E2E, i)
+    def trial_fn(rng: np.random.Generator, count: int) -> np.ndarray:
         x = (rng.random((count, pair.N)) < 0.5).astype(np.uint8)
         flips = (rng.random((count, pair.N)) < p_A).astype(np.uint8)
         s_bits, w_bits, _ = enroll_many(pair, x, V)
         s_hat = reconstruct_many(pair, x ^ flips, w_bits, V)
         return (s_hat != s_bits).any(axis=1)
 
-    trials, errors, wall = _run_counting(trial_fn, stop, workers)
-    return _rate_report(trials, errors, key, wall)
+    return _error_rate(trial_fn, STREAM_E2E, stop, seed, workers)
 
 
 class CalibrationError(RuntimeError):
@@ -290,38 +287,6 @@ def calibrate_pc(
     return lo, log
 
 
-@dataclass(frozen=True)
-class EvaluationRow:
-    """One summary row for a designed pair (rates exact, rest simulated)."""
-
-    m: int
-    R_fec: Fraction
-    p_c: float
-    q_bar: float
-    R_vq: Fraction
-    R_w: Fraction
-    helper_bits: int
-    ratio: Fraction
-    complexity_fec: ComplexityEstimate
-    complexity_vq: ComplexityEstimate
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "R_fec": float(self.R_fec),
-            "p_c": self.p_c,
-            "q_bar": self.q_bar,
-            "R_vq": float(self.R_vq),
-            "R_w": float(self.R_w),
-            "helper_bits": self.helper_bits,
-            "ratio": float(self.ratio),
-            "complexity_fec_log2": self.complexity_fec.log2_min,
-            "complexity_fec_kind": self.complexity_fec.kind,
-            "complexity_vq_log2": self.complexity_vq.log2_min,
-            "complexity_vq_kind": self.complexity_vq.kind,
-        }
-
-
 def derived_rate_fields(n_block: int, k_fec: int, k_vq: int) -> tuple[Fraction, Fraction, int, Fraction]:
     """(R_vq, R_w, helper_bits, ratio) from exact dimensions."""
     if k_vq <= k_fec:
@@ -332,13 +297,6 @@ def derived_rate_fields(n_block: int, k_fec: int, k_vq: int) -> tuple[Fraction, 
     return r_vq, r_w, helper_bits, key_storage_ratio(k_fec, k_vq)
 
 
-def _at_least_one(**values: int) -> None:
-    """ValueError for the first value below 1; callers check before hours of work."""
-    for name, value in values.items():
-        if value < 1:
-            raise ValueError(f"need {name} >= 1, got {value}")
-
-
 def evaluate(
     pair: NestedCodePair,
     target_pb: float,
@@ -347,27 +305,23 @@ def evaluate(
     stop: StopRule = StopRule(),
     distortion_trials: int = CHUNK,
     workers: int = 1,
-) -> EvaluationRow:
-    """Assemble the full evaluation row for a nested pair."""
+) -> dict:
+    """The evaluation row of a nested pair, as the JSON fields of the CLI's
+    evaluate (rates exact up to the float conversion, the rest simulated)."""
     _at_least_one(V=V, distortion_trials=distortion_trials, workers=workers)
     n = pair.vq_code.spec.n
     m = pair.vq_code.spec.m
     p_c, _ = calibrate_pc(pair.fec_code, target_pb, 0.0, V, stop, seed, workers=workers)
     q_bar = simulate_distortion(pair.vq_code, V, distortion_trials, seed, workers).estimate
     r_vq, r_w, helper_bits, ratio = derived_rate_fields(pair.N, pair.K_fec, pair.K_vq)
-    k_vq_eq = math.ceil(n * r_vq)
-    return EvaluationRow(
-        m=m,
-        R_fec=Fraction(pair.K_fec, pair.N),
-        p_c=p_c,
-        q_bar=q_bar,
-        R_vq=r_vq,
-        R_w=r_w,
-        helper_bits=helper_bits,
-        ratio=ratio,
-        complexity_fec=complexity_estimates(pair.N, n, 1, m, V),
-        complexity_vq=complexity_estimates(pair.N, n, k_vq_eq, m, V),
-    )
+    c_fec = complexity_estimates(pair.N, n, 1, m, V)
+    c_vq = complexity_estimates(pair.N, n, math.ceil(n * r_vq), m, V)
+    return {
+        "m": m, "R_fec": float(Fraction(pair.K_fec, pair.N)), "p_c": p_c, "q_bar": q_bar,
+        "R_vq": float(r_vq), "R_w": float(r_w), "helper_bits": helper_bits, "ratio": float(ratio),
+        "complexity_fec_log2": c_fec.log2_min, "complexity_fec_kind": c_fec.kind,
+        "complexity_vq_log2": c_vq.log2_min, "complexity_vq_kind": c_vq.kind,
+    }
 
 
 def region_curve(p_A: float, q_grid: Sequence[float]) -> list[tuple[float, float, float]]:

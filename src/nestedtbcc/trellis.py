@@ -77,7 +77,7 @@ class TailbitingTrellis:
         self.next_state, self.out_int = spec.transitions
 
         # the distinct sections once, in order of first use, and per section t
-        # the index of its view: sections[t] is views[order[t]]
+        # the index of its view: section t is views[order[t]]
         index: dict[tuple[int, ...], int] = {}
         self.views: list[SectionView] = []
         self.order: list[int] = []
@@ -90,7 +90,6 @@ class TailbitingTrellis:
                 index[adm] = len(self.views)
                 self.views.append(self._build_view(np.array(adm, dtype=np.int64)))
             self.order.append(index[adm])
-        self.sections = [self.views[o] for o in self.order]
 
     def _build_view(self, inputs: np.ndarray) -> SectionView:
         S, A = self.S, len(inputs)

@@ -149,7 +149,6 @@ class _Tables:
         self.unreachable = (m * n + 1) << self.sh
         self.clear = np.array(~(self.jmask << self.ob)).astype(dtype)[()]   # all bits but j
         self.metric_mask = np.array(-1 << self.sh).astype(dtype)[()]
-        self.bp_dtype = np.uint8
         j, o = np.divmod(np.arange(A << n), 1 << n)  # lut[j << n | o, r]: rank j, output o, block r
         bm = np.bitwise_count(o[:, None] ^ np.arange(1 << n)).astype(np.int64)
         self.lut = ((bm << self.sh) | (j[:, None] << self.ob)).astype(dtype)
@@ -418,7 +417,7 @@ def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
     need = np.zeros(B, dtype=bool)
 
     step, group = kern.columns(), kern.group_rows()
-    bp_buf = np.empty(ell * (S >> 1) * min(step, B), dtype=kern.tab.bp_dtype)
+    bp_buf = np.empty(ell * (S >> 1) * min(step, B), dtype=np.uint8)
     for lo in range(0, B, group):
         g = np.arange(lo, min(lo + group, B))          # rows still active
         M = np.zeros((S, len(g)), dtype=np.int64)

@@ -26,10 +26,10 @@ class _Overflow(Exception):
 def _propagate_block(trellis, starts: np.ndarray, L: int, dtype) -> np.ndarray:
     S = trellis.S
     G = len(starts)
-    guard = _OVERFLOW_GUARD // max(v.out_degree for v in trellis.sections)
+    guard = _OVERFLOW_GUARD // max(v.out_degree for v in trellis.views)
     P = np.zeros((S, G, L), dtype=dtype)
     P[starts, np.arange(G), 0] = 1
-    for view in trellis.sections:
+    for view in (trellis.views[o] for o in trellis.order):
         Pn = np.zeros_like(P)
         for j in range(view.out_degree):
             src = view.in_src[:, j]

@@ -281,7 +281,7 @@ def test_criterion_09_design_pipeline_property_run():
     assert (report2.p_c_sim, report2.q_bar) == (report.p_c_sim, report.q_bar)
     total = time.perf_counter() - start
     print(f"\n[criterion 9] PASS: nested design (m=6, K_fec=32) completed in "
-          f"{elapsed:.0f}s, subcode inclusion exhaustive at ell={short}, "
+          f"{elapsed:.2f}s, subcode inclusion exhaustive at ell={short}, "
           f"q_bar={report.q_bar:.4f} <= budget {report.q_max:.4f}, "
           f"deterministic ({total:.0f}s total)")
 

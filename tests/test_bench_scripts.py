@@ -1,5 +1,7 @@
 """The bench scripts import, the merged WAVA bench keeps the part of each
-retired WAVA script, and bench_wava's kernel-call counter and layer timer run.
+retired WAVA script, bench_wava's kernel-call counter and layer timer run, and
+every deterministic field of the committed BENCH_*.json files is what the
+scripts' own counting functions compute today.
 
 The scripts patch private names of the package (``wava._Kernel`` methods,
 ``wava._two_phase_search``), so a rename fails here rather than in the next
@@ -7,6 +9,7 @@ benchmark run.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -16,7 +19,8 @@ import pytest
 from nestedtbcc import wava
 from nestedtbcc.trellis import build_trellis
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(monkeypatch, path: Path):
@@ -83,3 +87,38 @@ def test_wava_sweep_times_every_layer(monkeypatch):
                        ("traceback", "ns_per_section_column")):
         ms = layers[layer]["ms"]
         assert len(ms["runs"]) == 1 and ms["iqr_over_median"] == 0 and layers[layer][per] > 0
+
+
+def _recorded(committed: dict, counted: dict) -> dict:
+    """The fields of the committed JSON that counted holds, nested dicts by key: the
+    committed file also holds timings, which are not compared."""
+    return {k: _recorded(committed[k], v) if isinstance(v, dict) else committed.get(k)
+            for k, v in counted.items()}
+
+
+def test_bench_wava_json_matches_the_code(monkeypatch):
+    bench = _load(monkeypatch, SCRIPTS / "bench_wava.py")
+    committed = json.loads((ROOT / "BENCH_wava.json").read_text())
+    assert (committed["seeds"], committed["layer_seed"]) == (list(bench.SEEDS), bench.LAYER_SEED)
+    cases = bench.code_cases()
+    counted = {
+        "codes": {name: bench.count_code(*case) for name, case in cases.items()},
+        "fallback": {"pair_m6": bench.count_pair_m6(build_trellis(cases["pair_m6_quantizer"][0]))[0],
+                     "m8_k3": bench.count_m8_k3(bench.m8_k3_cases())},
+    }
+    assert set(counted["codes"]) == set(committed["codes"])
+    for fields in counted["codes"].values():
+        assert {"kernel_calls_per_decode", "iter_hist", "backward_mean", "converged_share",
+                "fallback_share", "kappa", "layers"} <= set(fields)
+        assert set(fields["layers"]) == {"key_dtype", "renorm_every", "block_columns"}
+    assert {"fallback_rows_per_call", "two_phase", "exhaustive"} <= set(counted["fallback"]["pair_m6"])
+    assert "fallback_rows" in counted["fallback"]["m8_k3"]
+    assert _recorded(committed, counted) == counted
+
+
+def test_bench_search_fec_json_matches_the_code(monkeypatch):
+    bench = _load(monkeypatch, SCRIPTS / "bench_search_fec.py")
+    committed = json.loads((ROOT / "BENCH_search_fec.json").read_text())
+    assert set(committed["points"]) == set(bench.POINTS)
+    counted = {"points": {name: bench.count_point(cfgs)[0] for name, cfgs in bench.POINTS.items()}}
+    assert _recorded(committed, counted) == counted

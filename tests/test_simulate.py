@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -263,12 +264,17 @@ def test_evaluate_row_identities():
     pair = toy_pair_a()
     row = evaluate(pair, 1e-2, V=4, seed=9,
                    stop=StopRule(max_trials=50_000), distortion_trials=1024)
-    assert row.R_w == row.R_vq - row.R_fec
-    assert row.helper_bits == math.ceil(pair.N * row.R_w)
-    assert row.ratio == row.R_fec / row.R_w
-    assert row.m == pair.vq_code.spec.m
-    d = row.to_dict()
-    assert d["complexity_fec_kind"] in {"F", "P", "M"}
+    r_fec = Fraction(pair.K_fec, pair.N)
+    r_vq, r_w, helper_bits, ratio = derived_rate_fields(pair.N, pair.K_fec, pair.K_vq)
+    assert r_w == r_vq - r_fec
+    assert helper_bits == math.ceil(pair.N * r_w)
+    assert ratio == r_fec / r_w
+    # the row carries those exact rates as floats
+    assert [row[f] for f in ("R_fec", "R_vq", "R_w", "ratio")] == [
+        float(r_fec), float(r_vq), float(r_w), float(ratio)]
+    assert row["helper_bits"] == helper_bits
+    assert row["m"] == pair.vq_code.spec.m
+    assert row["complexity_fec_kind"] in {"F", "P", "M"}
 
 
 def test_region_curve_and_aux():

@@ -26,12 +26,12 @@ from spectrum_reference import reference_weight_enumerator
 def test_trellis_shape_toy(unit_toy):
     tr = build_trellis(unit_toy)
     assert tr.S == 2
-    assert all(v.out_degree == 2 for v in tr.sections)
+    assert all(tr.views[o].out_degree == 2 for o in tr.order)
     # count tailbiting paths by brute force over edges
     paths = 0
     for s0 in range(tr.S):
         frontier = {s0: 1}
-        for view in tr.sections:
+        for view in (tr.views[o] for o in tr.order):
             nxt = {}
             for s, cnt in frontier.items():
                 for u in view.inputs:
@@ -47,11 +47,13 @@ def test_frozen_section_halves_out_degree():
     spec = random_spec(rng, m=2, k=2, n=2)
     frozen = (frozenset(), frozenset({1}), frozenset(), frozenset())
     tr = build_trellis(TailbitingCode(spec, FreezingSchedule(4, frozen)))
-    assert tr.sections[0].out_degree == 4
-    assert tr.sections[1].out_degree == 2
+    sections = [tr.views[o] for o in tr.order]
+    assert sections[0].out_degree == 4
+    assert sections[1].out_degree == 2
     # the two distinct sections are listed once, in order of first use
     assert tr.order == [0, 1, 0, 0] and len(tr.views) == 2
-    assert all(tr.sections[t] is tr.views[o] for t, o in enumerate(tr.order))
+    # and section t's view holds the inputs its frozen set admits
+    assert [v.inputs.tolist() for v in sections] == [[0, 1, 2, 3], [0, 1], [0, 1, 2, 3], [0, 1, 2, 3]]
 
 
 def test_paths_biject_with_messages():
@@ -62,11 +64,11 @@ def test_paths_biject_with_messages():
     outputs = []
 
     def walk(t, s, start, acc):
-        if t == len(tr.sections):
+        if t == tr.ell:
             if s == start:
                 outputs.append(tuple(acc))
             return
-        view = tr.sections[t]
+        view = tr.views[tr.order[t]]
         for u in view.inputs:
             walk(t + 1, int(tr.next_state[s, u]), start, acc + [int(tr.out_int[s, u])])
 

@@ -415,7 +415,7 @@ def test_fallback_matches_exhaustive(monkeypatch):
         best_dist = np.full(B, wava._LARGE, dtype=np.int64)
         near = np.maximum(dist.min(axis=0) + rng.integers(-1, 2, len(idx)), 0)
         best_dist[idx] = np.where(rng.random(len(idx)) < 0.5, near, wava._LARGE)
-        counting, bp = CountingKernel(tr), np.empty((tr.ell, S // 2, len(idx)), kern.tab.bp_dtype)
+        counting, bp = CountingKernel(tr), np.empty((tr.ell, S // 2, len(idx)), np.uint8)
         out = []
         for search in (lambda *best: wava._two_phase_search(counting, r_ints, idx, lb, bp, *best),
                        lambda *best: exhaustive_constrained(kern, r_ints, idx, *best)):
@@ -470,7 +470,7 @@ def _check_sweeps(rng, tr, kern, gt, C):
     tab, S = kern.tab, tr.S
     r_cols = rng.integers(0, 1 << tr.n, (tr.ell, C))
     metric = rng.integers(0, tab.ob * tr.n + 2, (S, C)) << tab.sh
-    for P0, bp_dtype in ((metric | np.arange(S)[:, None], tab.bp_dtype),
+    for P0, bp_dtype in ((metric | np.arange(S)[:, None], np.uint8),
                          (np.zeros((S, C), np.int64), None)):
         bp = np.zeros((tr.ell, S // 2, C), bp_dtype) if bp_dtype else None
         bp_ref = np.zeros((tr.ell, S, C), np.int64) if bp_dtype else None
@@ -526,7 +526,7 @@ def test_pair_form_tables_follow_the_section_edge_order():
     for _, tr, kern, _ in _gather_cases():
         tab, S, n = kern.tab, tr.S, tr.n
         half, x = S >> 1, np.arange(S)
-        for t, view in enumerate(tr.sections):
+        for t, view in enumerate(tr.views[o] for o in tr.order):
             (lut_rows, pick), (out, succ) = tab.fwd[tab.order[t]], tab.bwd[tab.order[t]]
             assert len(lut_rows) == len(out) == view.out_degree // 2
             assert np.array_equal(view.in_src[0::2], view.in_src[1::2])

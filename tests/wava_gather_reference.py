@@ -31,13 +31,13 @@ class GatherTables:
         bm = np.bitwise_count(o[:, None] ^ np.arange(1 << n)).astype(np.int64)
         self.lut = ((bm << tab.sh) | (j[:, None] << tab.ob)).astype(tab.dtype)
         tables: dict[int, tuple] = {}
-        for view in trellis.sections:
+        for view in trellis.views:
             if id(view) not in tables:
                 tables[id(view)] = (np.ascontiguousarray(view.in_src.T),
                                     view.in_out.T * A + np.arange(view.out_degree)[:, None])
-        self.sections = [tables[id(v)] for v in trellis.sections]
+        self.sections = [tables[id(trellis.views[o])] for o in trellis.order]
         self.transitions = trellis.next_state, trellis.out_int
-        self.inputs = [v.inputs for v in trellis.sections]
+        self.inputs = [trellis.views[o].inputs for o in trellis.order]
 
     @cached_property
     def reverse(self) -> list[tuple]:

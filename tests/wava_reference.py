@@ -40,6 +40,11 @@ def _branch_metrics(view, r_col: np.ndarray) -> np.ndarray:
     return np.bitwise_count(view.in_out[None, :, :] ^ r_col[:, None, None]).astype(np.int64)
 
 
+def _sections(trellis) -> list:
+    """The view of each section t, views[order[t]]."""
+    return [trellis.views[o] for o in trellis.order]
+
+
 def _viterbi_pass(trellis, r_ints, M0, record_bp):
     """One Viterbi sweep.  Returns (M_end, origin, bp or None)."""
     B = r_ints.shape[0]
@@ -48,10 +53,10 @@ def _viterbi_pass(trellis, r_ints, M0, record_bp):
     origin = np.broadcast_to(np.arange(S, dtype=np.int64), (B, S)).copy()
     bp = None
     if record_bp:
-        bp_dtype = np.int8 if max(v.out_degree for v in trellis.sections) <= 127 else np.int16
+        bp_dtype = np.int8 if max(v.out_degree for v in trellis.views) <= 127 else np.int16
         bp = np.empty((trellis.ell, B, S), dtype=bp_dtype)
     rows = np.arange(B)[:, None]
-    for t, view in enumerate(trellis.sections):
+    for t, view in enumerate(_sections(trellis)):
         cand = M[:, view.in_src] + _branch_metrics(view, r_ints[:, t])
         j = cand.argmin(axis=2)
         M = np.take_along_axis(cand, j[:, :, None], axis=2)[:, :, 0]
@@ -68,7 +73,7 @@ def _traceback(trellis, bp, b: int, end_state: int):
     u_ints = np.zeros(trellis.ell, dtype=np.int64)
     out_ints = np.zeros(trellis.ell, dtype=np.int64)
     for t in range(trellis.ell - 1, -1, -1):
-        view = trellis.sections[t]
+        view = trellis.views[trellis.order[t]]
         j = int(bp[t, b, s])
         u_ints[t] = view.in_u[s, j]
         out_ints[t] = view.in_out[s, j]
@@ -86,14 +91,14 @@ def _exhaustive_constrained(trellis, r_ints, idx, best_u, best_out, best_dist):
     sub = r_ints[idx]
     Bf = len(idx)
     S = trellis.S
-    bms = [_branch_metrics(view, sub[:, t]) for t, view in enumerate(trellis.sections)]
+    bms = [_branch_metrics(view, sub[:, t]) for t, view in enumerate(_sections(trellis))]
 
     win_dist = np.full(Bf, _LARGE, dtype=np.int64)
     win_state = np.full(Bf, -1, dtype=np.int64)
     for s in range(S):
         M = np.full((Bf, S), _LARGE, dtype=np.int64)
         M[:, s] = 0
-        for t, view in enumerate(trellis.sections):
+        for t, view in enumerate(_sections(trellis)):
             cand = M[:, view.in_src] + bms[t]
             M = cand.min(axis=2)
         better = M[:, s] < win_dist
@@ -123,9 +128,9 @@ def _viterbi_pass_sub(trellis, bms, M0):
     """Viterbi sweep from explicit start metrics with precomputed branch metrics."""
     B, S = M0.shape
     M = M0.copy()
-    bp_dtype = np.int8 if max(v.out_degree for v in trellis.sections) <= 127 else np.int16
+    bp_dtype = np.int8 if max(v.out_degree for v in trellis.views) <= 127 else np.int16
     bp = np.empty((trellis.ell, B, S), dtype=bp_dtype)
-    for t, view in enumerate(trellis.sections):
+    for t, view in enumerate(_sections(trellis)):
         cand = M[:, view.in_src] + bms[t]
         j = cand.argmin(axis=2)
         M = np.take_along_axis(cand, j[:, :, None], axis=2)[:, :, 0]
