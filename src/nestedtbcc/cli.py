@@ -385,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     except (design.DesignFailure, simulate.CalibrationError) as exc:
         print(f"design failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -148,10 +148,6 @@ class FreezingSchedule:
                 raise EncoderSpecError(f"input indices at t={t} must be positive integers: {fs}")
 
     @staticmethod
-    def none(ell: int) -> "FreezingSchedule":
-        return FreezingSchedule(ell, (frozenset(),) * ell)
-
-    @staticmethod
     def from_lists(ell: int, frozen: Sequence[Sequence[int]]) -> "FreezingSchedule":
         return FreezingSchedule(ell, tuple(frozenset(f) for f in frozen))
 
@@ -176,7 +172,7 @@ class TailbitingCode:
 
     @staticmethod
     def unfrozen(spec: EncoderSpec, ell: int) -> "TailbitingCode":
-        return TailbitingCode(spec, FreezingSchedule.none(ell))
+        return TailbitingCode(spec, FreezingSchedule(ell, (frozenset(),) * ell))
 
     @property
     def ell(self) -> int:

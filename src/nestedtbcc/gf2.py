@@ -183,19 +183,12 @@ def gf2_vec_mat(v: BitVector, m: BitMatrix) -> BitVector:
     return BitVector(acc, m.ncols)
 
 
-def as_generator(rng_state: int | np.random.Generator | Sequence[int]) -> np.random.Generator:
-    """Accept either a seed(-sequence) or an existing Generator."""
-    if isinstance(rng_state, np.random.Generator):
-        return rng_state
-    return np.random.default_rng(rng_state)
-
-
 def sample_uniform_matrix(
     rows: int, cols: int, rng_state: int | np.random.Generator | Sequence[int]
 ) -> BitMatrix:
     """Draw a uniformly random GF(2) matrix; a pure function of (rows, cols, seed)."""
     if rows < 0 or cols < 0:
         raise ValueError(f"shape must be nonnegative, got {rows}x{cols}")
-    rng = as_generator(rng_state)
-    bits = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    # default_rng returns a Generator it is given unchanged
+    bits = np.random.default_rng(rng_state).integers(0, 2, size=(rows, cols), dtype=np.uint8)
     return BitMatrix.from_numpy(bits)

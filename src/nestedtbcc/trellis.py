@@ -1,5 +1,16 @@
 """Tailbiting trellis, weight-enumerator, and free-distance computations.
 
+Every section of the trellis is a butterfly of the one shift register, so its
+in-edges have a closed form in three rows of the transition table, bu =
+next_state[0], du = out_int[0] and so = out_int[:, 0].  next_state(s, u) =
+(s << 1 & (S - 1)) ^ bu[u], so states s and s ^ S/2 reach the same targets;
+input 0 is the register input, never frozen, so the admissible inputs come in
+classes of two, 2c and 2c + 1, that differ only in the bit shifted in.  In the
+a-th admissible class (ascending), target x is reached by the input
+u = 2c | ((x ^ bu[2c]) & 1) from the sources ((x ^ bu[u]) >> 1) + h*S/2,
+h = 0, 1, at rank j = 2a + h (input, then source), with output
+so[src] ^ du[u].
+
 The weight enumerator A(X) of a tailbiting code is the trace of the product
 of per-section state transition matrices whose entries are weight monomials;
 it is evaluated here by propagating truncated weight polynomials along the
@@ -76,47 +87,33 @@ class TailbitingTrellis:
         # forward tables over the full input alphabet
         self.next_state, self.out_int = spec.transitions
 
-        # the distinct sections once, in order of first use, and per section t
-        # the index of its view: section t is views[order[t]]
-        index: dict[tuple[int, ...], int] = {}
+        # the distinct sections once, keyed by frozen set in order of first use,
+        # and per section t the index of its view: section t is views[order[t]]
+        index: dict[frozenset[int], int] = {}
         self.views: list[SectionView] = []
         self.order: list[int] = []
-        for t in range(self.ell):
-            adm = tuple(
-                u for u in range(1 << spec.k)
-                if all((u >> i) & 1 == 0 for i in code.schedule.frozen[t])
-            )
-            if adm not in index:
-                index[adm] = len(self.views)
-                self.views.append(self._build_view(np.array(adm, dtype=np.int64)))
-            self.order.append(index[adm])
+        u = np.arange(1 << spec.k, dtype=np.int64)
+        for fs in code.schedule.frozen:
+            if fs not in index:
+                index[fs] = len(self.views)
+                self.views.append(self._build_view(u[(u & sum(1 << i for i in fs)) == 0]))
+            self.order.append(index[fs])
 
     def _build_view(self, inputs: np.ndarray) -> SectionView:
+        """The view of a section with these admissible inputs, in closed form."""
         S, A = self.S, len(inputs)
-        states = np.arange(S, dtype=np.int64)
-        src = np.repeat(states[None, :], A, axis=0).ravel()
-        rank = np.repeat(np.arange(A, dtype=np.int64), S)
-        u = inputs[rank]
-        dst = self.next_state[src, u]
-        out = self.out_int[src, u]
-        order = np.lexsort((src, rank, dst))
-        dst_sorted = dst[order]
-        # every state has in-degree exactly A (the register tap makes the
-        # first state bit a balanced function of the admissible inputs)
-        if not np.array_equal(dst_sorted, np.repeat(states, A)):
+        # every state has in-degree exactly A (the register input makes the bit
+        # shifted in a balanced function of the admissible inputs)
+        if not (np.bincount(self.next_state[:, inputs].ravel(), minlength=S) == A).all():
             raise AssertionError("trellis in-degree is not uniform")
-        def take(a: np.ndarray) -> np.ndarray:
-            r = a[order].reshape(S, A)
-            r.setflags(write=False)
-            return r
-        view = SectionView(
-            inputs=inputs,
-            in_src=take(src),
-            in_u=take(u),
-            in_out=take(out),
-            in_w=take(np.bitwise_count(out.astype(np.uint64)).astype(np.int64)),
-        )
-        view.inputs.setflags(write=False)
+        bu, du, so = self.next_state[0], self.out_int[0], self.out_int[:, 0]
+        x = np.arange(S, dtype=np.int64)[:, None]   # target; columns are ranks j = 2a + h
+        u = np.repeat(inputs[0::2] | ((x ^ bu[inputs[0::2]]) & 1), 2, axis=1)
+        src = ((x ^ bu[u]) >> 1) + (S >> 1) * (np.arange(A) & 1)
+        out = so[src] ^ du[u]
+        view = SectionView(inputs, src, u, out, np.bitwise_count(out).astype(np.int64))
+        for a in (inputs, src, u, out, view.in_w):
+            a.setflags(write=False)
         return view
 
 

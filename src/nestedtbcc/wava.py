@@ -119,11 +119,9 @@ class _Tables:
     """Pair-form add-compare-select tables of one trellis.  They hold no reference to
     the trellis, so that caching them keeps no trellis alive.
 
-    A state s is (h, i): its top bit and s mod S/2.  next_state(s, u) = (s << 1 & mask)
-    ^ bu[u], so s and s ^ S/2 reach the same state under the same input, with the same
-    output so[s] ^ du[u]; and since input 0 is the register input (never frozen, B
-    column e1, D column 0), the admissible inputs come in classes c = u >> 1 of two,
-    u = 2c and 2c + 1, with bu[2c + 1] = bu[2c] ^ 1 and du[2c + 1] = du[2c]."""
+    A state s is (h, i): its top bit and s mod S/2.  The tables follow the butterfly
+    form of a section (bu, du, so, classes 2c and 2c + 1, rank j = 2a + h), which the
+    trellis module docstring states."""
 
     def __init__(self, trellis: TailbitingTrellis):
         S, n = trellis.S, trellis.n

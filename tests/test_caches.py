@@ -6,8 +6,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 KEEP = {
-    "trellis.build_trellis": "the costliest table; equal codes built separately share it, "
-                             "and perfbench/tracing.py wraps it by name",
+    "trellis.build_trellis": "it saves two builds per key-agreement call (enroll and "
+                             "reconstruct, one word, criterion-9 pair: 2.00 builds per call "
+                             "with it cleared, 0 warm); equal codes built separately share "
+                             "it, and perfbench/tracing.py wraps it by name",
     "wava._tables": "the decoder's packed tables; two entries hold a key-agreement pair's two "
                     "codes, and 64 raised a design run's peak RSS by about 0.7 MB",
 }

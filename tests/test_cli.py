@@ -358,6 +358,23 @@ def test_code_past_the_decoder_widths_exit_code(tmp_path):
     assert "one-byte WAVA backpointers (k <= 8)" in lines[0]
 
 
+@pytest.mark.parametrize("cmd", ["dfree", "spectrum"])
+def test_code_too_large_to_allocate_exit_code(tmp_path, cmd):
+    # m = 56: the [2^56, 2] transition table asks for 2^59 bytes, more than any
+    # address space, so the request fails before a page is written
+    code_path = tmp_path / "code.json"
+    save_code(random_code(np.random.default_rng(23), m=56, k=1, n=3, ell=56), str(code_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestedtbcc.cli", cmd, "--code", str(code_path),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 @pytest.mark.parametrize("kvq, wmax, message", [
     ("1", "4", "need k_vq > k = 1"),
     ("2", "0", "need w_max >= 1"),

@@ -56,6 +56,34 @@ def test_frozen_section_halves_out_degree():
     assert [v.inputs.tolist() for v in sections] == [[0, 1, 2, 3], [0, 1], [0, 1, 2, 3], [0, 1, 2, 3]]
 
 
+def test_section_views_list_the_raw_edges_in_tie_break_order():
+    # every admissible edge (s, u) of next_state/out_int, grouped by target and
+    # sorted by input, then source: the views' closed form must list exactly these
+    rng = np.random.default_rng(29)
+    for m in [1, 2, 3, 4, 5, 6, 7] * 4:
+        k = int(rng.integers(1, 5))
+        code = random_code(rng, m=m, k=k, n=int(rng.integers(1, 5)),
+                           ell=m + int(rng.integers(0, 4)), freeze_prob=0.5)
+        tr = build_trellis(code)
+        assert len(tr.views) == len(set(code.schedule.frozen))
+        for t, fs in enumerate(code.schedule.frozen):
+            view = tr.views[tr.order[t]]
+            adm = [u for u in range(1 << k) if not any(u >> i & 1 for i in fs)]
+            into = {x: [] for x in range(tr.S)}
+            for s in range(tr.S):
+                for u in adm:
+                    into[int(tr.next_state[s, u])].append((u, s, int(tr.out_int[s, u])))
+            edges = np.array([sorted(into[x]) for x in range(tr.S)])   # [S, A, 3]
+            assert view.inputs.tolist() == adm
+            for a in (view.inputs, view.in_src, view.in_u, view.in_out, view.in_w):
+                assert a.dtype == np.int64 and not a.flags.writeable
+            assert np.array_equal(view.in_u, edges[..., 0])
+            assert np.array_equal(view.in_src, edges[..., 1])
+            assert np.array_equal(view.in_out, edges[..., 2])
+            assert np.array_equal(view.in_w, [[bin(o).count("1") for o in row]
+                                              for row in edges[..., 2]])
+
+
 def test_paths_biject_with_messages():
     rng = np.random.default_rng(2)
     code = random_code(rng, m=2, k=2, n=2, ell=4)
