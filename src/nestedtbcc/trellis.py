@@ -11,21 +11,23 @@ u = 2c | ((x ^ bu[2c]) & 1) from the sources ((x ^ bu[u]) >> 1) + h*S/2,
 h = 0, 1, at rank j = 2a + h (input, then source), with output
 so[src] ^ du[u].
 
-The weight enumerator A(X) of a tailbiting code is the trace of the product
-of per-section state transition matrices whose entries are weight monomials;
-it is evaluated here by propagating truncated weight polynomials along the
-trellis, one block of start states at a time, instead of materializing matrix
-powers.  Partial-path counts are stored degree-major, row d*S + state of an
-[S*L + 1, G] array for G start states (the last row is zero), so a section is
-one precomputed row gather per edge rank plus adds, over the live degree
-prefix only.  Counts start in plain int32 arrays (current, next, scratch)
-and widen one step at a time, to int64 and then to Python integers, only
-when the next section could pass 2^31 - 1 (then 2^62): a bound on every entry
-is multiplied by each section's out-degree and refreshed from the largest
-entry when it would pass the limit.  A widening frees the next and scratch
-arrays, copies the current one to the wider type and makes the other two
-anew.  G is capped so that the three arrays fit in _BUDGET_BYTES at int64
-width.
+The weight enumerator A(X) of a tailbiting code is the trace of the product of
+the sections' transition matrices, whose entries are weight monomials; it
+propagates truncated weight polynomials along the trellis, one block of starts
+at a time.  Targets x and x ^ 1 have the same in-edges (input u ^ 1, same
+sources and output), so after a section every count vector is equal on 2X and
+2X + 1: counts are kept per pair X < H = S/2, and start X stands for both
+states.  Pair X reads N(2X->2X) + N(2X+1->2X) = N(2X->2X) + N(2X+1->2X+1),
+as the last section's targets share their in-edges, so the trace is
+unchanged.  Row d*H + X of an [H*L + 1, G] array (the last row is zero) holds
+weight d for each of G starts, so a section is one precomputed row gather per
+edge rank plus adds over the live degree prefix.  The three arrays (current,
+next, scratch) start in int32 and widen one step at a time, to int64 and then
+to Python integers, only when the next section could pass 2^31 - 1 (then
+2^62): a bound on every entry is multiplied by each section's out-degree and
+refreshed from the largest entry when it would pass the limit.  A widening
+frees the next and scratch arrays, copies the current one to the wider type
+and makes the other two anew.  G keeps the arrays within _BUDGET_BYTES.
 
 free_distance relaxes one edge list of the state graph min-plus (weights to
 and from state 0) and keeps the tight edges, those that lie on a detour of
@@ -46,8 +48,8 @@ _OVERFLOW_GUARD = 1 << 62
 # largest entry the enumerator lets each integer dtype reach
 _INT_LIMITS = {np.dtype(np.int32): (1 << 31) - 1, np.dtype(np.int64): _OVERFLOW_GUARD}
 _WIDER = {np.dtype(np.int32): np.int64, np.dtype(np.int64): object}
-# the weight enumerator's three [S*L + 1, G] arrays, counted at int64 width,
-# fit in this many bytes; it caps the start-state block G
+# the weight enumerator's three [H*L + 1, G] arrays, counted at int64 width,
+# fit in this many bytes; it caps the start-pair block G
 _BUDGET_BYTES = 8 << 20
 
 
@@ -151,35 +153,33 @@ class WeightSpectrum:
         return sorted(self.coeffs.items())
 
 
-def _gathers(view: SectionView, S: int, L: int) -> tuple[list[np.ndarray], int]:
-    """Gather rows of one section view in the degree-major layout.
+def _gathers(view: SectionView, H: int, L: int) -> tuple[list[np.ndarray], int]:
+    """Gather rows of one section view in the degree-major pair layout.
 
-    Row d*S + dst of the j-th array is the row (d - w)*S + src of the j-th
-    incoming edge (src, weight w) of dst, or the zero row S*L when d < w.
-    Also returns the view's largest edge weight.
+    Row d*H + X of the j-th array is the row (d - w)*H + (src >> 1) of the
+    j-th incoming edge (src, weight w) of state 2X, or the zero row H*L when
+    d < w.  Also returns the view's largest edge weight.
     """
     d = np.arange(L, dtype=np.int64)[:, None]
-    rows = []
-    for j in range(view.out_degree):
-        w = view.in_w[:, j]
-        rows.append(np.where(d >= w, (d - w) * S + view.in_src[:, j], S * L).ravel())
-    return rows, int(view.in_w.max())
+    src, w = view.in_src[0::2].T[:, None] >> 1, view.in_w[0::2].T[:, None]  # [A, 1, H]
+    rows = np.where(d >= w, (d - w) * H + src, H * L).reshape(len(w), -1)
+    return list(rows), int(w.max())
 
 
 def _closed_paths(
     trellis: TailbitingTrellis, gathers: list, starts: np.ndarray, L: int
 ) -> np.ndarray:
-    """Closed-path counts by output weight (< L) summed over a block of starts.
+    """Closed-path counts by output weight (< L) summed over a block of pairs.
 
-    P[d*S + state, g] counts the partial paths from starts[g] that reach
-    `state` with output weight d; Q receives the next section and T is
-    scratch.  `bound` bounds every entry of P; the module docstring gives the
-    widening rule.
+    P[d*H + X, g] counts the partial paths from both states of pair starts[g]
+    that reach state 2X (equally 2X + 1) with output weight d; Q receives the
+    next section and T is scratch.  `bound` bounds every entry of P; the
+    module docstring gives the widening rule.
     """
-    S, g = trellis.S, len(starts)
+    H, g = trellis.S >> 1, len(starts)
     # the scratch T, which never swaps, is made first: the arrays a widening
     # frees then sit next to each other, so the wide copies can reuse them
-    T = np.empty((S * L + 1, g), dtype=np.int32)
+    T = np.empty((H * L + 1, g), dtype=np.int32)
     Q = np.zeros_like(T)  # rows at or above the live prefix stay zero
     P = np.zeros_like(T)
     P[starts, np.arange(g)] = 1
@@ -189,21 +189,21 @@ def _closed_paths(
         A = len(rows)  # one gather per edge rank
         limit = _INT_LIMITS.get(P.dtype)
         if limit is not None and bound * A > limit:
-            bound = int(P[: live * S].max())
+            bound = int(P[: live * H].max())
             if bound * A > limit:
                 del Q, T  # freed first: the copy then holds less than the wide arrays
                 P = P.astype(_WIDER[P.dtype])
                 Q, T = np.zeros_like(P), np.empty_like(P)
         bound *= A
         live = min(L, live + max_w)
-        n = live * S
+        n = live * H
         np.take(P, rows[0][:n], axis=0, out=Q[:n], mode="clip")
         for r in rows[1:]:
             np.take(P, r[:n], axis=0, out=T[:n], mode="clip")
             Q[:n] += T[:n]
         P, Q = Q, P
     # summed as Python integers: the total over the block may pass int64
-    return P[np.arange(L)[:, None] * S + starts, np.arange(g)].sum(axis=1, dtype=object)
+    return P[np.arange(L)[:, None] * H + starts, np.arange(g)].sum(axis=1, dtype=object)
 
 
 def weight_enumerator(code: TailbitingCode, d_max: int | None = None) -> WeightSpectrum:
@@ -219,12 +219,12 @@ def weight_enumerator(code: TailbitingCode, d_max: int | None = None) -> WeightS
         raise ValueError(f"d_max={d_max} is negative")
     if d_max > code.N:
         raise ValueError(f"d_max={d_max} exceeds block length N={code.N}")
-    S, L = trellis.S, d_max + 1
-    gathers = [_gathers(v, S, L) for v in trellis.views]
-    G = max(1, min(S, _BUDGET_BYTES // (3 * 8 * (S * L + 1))))
+    H, L = trellis.S >> 1, d_max + 1
+    gathers = [_gathers(v, H, L) for v in trellis.views]
+    G = max(1, min(H, _BUDGET_BYTES // (3 * 8 * (H * L + 1))))
     coeffs: dict[int, int] = {}
-    for lo in range(0, S, G):
-        starts = np.arange(lo, min(lo + G, S), dtype=np.int64)
+    for lo in range(0, H, G):
+        starts = np.arange(lo, min(lo + G, H), dtype=np.int64)
         for d, v in enumerate(_closed_paths(trellis, gathers, starts, L)):
             if v:
                 coeffs[d] = coeffs.get(d, 0) + v

@@ -4,7 +4,8 @@ every deterministic field of the committed BENCH_*.json files is what the
 scripts' own counting functions compute today.
 
 The scripts patch private names of the package (``wava._Kernel`` methods,
-``wava._two_phase_search``), so a rename fails here rather than in the next
+``wava._two_phase_search``, ``trellis._closed_paths`` and
+``trellis._BUDGET_BYTES``), so a rename fails here rather than in the next
 benchmark run.
 """
 
@@ -121,4 +122,13 @@ def test_bench_search_fec_json_matches_the_code(monkeypatch):
     committed = json.loads((ROOT / "BENCH_search_fec.json").read_text())
     assert set(committed["points"]) == set(bench.POINTS)
     counted = {"points": {name: bench.count_point(cfgs)[0] for name, cfgs in bench.POINTS.items()}}
+    assert _recorded(committed, counted) == counted
+
+
+def test_bench_enumerator_json_matches_the_code(monkeypatch):
+    bench = _load(monkeypatch, SCRIPTS / "bench_enumerator.py")
+    committed = json.loads((ROOT / "BENCH_enumerator.json").read_text())
+    assert (committed["seed"], committed["budgets"]) == (bench.SEED, bench.BUDGETS)
+    assert set(committed["points"]) == set(bench.POINTS)
+    counted = {"points": {name: bench.count_point(params) for name, params in bench.POINTS.items()}}
     assert _recorded(committed, counted) == counted

@@ -84,6 +84,23 @@ def test_section_views_list_the_raw_edges_in_tie_break_order():
                                               for row in edges[..., 2]])
 
 
+def test_pair_targets_share_their_in_edges():
+    # the enumerator's pair rows rest on this: targets 2X and 2X + 1 are reached
+    # from the same sources with the same outputs, by inputs that differ in bit 0
+    rng = np.random.default_rng(31)
+    frozen_views = 0
+    for m in [1, 2, 3, 4, 5, 6] * 4:
+        code = random_code(rng, m=m, k=int(rng.integers(1, 4)), n=int(rng.integers(1, 4)),
+                           ell=m + int(rng.integers(0, 4)), freeze_prob=0.5)
+        for view in build_trellis(code).views:
+            frozen_views += view.out_degree < 1 << code.spec.k
+            assert np.array_equal(view.in_src[0::2], view.in_src[1::2])
+            assert np.array_equal(view.in_w[0::2], view.in_w[1::2])
+            assert np.array_equal(view.in_out[0::2], view.in_out[1::2])
+            assert np.array_equal(view.in_u[0::2] ^ 1, view.in_u[1::2])
+    assert frozen_views >= 10
+
+
 def test_paths_biject_with_messages():
     rng = np.random.default_rng(2)
     code = random_code(rng, m=2, k=2, n=2, ell=4)
@@ -191,18 +208,22 @@ def test_small_byte_budget_gives_identical_spectra(monkeypatch):
     rng = np.random.default_rng(14)
     frozen = (frozenset({1}), frozenset(), frozenset({1, 2}), frozenset(),
               frozenset({2}), frozenset())
+    # the repetition code delayed by one step (m=2): _repetition's m=1 has a
+    # single start pair, which no budget can split; at K = 40 and 70 its counts
+    # reach int64 and Python integers
+    delayed = EncoderSpec.rate_one_over_n(BitMatrix.from_rows([[1, 0], [1, 0]]))
     codes = [
         random_code(rng, m=4, k=1, n=2, ell=6),
         TailbitingCode(random_spec(rng, m=4, k=3, n=3), FreezingSchedule(6, frozen)),
-        _repetition(40),
-        _repetition(70),
+        TailbitingCode.unfrozen(delayed, 40),
+        TailbitingCode.unfrozen(delayed, 70),
     ]
     want = [[weight_enumerator(c, d) for d in _truncations(c)] for c in codes]
     monkeypatch.setattr(trellis_mod, "_BUDGET_BYTES", 4096)
     for code, spectra in zip(codes, want):
-        S = 1 << code.spec.m
-        # at d_max = N every code runs in several start-state blocks
-        assert 4096 // (3 * 8 * (S * (code.N + 1) + 1)) < S
+        H = 1 << (code.spec.m - 1)
+        # at d_max = N every code runs its H start pairs in several blocks
+        assert 4096 // (3 * 8 * (H * (code.N + 1) + 1)) < H
         assert [weight_enumerator(code, d) for d in _truncations(code)] == spectra
 
 
