@@ -197,13 +197,21 @@ class TailbitingCode:
         return idx
 
 
-def _as_bits(bits) -> np.ndarray:
-    """bits as a uint8 array; ValueError if an entry is not 0 or 1.  The test runs
-    before the cast, which would wrap 256 to 0; a bool array passes it by its type."""
+def _bit_rows(bits, name: str, width: int, width_name: str) -> np.ndarray:
+    """bits as a bool [B, width] array: the one check of every batch entry point's bits.
+    ValueError, naming the argument, when an entry is not 0 or 1 (tested before the
+    cast, which would wrap 256 to 0), when bits are not 2-D or a row is not width long.
+    A bool array passes the entry test by its type and comes back as is."""
     bits = np.asarray(bits)
-    if bits.dtype != bool and ((bits != 0) & (bits != 1)).any():
-        raise ValueError("bit arrays may hold only 0 and 1")
-    return bits.astype(np.uint8, copy=False)
+    if bits.dtype != bool:
+        if ((bits != 0) & (bits != 1)).any():
+            raise ValueError(f"{name} bits may hold only 0 and 1")
+        bits = bits.astype(np.uint8, copy=False).view(bool)
+    if bits.ndim != 2:
+        raise ValueError(f"{name} bits must be [B, {width_name}], got shape {bits.shape}")
+    if bits.shape[1] != width:
+        raise ValueError(f"{name} length {bits.shape[1]} != {width_name}")
+    return bits
 
 
 def _bits_to_section_ints(bits: np.ndarray, n: int) -> np.ndarray:
@@ -228,8 +236,6 @@ def _ints_to_bits(ints: np.ndarray, n: int) -> np.ndarray:
 
 def encode_tailbiting(code: TailbitingCode, message: BitVector) -> BitVector:
     """Encode one message (a thin wrapper over encode_many)."""
-    if message.n != code.K:
-        raise Gf2ShapeError(f"message length {message.n} != K={code.K}")
     return BitVector.from_numpy(encode_many(code, message.to_numpy()[None, :])[0])
 
 
@@ -240,9 +246,7 @@ def encode_many(code: TailbitingCode, messages: np.ndarray) -> np.ndarray:
     wrap-around state (A^m = 0), pass 2 encodes all ell sections from it, and
     the end state must equal the start state.
     """
-    messages = _as_bits(messages)
-    if messages.ndim != 2 or messages.shape[1] != code.K:
-        raise Gf2ShapeError(f"messages must be [B, {code.K}], got {messages.shape}")
+    messages = _bit_rows(messages, "message", code.K, f"K={code.K}")
     spec = code.spec
     k, ell, B = spec.k, code.ell, messages.shape[0]
     next_state, out_int = (a.ravel() for a in spec.transitions)

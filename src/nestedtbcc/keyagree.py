@@ -22,7 +22,7 @@ import numpy as np
 from .encoder import (
     EncoderSpecError,
     TailbitingCode,
-    _as_bits,
+    _bit_rows,
     code_from_dict,
     code_to_dict,
     encode_many,
@@ -98,17 +98,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rows(bits, name: str, width: int, width_name: str) -> np.ndarray:
-    """bits as a bool [B, width] array; ValueError when they are not one.  Bool arrays,
-    and the arrays built from them, are not checked for non-binary entries again."""
-    a = _as_bits(bits)
-    if a.ndim != 2:
-        raise ValueError(f"{name} bits must be [B, {width_name}], got shape {a.shape}")
-    if a.shape[1] != width:
-        raise ValueError(f"{name} length {a.shape[1]} != {width_name}")
-    return a.view(bool)
-
-
 @dataclass(frozen=True)
 class EnrollmentRecord:
     """Key and public helper data from one enrollment; the helper is the only
@@ -142,7 +131,7 @@ def enroll_many(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch enrollment: returns (key bits [B,K_fec], helper bits [B,K_w],
     quantization Hamming distances [B])."""
-    x_bits = _rows(x_bits, "identifier", pair.N, f"N={pair.N}")
+    x_bits = _bit_rows(x_bits, "identifier", pair.N, f"N={pair.N}")
     trellis = build_trellis(pair.vq_code)
     res = wava_decode_many(trellis, x_bits, V=V)
     return res.msg_bits[:, pair.key_index], res.msg_bits[:, pair.helper_index], res.distance
@@ -158,9 +147,9 @@ def reconstruct_many(
     pair: NestedCodePair, y_bits: np.ndarray, w_bits: np.ndarray, V: int = 4
 ) -> np.ndarray:
     """Batch reconstruction: returns decoded key bits [B, K_fec]."""
-    y_bits = _rows(y_bits, "measurement", pair.N, f"N={pair.N}")
+    y_bits = _bit_rows(y_bits, "measurement", pair.N, f"N={pair.N}")
     helper_len = pair.K_vq - pair.K_fec
-    w_bits = _rows(w_bits, "helper", helper_len, f"K_vq - K_fec = {helper_len}")
+    w_bits = _bit_rows(w_bits, "helper", helper_len, f"K_vq - K_fec = {helper_len}")
     B = y_bits.shape[0]
     if w_bits.shape[0] != B:
         raise ValueError(f"{B} measurements but {w_bits.shape[0]} helper rows")

@@ -98,7 +98,8 @@ def _chunks(
     """chunk_fn(i, count) over `total` trials in chunks of CHUNK, in chunk order.
 
     With workers > 1 the chunks run on a thread pool; closing the generator
-    early cancels the queued chunks without waiting for them.
+    early cancels the queued chunks and waits for the running ones, so no
+    chunk outlives the call.
     """
     _at_least_one(workers=workers)
     spans = ((i, min(CHUNK, total - done)) for i, done in enumerate(range(0, total, CHUNK)))
@@ -109,7 +110,7 @@ def _chunks(
     try:
         yield from ex.map(lambda ic: chunk_fn(*ic), spans)
     finally:
-        ex.shutdown(wait=False, cancel_futures=True)
+        ex.shutdown(cancel_futures=True)
 
 
 def _error_rate(

@@ -88,6 +88,10 @@ s < bs, since a tie goes to the smaller s; and only while LB is below the
 distance of the word's candidate, which an equal distance does not replace.
 The search ends when no such column is left: every unswept column then has
 d >= LB > bd, or d >= LB == bd and s > bs, so (bd, bs) is the exact winner.
+Winners are traced as the WAVA candidate of a forward sweep that starts at the
+winning state alone (0 there, m*n + 1 elsewhere, the constrained start): from
+section m on every survivor starts there, so it is the only tailbiting
+candidate, at the constrained distance; one traceback serves every path.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encoder import TailbitingCode, _as_bits, _bits_to_section_ints, _ints_to_bits
+from .encoder import TailbitingCode, _bit_rows, _bits_to_section_ints, _ints_to_bits
 from .trellis import TailbitingTrellis, build_trellis
 
 _LARGE = 1 << 40
@@ -338,7 +342,9 @@ def _two_phase_search(kern, r_ints, idx, lb, bp, best_u, best_out, best_dist):
     lower bounds (`_Kernel.bound`), and bp, a backpointer buffer [ell, S/2, C]: the best path
     constrained to start and end at s, for the states s whose bound can still win (module
     docstring); the winner (smallest distance, then smallest s) replaces the candidate when
-    strictly better or when none exists, C rows at a time.  Returns the mask of replaced rows."""
+    strictly better or when none exists.  `_forward` traces the winners, C rows at a time, as
+    the WAVA candidate of a sweep that starts at the winning state alone (0 there, m*n + 1
+    elsewhere).  Returns the mask of replaced rows."""
     states, step = np.arange(kern.trellis.S)[:, None], kern.columns()
     best = best_dist[idx]
     dist = np.full(lb.shape, _LARGE, dtype=np.int64)       # _LARGE: column not swept
@@ -351,34 +357,28 @@ def _two_phase_search(kern, r_ints, idx, lb, bp, best_u, best_out, best_dist):
         bd, bs = dist.min(axis=0), dist.argmin(axis=0)
         # the columns that can still win
         todo = (dist == _LARGE) & (lb < best) & ((lb < bd) | ((lb == bd) & (states < bs)))
-    win_state, win_dist = dist.argmin(axis=0), dist.min(axis=0)
-    won = np.flatnonzero(win_dist < best)
-    for lo in range(0, len(won), bp.shape[2]):
-        w = won[lo:lo + bp.shape[2]]
-        bp_w = bp[:, :, :len(w)]
-        kern.constrained(r_ints, idx[w], win_state[w], bp_w)
-        start, best_u[idx[w]], best_out[idx[w]] = kern.traceback(
-            bp_w, win_state[w], np.arange(len(w)))
-        if not np.array_equal(start, win_state[w]):
-            raise AssertionError("constrained traceback left the start state")
-    best_dist[idx[won]] = win_dist[won]
-    return win_dist < best
+    win_state, improved = dist.argmin(axis=0), dist.min(axis=0) < best
+    won = np.flatnonzero(improved)
+    M = np.full((kern.trellis.S, len(won)), kern.tab.unreachable >> kern.tab.sh, np.int64)
+    M[win_state[won], np.arange(len(won))] = 0
+    _forward(kern, r_ints, idx[won], M, bp, best_dist, best_u, best_out)
+    return improved
 
 
-def _forward(kern, r_ints, g, M, step, bp_buf, best_dist, best_u, best_out):
-    """One forward sweep of the rows g from start metrics M [S, len(g)], in column blocks of
-    step that share the backpointer buffer bp_buf: a block's tailbiting candidates that
-    beat best_dist are traced back before the next block overwrites it.  Returns the end
-    metrics [S, len(g)]."""
-    S, ell, tab = kern.trellis.S, kern.trellis.ell, kern.tab
-    states, blocks = np.arange(S)[:, None], []
+def _forward(kern, r_ints, g, M, bp_buf, best_dist, best_u, best_out):
+    """One forward sweep of the rows g from start metrics M [S, len(g)], in column blocks
+    that share the backpointer buffer bp_buf [ell, S/2, step]: a block's tailbiting
+    candidates that beat best_dist are traced back before the next block overwrites it.
+    Returns the end metrics [S, len(g)]."""
+    S, ell, tab, step = kern.trellis.S, kern.trellis.ell, kern.tab, bp_buf.shape[2]
+    states, ends = np.arange(S)[:, None], np.empty(M.shape, np.int64)
     for lo in range(0, len(g), step):
         rows, M_blk = g[lo:lo + step], M[:, lo:lo + step]
         cols = np.arange(len(rows))
-        bp = bp_buf[:ell * (S >> 1) * len(rows)].reshape(ell, S >> 1, len(rows))
+        bp = bp_buf.reshape(-1)[:ell * (S >> 1) * len(rows)].reshape(ell, S >> 1, len(rows))
         end = kern.sweep(kern.r_cols(r_ints, rows),
                          ((M_blk << tab.sh) | states).astype(tab.dtype), bp)
-        Mend = (end >> tab.sh) + kern.offset
+        Mend = np.add(end >> tab.sh, kern.offset, out=ends[:, lo:lo + step])
         origin = (end & (S - 1)).astype(np.int64)
         blockdist = Mend - np.take_along_axis(M_blk, origin, axis=0)
         cand_dist = np.where(origin == states, blockdist, _LARGE)
@@ -390,8 +390,7 @@ def _forward(kern, r_ints, g, M, step, bp_buf, best_dist, best_u, best_out):
             if not np.array_equal(start, s_tb[upd]):
                 raise AssertionError("tailbiting candidate traceback mismatch")
             best_dist[rows[upd]] = d_tb[upd]
-        blocks.append(Mend)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    return ends
 
 
 def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
@@ -400,9 +399,7 @@ def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
     independent and deterministic."""
     if V < 1:
         raise ValueError(f"need V >= 1, got {V}")
-    r_bits = _as_bits(r_bits)
-    if r_bits.ndim != 2 or r_bits.shape[1] != trellis.N:
-        raise ValueError(f"received words must be [B, {trellis.N}], got {r_bits.shape}")
+    r_bits = _bit_rows(r_bits, "received", trellis.N, f"N={trellis.N}")
     B, S, ell = r_bits.shape[0], trellis.S, trellis.ell
     r_ints = _bits_to_section_ints(r_bits, trellis.n)
     kern = _Kernel(trellis)
@@ -415,12 +412,12 @@ def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
     need = np.zeros(B, dtype=bool)
 
     step, group = kern.columns(), kern.group_rows()
-    bp_buf = np.empty(ell * (S >> 1) * min(step, B), dtype=np.uint8)
+    bp_buf = np.empty((ell, S >> 1, min(step, B)), dtype=np.uint8)
     for lo in range(0, B, group):
         g = np.arange(lo, min(lo + group, B))          # rows still active
         M = np.zeros((S, len(g)), dtype=np.int64)
         for v in range(1, V + 1):
-            Mend = _forward(kern, r_ints, g, M, step, bp_buf, best_dist, best_u, best_out)
+            Mend = _forward(kern, r_ints, g, M, bp_buf, best_dist, best_u, best_out)
             if v == 1:
                 # the certificate's bound (module docstring): the first sweep's minimum, then
                 # LB* for the rows that it leaves open, whose LB the exact fallback reuses
@@ -450,8 +447,7 @@ def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
         need[g1] = (best_dist[g1] >= _LARGE) | (perfect & (best_dist[g1] > 0))
         fb = np.flatnonzero(need[g1])
         if len(fb):   # it never replaces a certified candidate, so converged stands
-            _two_phase_search(kern, r_ints, g1[fb], lb[:, fb], bp_buf.reshape(ell, S >> 1, -1),
-                              best_u, best_out, best_dist)
+            _two_phase_search(kern, r_ints, g1[fb], lb[:, fb], bp_buf, best_u, best_out, best_dist)
 
     cw_bits = _ints_to_bits(best_out, trellis.n)
     dist = np.bitwise_count(best_out ^ r_ints).sum(axis=1, dtype=np.int64)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import random_spec, toy_pair_a
-from nestedtbcc import bounds, design, simulate
-from nestedtbcc.trellis import weight_enumerator
+from nestedtbcc import bounds, design, keyagree, simulate
+from nestedtbcc.encoder import encode_many
+from nestedtbcc.trellis import build_trellis, weight_enumerator
+from nestedtbcc.wava import wava_decode_many
 
 PAIR = toy_pair_a()
 SPECTRUM = weight_enumerator(PAIR.fec_code)
@@ -56,3 +58,26 @@ def test_bad_argument_raises_value_error_naming_it(call, name):
         call()
     assert type(info.value) is ValueError
     assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)
+
+
+# the batch entry points, each with bits of one argument: (call, argument, row width)
+K_W = PAIR.K_vq - PAIR.K_fec
+Y, W = np.zeros((2, PAIR.N), np.uint8), np.zeros((2, K_W), np.uint8)
+BIT_ROWS = {
+    "encode_many": (lambda b: encode_many(PAIR.vq_code, b), "message", PAIR.K_vq),
+    "wava_decode_many": (lambda b: wava_decode_many(build_trellis(PAIR.vq_code), b),
+                         "received", PAIR.N),
+    "enroll_many": (lambda b: keyagree.enroll_many(PAIR, b), "identifier", PAIR.N),
+    "reconstruct_many-y": (lambda b: keyagree.reconstruct_many(PAIR, b, W), "measurement", PAIR.N),
+    "reconstruct_many-w": (lambda b: keyagree.reconstruct_many(PAIR, Y, b), "helper", K_W),
+}
+
+
+@pytest.mark.parametrize("call, name, width", BIT_ROWS.values(), ids=BIT_ROWS.keys())
+def test_bad_bit_rows_raise_value_error_naming_them(call, name, width):
+    # a 3-D array and a row one bit too long
+    for bits in (np.zeros((2, 3, width), np.uint8), np.zeros((2, width + 1), np.uint8)):
+        with pytest.raises(ValueError) as info:
+            call(bits)
+        assert type(info.value) is ValueError
+        assert re.match(rf"{name} (bits must be|length)\b", str(info.value)), str(info.value)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import (
     nearest_codeword_rows,
     nearest_distances,
     pack_rows,
+    random_code,
     toy_pair_a,
     toy_pair_b,
 )
@@ -83,6 +85,15 @@ def test_fer_deterministic_across_workers(repetition_toy):
     a = simulate_fer(repetition_toy, 0.08, stop=stop, seed=12, workers=1)
     b = simulate_fer(repetition_toy, 0.08, stop=stop, seed=12, workers=3)
     assert (a.estimate, a.trials, a.event_count) == (b.estimate, b.trials, b.event_count)
+
+
+def test_early_stop_leaves_no_pool_thread():
+    # the stop rule cuts in the first chunk while the other worker still decodes one
+    code = random_code(np.random.default_rng(3), m=4, k=1, n=2, ell=16)
+    before = set(threading.enumerate())
+    rep = simulate_fer(code, 0.1, stop=StopRule(10**6, 5), seed=1, workers=2)
+    assert rep.trials < CHUNK
+    assert [t.name for t in threading.enumerate() if t not in before] == []
 
 
 def test_fer_early_stop_is_exact(repetition_toy):

@@ -135,7 +135,7 @@ def test_rejects_bad_config_and_length(unit_toy, monkeypatch):
     for V in (0, -1):
         with pytest.raises(ValueError, match=f"need V >= 1, got {V}"):
             wava_decode_many(tr, np.zeros((1, tr.N), dtype=np.uint8), V=V)
-    with pytest.raises(ValueError, match=r"must be \[B, 2\], got \(1, 3\)"):
+    with pytest.raises(ValueError, match="received length 3 != N=2"):
         wava_decode_many(tr, np.array([[1, 0, 1]]))
 
 
@@ -261,11 +261,13 @@ def kernel_calls(monkeypatch):
 def test_small_byte_budget_gives_identical_results(monkeypatch, kernel_calls):
     # a few KB forces many row groups and sweeps of a few columns
     monkeypatch.setattr(wava, "_BUDGET_BYTES", 4096)
-    spilled, search = [], wava._two_phase_search
+    spilled, committed, search = [], [], wava._two_phase_search
 
-    def spy(kern, r_ints, idx, *rest):
+    def spy(kern, r_ints, idx, lb, bp, *best):
         spilled.append(kern.trellis.S * len(idx) > kern.columns())
-        return search(kern, r_ints, idx, *rest)
+        improved = search(kern, r_ints, idx, lb, bp, *best)
+        committed.append(improved.sum() > bp.shape[2])
+        return improved
 
     monkeypatch.setattr(wava, "_two_phase_search", spy)
     rng = np.random.default_rng(8)
@@ -281,8 +283,9 @@ def test_small_byte_budget_gives_identical_results(monkeypatch, kernel_calls):
         _assert_same_as_reference(tr, _oracle_words(rng, code, 80), 1 + i % 4)
         assert kernel_calls and max(c for _, c in kernel_calls) <= kern.columns()
     # some call spans several row groups, and some fallback call held more
-    # (start state, row) columns than one sweep does
-    assert grouped and any(spilled)
+    # (start state, row) columns than one sweep does and committed more winners
+    # than one column block of backpointers holds
+    assert grouped and any(spilled) and any(committed)
 
 
 def test_follow_up_sweeps_run_once_per_call(monkeypatch, kernel_calls):
