@@ -16,7 +16,7 @@ against the sha256 recorded in ``MANIFEST.json``):
   and w the helper bits of its enrollment.
 
 Per code: words/s, ns per word and per kappa of ``bounds.complexity_estimates``
-at the default V=4, the histogram of forward sweeps per word, the share of
+at ``wava.SWEEPS``, the histogram of forward sweeps per word, the share of
 words that ran the stop rule's one backward sweep, the converged and fallback
 shares, and per decode call the kernel sweeps by kind (forward, backward,
 constrained: the exact fallback's) and the tracebacks; these counts are
@@ -69,7 +69,6 @@ from workloads import load_input  # noqa: E402  (perfbench's digest-checked read
 
 RUNS = 5
 REPS = 3          # calls per timed run of one kernel layer
-V = 4             # the decoder's default cap, used by every call below
 SEEDS = (1, 2, 3, 4)
 LAYER_SEED = 2024
 P_C_M8 = 0.0365   # the m=8 row of table2_reference.csv
@@ -196,14 +195,15 @@ def count_code(code, batches: list[np.ndarray]) -> dict:
     iters = np.concatenate([res.iterations for res in results])
     backward = sum(c["backward_words"] for c in calls) / len(iters)
     spec = code.spec
-    est = complexity_estimates(code.N, spec.n, trellis.k, spec.m, V)
+    est = complexity_estimates(code.N, spec.n, trellis.k, spec.m, wava.SWEEPS)
     return {
         "params": {"m": spec.m, "k": trellis.k, "n": spec.n, "N": code.N, "K": code.K,
-                   "S": trellis.S, "ell": trellis.ell, "V": V, "words_per_seed": len(batches[0])},
+                   "S": trellis.S, "ell": trellis.ell, "V": wava.SWEEPS,
+                   "words_per_seed": len(batches[0])},
         "iter_mean": float(iters.mean()),
         "backward_mean": backward,
         "sweeps_mean": float(iters.mean()) + backward,
-        "iter_hist": np.bincount(iters, minlength=V + 1)[1:].tolist(),
+        "iter_hist": np.bincount(iters, minlength=wava.SWEEPS + 1)[1:].tolist(),
         "kernel_calls_per_decode": {kind: [c[kind] for c in calls] for kind in KINDS},
         "converged_share": float(np.concatenate([res.converged for res in results]).mean()),
         "fallback_share": float(np.concatenate([res.fallback for res in results]).mean()),

@@ -56,7 +56,6 @@ def _add_common(p, stop=False, sim=False):
         p.add_argument("--max-trials", type=int, default=10_000_000)
         p.add_argument("--target-errors", type=int, default=50)
     if sim:  # Monte Carlo subcommands
-        p.add_argument("--v", type=int, default=4, help="max WAVA iterations")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1)
 
@@ -99,7 +98,7 @@ def cmd_design_vq(args) -> int:
 def cmd_design_nested(args) -> int:
     pair, report = design.design_nested(
         p_A=args.pa, target_pb=args.target_pb, K_fec=args.kfec,
-        n=args.n, m=args.m, seed=args.seed, w_max=args.wmax, V=args.v,
+        n=args.n, m=args.m, seed=args.seed, w_max=args.wmax,
         stop=_stop(args), distortion_trials=args.distortion_trials,
         workers=args.workers,
     )
@@ -165,7 +164,7 @@ def cmd_bound(args) -> int:
 def cmd_sim_fer(args) -> int:
     code = load_code(args.code)
     rep = simulate.simulate_fer(
-        code, args.pc, args.v, _stop(args), args.seed, args.workers
+        code, args.pc, _stop(args), args.seed, args.workers
     )
     _write_json(args.out, dataclasses.asdict(rep))
     return 0
@@ -174,7 +173,7 @@ def cmd_sim_fer(args) -> int:
 def cmd_sim_distortion(args) -> int:
     code = load_code(args.code)
     rep = simulate.simulate_distortion(
-        code, args.v, args.trials, args.seed, args.workers
+        code, args.trials, args.seed, args.workers
     )
     _write_json(args.out, dataclasses.asdict(rep))
     return 0
@@ -183,7 +182,7 @@ def cmd_sim_distortion(args) -> int:
 def cmd_sim_e2e(args) -> int:
     pair = load_pair(args.pair)
     rep = simulate.simulate_end_to_end(
-        pair, args.pa, args.v, _stop(args), args.seed, args.workers
+        pair, args.pa, _stop(args), args.seed, args.workers
     )
     _write_json(args.out, dataclasses.asdict(rep))
     return 0
@@ -217,7 +216,7 @@ def _write_bits(path: str, bits: np.ndarray) -> None:
 
 def cmd_enroll(args) -> int:
     pair = load_pair(args.pair)
-    keys, helpers, dist = enroll_many(pair, _read_bits(args.x, pair.N), args.v)
+    keys, helpers, dist = enroll_many(pair, _read_bits(args.x, pair.N))
     for d in dist:
         print(f"distortion {float(d) / pair.N:.6g}", file=sys.stderr)
     _write_bits(args.out_key, keys)
@@ -229,7 +228,7 @@ def cmd_reconstruct(args) -> int:
     pair = load_pair(args.pair)
     y = _read_bits(args.y, pair.N)
     w = _read_bits(args.helper, pair.K_vq - pair.K_fec)
-    _write_bits(args.out_key, reconstruct_many(pair, y, w, args.v))
+    _write_bits(args.out_key, reconstruct_many(pair, y, w))
     return 0
 
 
@@ -238,7 +237,7 @@ def cmd_evaluate(args) -> int:
     # before the run, so that a bad --l-ref fails at once
     pc_ref = None if args.l_ref is None else bounds.pc_complexity(args.l_ref, pair.N)
     out = simulate.evaluate(
-        pair, args.target_pb, args.v, args.seed, _stop(args),
+        pair, args.target_pb, args.seed, _stop(args),
         args.distortion_trials, args.workers,
     )
     if pc_ref is not None:
@@ -341,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="bit file, one word per line")
     p.add_argument("--out-key", required=True)
     p.add_argument("--out-helper", required=True)
-    p.add_argument("--v", type=int, default=4)
     p.set_defaults(fn=cmd_enroll)
 
     p = sub.add_parser("reconstruct", help="reconstruct keys from measurements")
@@ -349,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--helper", required=True)
     p.add_argument("--out-key", required=True)
-    p.add_argument("--v", type=int, default=4)
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("evaluate", help="full evaluation row for a pair")

@@ -250,7 +250,6 @@ def design_nested(
     m: int,
     seed: int | Sequence[int] = 0,
     w_max: int = 1000,
-    V: int = 4,
     stop: StopRule = StopRule(),
     distortion_trials: int = 4096,
     workers: int = 1,
@@ -258,6 +257,7 @@ def design_nested(
     """Full nested design: subcode search, crossover calibration, incremental
     quantizer extension, and last-input freezing refinement.
 
+    Every decode runs at the decoder's sweep cap, wava.SWEEPS.
     Deterministic in (arguments, seed).  Raises ValueError for n < 2, which
     leaves no input to add, and DesignFailure when the target is unreachable
     or the distortion budget cannot be met at rate 1.
@@ -266,7 +266,7 @@ def design_nested(
         raise ValueError(f"need n >= 2 for a quantizer extension, got n={n}")
     if not 0.0 <= p_A < 0.5:  # before the search: distortion_limit needs it at stage 3
         raise ValueError(f"p_A must be in [0, 0.5), got {p_A}")
-    _at_least_one(V=V, distortion_trials=distortion_trials, workers=workers)
+    _at_least_one(distortion_trials=distortion_trials, workers=workers)
     key = seed_key(seed)
     clock = [time.perf_counter()]          # the start, then the end of each stage
 
@@ -276,7 +276,7 @@ def design_nested(
 
     try:
         p_c_sim, calib_log = calibrate_pc(
-            fec.code, target_pb, p_A, V, stop, key, workers=workers
+            fec.code, target_pb, p_A, stop=stop, seed=key, workers=workers
         )
     except CalibrationError as exc:
         raise DesignFailure(f"crossover calibration failed: {exc}") from exc
@@ -289,7 +289,7 @@ def design_nested(
     for k_target in range(2, n + 1):
         res = search_vq_extension(spec, k_target, w_max, seed=key + (k_target,))
         spec = res.spec
-        rep = simulate_distortion(TailbitingCode.unfrozen(spec, ell), V, distortion_trials,
+        rep = simulate_distortion(TailbitingCode.unfrozen(spec, ell), distortion_trials,
                                   key + (k_target,), workers)
         ext_log.append({
             "k": k_target, "d_free": res.d_free, "a_free": res.a_free,
@@ -309,7 +309,7 @@ def design_nested(
     def q_of(f: int) -> float:
         c = _frozen_code(spec, ell, _evenly_spaced_steps(ell, f))
         return simulate_distortion(
-            c, V, distortion_trials, key + (STREAM_FREEZE, f), workers
+            c, distortion_trials, key + (STREAM_FREEZE, f), workers
         ).estimate
 
     lo, hi = 0, ell - 1

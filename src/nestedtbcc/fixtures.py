@@ -64,10 +64,9 @@ class ReferenceRow:
     L: int | None
 
 
-def load_reference_table(path: str | Path | None = None) -> list[ReferenceRow]:
-    if path is None:
-        path = fixture_path("table2_reference")
-    return _reference_rows(read_csv(path)[1])
+def load_reference_table() -> list[ReferenceRow]:
+    """The rows of the packaged table2_reference.csv."""
+    return _reference_rows(read_csv(fixture_path("table2_reference"))[1])
 
 
 def _reference_rows(rows: list[dict[str, str]]) -> list[ReferenceRow]:

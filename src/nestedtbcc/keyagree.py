@@ -116,9 +116,9 @@ class CsEnrollmentRecord:
     pad: BitVector
 
 
-def enroll(pair: NestedCodePair, x: BitVector, V: int = 4) -> EnrollmentRecord:
+def enroll(pair: NestedCodePair, x: BitVector) -> EnrollmentRecord:
     """Quantize x on the high-rate code and split the message into (S, W)."""
-    s_bits, w_bits, dist = enroll_many(pair, x.to_numpy()[None, :], V)
+    s_bits, w_bits, dist = enroll_many(pair, x.to_numpy()[None, :])
     return EnrollmentRecord(
         secret_key=BitVector.from_numpy(s_bits[0]),
         helper_data=BitVector.from_numpy(w_bits[0]),
@@ -127,26 +127,27 @@ def enroll(pair: NestedCodePair, x: BitVector, V: int = 4) -> EnrollmentRecord:
 
 
 def enroll_many(
-    pair: NestedCodePair, x_bits: np.ndarray, V: int = 4
+    pair: NestedCodePair, x_bits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch enrollment: returns (key bits [B,K_fec], helper bits [B,K_w],
-    quantization Hamming distances [B])."""
+    """Batch enrollment at the decoder's sweep cap (wava.SWEEPS): returns (key
+    bits [B,K_fec], helper bits [B,K_w], quantization Hamming distances [B])."""
     x_bits = _bit_rows(x_bits, "identifier", pair.N, f"N={pair.N}")
     trellis = build_trellis(pair.vq_code)
-    res = wava_decode_many(trellis, x_bits, V=V)
+    res = wava_decode_many(trellis, x_bits)
     return res.msg_bits[:, pair.key_index], res.msg_bits[:, pair.helper_index], res.distance
 
 
-def reconstruct(pair: NestedCodePair, y: BitVector, w: BitVector, V: int = 4) -> BitVector:
+def reconstruct(pair: NestedCodePair, y: BitVector, w: BitVector) -> BitVector:
     """Recover the key from the noisy measurement y and helper data W."""
-    s_bits = reconstruct_many(pair, y.to_numpy()[None, :], w.to_numpy()[None, :], V)
+    s_bits = reconstruct_many(pair, y.to_numpy()[None, :], w.to_numpy()[None, :])
     return BitVector.from_numpy(s_bits[0])
 
 
 def reconstruct_many(
-    pair: NestedCodePair, y_bits: np.ndarray, w_bits: np.ndarray, V: int = 4
+    pair: NestedCodePair, y_bits: np.ndarray, w_bits: np.ndarray
 ) -> np.ndarray:
-    """Batch reconstruction: returns decoded key bits [B, K_fec]."""
+    """Batch reconstruction at the decoder's sweep cap (wava.SWEEPS): returns
+    decoded key bits [B, K_fec]."""
     y_bits = _bit_rows(y_bits, "measurement", pair.N, f"N={pair.N}")
     helper_len = pair.K_vq - pair.K_fec
     w_bits = _bit_rows(w_bits, "helper", helper_len, f"K_vq - K_fec = {helper_len}")
@@ -156,25 +157,21 @@ def reconstruct_many(
     msgs = np.zeros((B, pair.K_vq), dtype=bool)
     msgs[:, pair.helper_index] = w_bits
     shifted = y_bits ^ encode_many(pair.vq_code, msgs).view(bool)
-    res = wava_decode_many(build_trellis(pair.fec_code), shifted, V=V)
+    res = wava_decode_many(build_trellis(pair.fec_code), shifted)
     return res.msg_bits
 
 
-def enroll_cs(
-    pair: NestedCodePair, x: BitVector, s_prime: BitVector, V: int = 4
-) -> CsEnrollmentRecord:
+def enroll_cs(pair: NestedCodePair, x: BitVector, s_prime: BitVector) -> CsEnrollmentRecord:
     """Chosen-secret enrollment: one-time-pad the chosen key onto the
     generated one and store both helper parts."""
     if s_prime.n != pair.K_fec:
         raise ValueError(f"chosen key length {s_prime.n} != K_fec={pair.K_fec}")
-    rec = enroll(pair, x, V)
+    rec = enroll(pair, x)
     return CsEnrollmentRecord(helper_data=rec.helper_data, pad=rec.secret_key ^ s_prime)
 
 
-def reconstruct_cs(
-    pair: NestedCodePair, y: BitVector, record: CsEnrollmentRecord, V: int = 4
-) -> BitVector:
-    s_hat = reconstruct(pair, y, record.helper_data, V)
+def reconstruct_cs(pair: NestedCodePair, y: BitVector, record: CsEnrollmentRecord) -> BitVector:
+    s_hat = reconstruct(pair, y, record.helper_data)
     return s_hat ^ record.pad
 
 

@@ -3,7 +3,8 @@
 Randomness is drawn per fixed-size chunk of trials from a stream keyed by
 (master seed, stream id, chunk index), and early stopping cuts at an exact
 trial index, so every estimate is a pure function of (inputs, seed) no matter
-how chunks are scheduled across workers.
+how chunks are scheduled across workers.  Every decode runs at the decoder's
+sweep cap, wava.SWEEPS, as every TBCC row of the paper does.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .bounds import (
 from .encoder import TailbitingCode, encode_many
 from .keyagree import NestedCodePair, enroll_many, reconstruct_many
 from .trellis import build_trellis
-from .wava import wava_decode_many
+from .wava import SWEEPS, wava_decode_many
 
 # chunk size is part of the sampling definition; do not make it configurable
 CHUNK = 4096
@@ -149,7 +150,6 @@ def _error_rate(
 def simulate_fer(
     code: TailbitingCode,
     p_c: float,
-    V: int = 4,
     stop: StopRule = StopRule(),
     seed: int | Sequence[int] = 0,
     workers: int = 1,
@@ -167,7 +167,7 @@ def simulate_fer(
         msgs = rng.integers(0, 2, size=(count, code.K), dtype=np.uint8)
         flips = (rng.random((count, code.N)) < p_c).astype(np.uint8)
         r = encode_many(code, msgs) ^ flips
-        res = wava_decode_many(trellis, r, V=V)
+        res = wava_decode_many(trellis, r)
         return (res.msg_bits != msgs).any(axis=1)
 
     return _error_rate(trial_fn, STREAM_FER, stop, seed, workers)
@@ -175,7 +175,6 @@ def simulate_fer(
 
 def simulate_distortion(
     vq_code: TailbitingCode,
-    V: int = 4,
     trials: int = CHUNK,
     seed: int | Sequence[int] = 0,
     workers: int = 1,
@@ -189,7 +188,7 @@ def simulate_distortion(
     def chunk_values(i: int, count: int) -> np.ndarray:
         rng = chunk_rng(key, STREAM_DISTORTION, i)
         x = (rng.random((count, vq_code.N)) < 0.5).astype(np.uint8)
-        res = wava_decode_many(trellis, x, V=V)
+        res = wava_decode_many(trellis, x)
         return res.distance / vq_code.N
 
     values = np.concatenate(list(_chunks(chunk_values, trials, workers)))
@@ -202,7 +201,6 @@ def simulate_distortion(
 def simulate_end_to_end(
     pair: NestedCodePair,
     p_A: float,
-    V: int = 4,
     stop: StopRule = StopRule(),
     seed: int | Sequence[int] = 0,
     workers: int = 1,
@@ -214,8 +212,8 @@ def simulate_end_to_end(
     def trial_fn(rng: np.random.Generator, count: int) -> np.ndarray:
         x = (rng.random((count, pair.N)) < 0.5).astype(np.uint8)
         flips = (rng.random((count, pair.N)) < p_A).astype(np.uint8)
-        s_bits, w_bits, _ = enroll_many(pair, x, V)
-        s_hat = reconstruct_many(pair, x ^ flips, w_bits, V)
+        s_bits, w_bits, _ = enroll_many(pair, x)
+        s_hat = reconstruct_many(pair, x ^ flips, w_bits)
         return (s_hat != s_bits).any(axis=1)
 
     return _error_rate(trial_fn, STREAM_E2E, stop, seed, workers)
@@ -233,7 +231,6 @@ def calibrate_pc(
     code: TailbitingCode,
     target_pb: float,
     p_A: float,
-    V: int = 4,
     stop: StopRule = StopRule(),
     seed: int | Sequence[int] = 0,
     workers: int = 1,
@@ -260,7 +257,7 @@ def calibrate_pc(
             log.append({"p": 0.0, "estimate": 0.0, "trials": 0, "errors": 0.0,
                         "upper95": 0.0, "passed": True})
             return True
-        rep = simulate_fer(code, p, V, probe_stop, key + (STREAM_CALIBRATION, i), workers)
+        rep = simulate_fer(code, p, probe_stop, key + (STREAM_CALIBRATION, i), workers)
         if rep.event_count > 0:
             upper = rep.estimate + rep.confidence_halfwidth
         else:
@@ -301,22 +298,22 @@ def derived_rate_fields(n_block: int, k_fec: int, k_vq: int) -> tuple[Fraction, 
 def evaluate(
     pair: NestedCodePair,
     target_pb: float,
-    V: int = 4,
     seed: int | Sequence[int] = 0,
     stop: StopRule = StopRule(),
     distortion_trials: int = CHUNK,
     workers: int = 1,
 ) -> dict:
     """The evaluation row of a nested pair, as the JSON fields of the CLI's
-    evaluate (rates exact up to the float conversion, the rest simulated)."""
-    _at_least_one(V=V, distortion_trials=distortion_trials, workers=workers)
+    evaluate (rates exact up to the float conversion, the rest simulated); the
+    complexity columns count the decoder's SWEEPS iterations."""
+    _at_least_one(distortion_trials=distortion_trials, workers=workers)
     n = pair.vq_code.spec.n
     m = pair.vq_code.spec.m
-    p_c, _ = calibrate_pc(pair.fec_code, target_pb, 0.0, V, stop, seed, workers=workers)
-    q_bar = simulate_distortion(pair.vq_code, V, distortion_trials, seed, workers).estimate
+    p_c, _ = calibrate_pc(pair.fec_code, target_pb, 0.0, stop, seed, workers=workers)
+    q_bar = simulate_distortion(pair.vq_code, distortion_trials, seed, workers).estimate
     r_vq, r_w, helper_bits, ratio = derived_rate_fields(pair.N, pair.K_fec, pair.K_vq)
-    c_fec = complexity_estimates(pair.N, n, 1, m, V)
-    c_vq = complexity_estimates(pair.N, n, math.ceil(n * r_vq), m, V)
+    c_fec = complexity_estimates(pair.N, n, 1, m, SWEEPS)
+    c_vq = complexity_estimates(pair.N, n, math.ceil(n * r_vq), m, SWEEPS)
     return {
         "m": m, "R_fec": float(Fraction(pair.K_fec, pair.N)), "p_c": p_c, "q_bar": q_bar,
         "R_vq": float(r_vq), "R_w": float(r_w), "helper_bits": helper_bits, "ratio": float(ratio),

@@ -105,6 +105,8 @@ from .trellis import TailbitingTrellis, build_trellis
 
 _LARGE = 1 << 40
 _BUDGET_BYTES = 8 << 20
+# the sweep cap V, as in every TBCC row of the paper
+SWEEPS = 4
 
 
 class BatchDecodeResult:
@@ -394,9 +396,10 @@ def _forward(kern, r_ints, g, M, bp_buf, best_dist, best_u, best_out):
 
 
 def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
-                     V: int = 4) -> BatchDecodeResult:
+                     V: int = SWEEPS) -> BatchDecodeResult:
     """Decode a batch of received words with at most V wrap-around sweeps each; rows are
-    independent and deterministic."""
+    independent and deterministic.  V is the only sweep cap in the package: every
+    caller above the decoder runs at SWEEPS."""
     if V < 1:
         raise ValueError(f"need V >= 1, got {V}")
     r_bits = _bit_rows(r_bits, "received", trellis.N, f"N={trellis.N}")

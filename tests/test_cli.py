@@ -423,20 +423,19 @@ def test_design_nested_without_an_input_to_add_exit_code():
     assert proc.stderr.startswith("error:") and "n=1" in proc.stderr
 
 
-@pytest.mark.parametrize("pa, v, message", [
-    ("0.5", "4", "p_A must be in [0, 0.5), got 0.5"),
-    ("0.6", "4", "p_A must be in [0, 0.5), got 0.6"),
-    ("-0.1", "4", "p_A must be in [0, 0.5), got -0.1"),
-    ("0.0", "0", "need V >= 1, got 0"),
+@pytest.mark.parametrize("pa, message", [
+    ("0.5", "p_A must be in [0, 0.5), got 0.5"),
+    ("0.6", "p_A must be in [0, 0.5), got 0.6"),
+    ("-0.1", "p_A must be in [0, 0.5), got -0.1"),
 ])
-def test_design_nested_checks_arguments_before_the_search(monkeypatch, capsys, pa, v, message):
+def test_design_nested_checks_arguments_before_the_search(monkeypatch, capsys, pa, message):
     # an invalid p_A used to surface only after the whole subcode search, as
     # exit code 3 ("unreachable even at p_A=0.6")
     def search_fec(*args, **kwargs):
         raise AssertionError("search_fec ran before the arguments were checked")
 
     monkeypatch.setattr(cli.design, "search_fec", search_fec)
-    rc = main(["design-nested", "--pa", pa, "--v", v, "--target-pb", "0.1", "--kfec", "16",
+    rc = main(["design-nested", "--pa", pa, "--target-pb", "0.1", "--kfec", "16",
                "--n", "3", "--m", "4", "--wmax", "30"])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -449,7 +448,6 @@ def test_design_nested_checks_arguments_before_the_search(monkeypatch, capsys, p
     (["evaluate", "--l-ref", "0"], "need L >= 1 and N >= 2, got L=0, N=12"),
     (["evaluate", "--l-ref", "-3"], "need L >= 1 and N >= 2, got L=-3, N=12"),
     (["evaluate", "--distortion-trials", "0"], "need distortion_trials >= 1, got 0"),
-    (["evaluate", "--v", "0"], "need V >= 1, got 0"),
 ])
 def test_bad_option_exits_before_any_work(monkeypatch, capsys, toy_pair_file, argv, message):
     # --distortion-trials 0 used to fail only after the search and the
@@ -544,12 +542,20 @@ def test_every_option_reaches_its_handler():
                 assert f"args.{action.dest}" in src, (name, action.option_strings)
 
 
-def test_unread_option_is_rejected(tmp_path):
-    code_path = tmp_path / "code.json"
-    save_code(toy_pair_a().fec_code, str(code_path))
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--code", str(code_path), "--workers", "2"])
-    assert exc.value.code == 2
+def test_unread_option_is_rejected(tmp_path, toy_pair_file):
+    # --v: the sweep cap is the decoder's own, no subcommand sets it
+    pair = toy_pair_a()
+    code_path, x_path, out = tmp_path / "code.json", tmp_path / "x.txt", str(tmp_path / "o")
+    save_code(pair.fec_code, str(code_path))
+    x_path.write_text("0" * pair.N + "\n")
+    for argv in (["spectrum", "--code", str(code_path), "--workers", "2"],
+                 ["sim-fer", "--code", str(code_path), "--pc", "0.1", "--max-trials", "10",
+                  "--v", "4", "--out", out],
+                 ["enroll", "--pair", toy_pair_file, "--x", str(x_path), "--out-key", out,
+                  "--out-helper", out, "--v", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_spectrum_csv_row_without_a_field_exit_code(tmp_path, capsys):

@@ -2,12 +2,21 @@
 JSON file goes through encoder.write_json, every CSV file through
 fixtures.read_csv.  The batch path has one way in and one way out: the bits of
 every batch entry point pass encoder._bit_rows, and wava._forward does the
-decoder's only traceback."""
+decoder's only traceback.  The decoder's sweep cap V is set in one place:
+wava_decode_many's keyword (complexity_estimates models a given V, and the
+published table's rows record theirs)."""
 
+import argparse
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import nestedtbcc
+from nestedtbcc import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 ONE_SITE = {("json", "dump"): ["encoder.write_json"],
@@ -55,3 +64,31 @@ def test_one_bit_row_check():
 
 def test_one_traceback_call_site():
     assert _call_sites(None, "traceback") == ["wava._forward"]
+
+
+def _public_callables():
+    """(module.name, callable) for every public function of the package modules and
+    every public method (constructors included) of their classes."""
+    for info in pkgutil.iter_modules(nestedtbcc.__path__):
+        module = importlib.import_module(f"nestedtbcc.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = getattr(member, "__func__", member)
+                    if inspect.isfunction(fn) and (attr == "__init__" or not attr.startswith("_")):
+                        yield f"{info.name}.{name}.{attr}", fn
+
+
+def test_one_sweep_cap_setting():
+    takes_v = [name for name, fn in _public_callables() if "V" in inspect.signature(fn).parameters]
+    # ReferenceRow holds the published table's V column: a value read, not a setting
+    assert sorted(takes_v) == ["bounds.complexity_estimates", "fixtures.ReferenceRow.__init__",
+                               "wava.wava_decode_many"]
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert [name for name, p in sub.choices.items()
+            if any("--v" in a.option_strings for a in p._actions)] == []

@@ -138,19 +138,16 @@ def test_single_flip_always_corrected():
 
 
 def test_reconstruct_passes_the_iteration_budget():
-    # on words where V=1 and V=4 decode differently, the single-word path
-    # must follow the V it was given
+    # the single-word path decodes with the batch path's sweep budget: on
+    # random words, noisy enough that some run past the first sweep, it
+    # returns the batch row
     pair = toy_pair_a()
     rng = np.random.default_rng(0)
     y = rng.integers(0, 2, (256, pair.N), dtype=np.uint8)
     w = rng.integers(0, 2, (256, pair.K_vq - pair.K_fec), dtype=np.uint8)
-    s1 = reconstruct_many(pair, y, w, V=1)
-    s4 = reconstruct_many(pair, y, w, V=4)
-    rows = np.flatnonzero((s1 != s4).any(axis=1))
-    assert len(rows) > 0
-    for b in rows[:5]:
-        assert reconstruct(pair, vec(y[b]), vec(w[b]), V=1) == vec(s1[b])
-        assert reconstruct(pair, vec(y[b]), vec(w[b]), V=4) == vec(s4[b])
+    s = reconstruct_many(pair, y, w)
+    for b in range(len(y)):
+        assert reconstruct(pair, vec(y[b]), vec(w[b])) == vec(s[b])
 
 
 def test_enrollment_matches_exhaustive_quantizer():

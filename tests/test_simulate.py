@@ -16,7 +16,8 @@ from conftest import (
     toy_pair_a,
     toy_pair_b,
 )
-from nestedtbcc.bounds import quantizer_converse_feasible, union_bound_pb
+from nestedtbcc import wava
+from nestedtbcc.bounds import complexity_estimates, quantizer_converse_feasible, union_bound_pb
 from nestedtbcc.encoder import encode_many
 from nestedtbcc.simulate import (
     CHUNK,
@@ -273,8 +274,7 @@ def test_derived_rate_fields_match_reference_arithmetic():
 
 def test_evaluate_row_identities():
     pair = toy_pair_a()
-    row = evaluate(pair, 1e-2, V=4, seed=9,
-                   stop=StopRule(max_trials=50_000), distortion_trials=1024)
+    row = evaluate(pair, 1e-2, seed=9, stop=StopRule(max_trials=50_000), distortion_trials=1024)
     r_fec = Fraction(pair.K_fec, pair.N)
     r_vq, r_w, helper_bits, ratio = derived_rate_fields(pair.N, pair.K_fec, pair.K_vq)
     assert r_w == r_vq - r_fec
@@ -286,6 +286,10 @@ def test_evaluate_row_identities():
     assert row["helper_bits"] == helper_bits
     assert row["m"] == pair.vq_code.spec.m
     assert row["complexity_fec_kind"] in {"F", "P", "M"}
+    # the complexity columns count the decoder's own sweep cap
+    n, m = pair.vq_code.spec.n, pair.vq_code.spec.m
+    assert row["complexity_vq_log2"] == complexity_estimates(
+        pair.N, n, math.ceil(n * r_vq), m, wava.SWEEPS).log2_min
 
 
 def test_region_curve_and_aux():
