@@ -25,7 +25,9 @@ cannot.  ``layers`` times a forward sweep with backpointers, the backward
 bound sweep, a sweep of (start state, word) columns and a traceback on one
 column block of uniform random words, in ns per (section, state, column), or
 per (section, column) for the traceback, and records the key dtype, the
-renormalisation interval (ell or more: never) and the block's column count.
+renormalisation interval (ell or more: never), the column cap of a block and
+the block width that a decode of one seed's words uses, at which the layers
+are timed.
 
 ``fallback`` compares the two-phase exact fallback with the exhaustive search
 of ``tests/wava_fallback_reference.py``.  ``pair_m6`` replays with either
@@ -153,17 +155,21 @@ def count_calls(trellis, batches: list[np.ndarray]) -> tuple[list, list[dict]]:
     return results, counts
 
 
-def layer_params(kern) -> dict:
-    """The kernel's key dtype, renormalisation interval and block column count."""
+def layer_params(kern, words: int) -> dict:
+    """The kernel's key dtype, renormalisation interval, column cap of a block, and the
+    width of the first block of a decode of words rows (its row group, split as evenly
+    as the cap allows)."""
+    group = wava._width(words, kern.group_rows())
     return {"key_dtype": np.dtype(kern.tab.dtype).name, "renorm_every": kern.tab.every,
-            "block_columns": kern.columns()}
+            "block_columns": kern.columns(), "call_columns": wava._width(group, kern.columns())}
 
 
-def time_layers(trellis) -> dict:
-    """The kernel's parameters and, per layer, the ms of one call on one column block
-    and ns per element."""
+def time_layers(trellis, words: int) -> dict:
+    """The kernel's parameters and, per layer, the ms of one call on the first column
+    block of a decode of words rows, and ns per element."""
     kern = wava._Kernel(trellis)
-    S, ell, C = trellis.S, trellis.ell, kern.columns()
+    out = layer_params(kern, words)
+    S, ell, C = trellis.S, trellis.ell, out["call_columns"]
     rng = np.random.default_rng(LAYER_SEED)
     r_ints = rng.integers(0, 1 << trellis.n, (C, ell)).astype(np.uint8)
     cols = np.arange(C)
@@ -176,7 +182,6 @@ def time_layers(trellis) -> dict:
              "backward": lambda: kern.bound(r_cols, fwd),
              "constrained": lambda: kern.constrained(r_ints, cols, starts),
              "traceback": lambda: kern.traceback(bp, ends, cols)}
-    out = layer_params(kern)
     for name, call in calls.items():
         call()                                          # buffers allocated before timing
         out[name] = _bench.median_of_runs(lambda: {"ms": 1e3 * _bench.seconds(call, REPS)}, RUNS)
@@ -208,7 +213,7 @@ def count_code(code, batches: list[np.ndarray]) -> dict:
         "converged_share": float(np.concatenate([res.converged for res in results]).mean()),
         "fallback_share": float(np.concatenate([res.fallback for res in results]).mean()),
         "kappa": {"F": est.kappa_f, "P": est.kappa_p, "M": est.kappa_m, "kind": est.kind},
-        "layers": layer_params(wava._Kernel(trellis)),
+        "layers": layer_params(wava._Kernel(trellis), len(batches[0])),
     }
 
 
@@ -219,7 +224,7 @@ def bench_code(code, batches: list[np.ndarray]) -> dict:
         lambda: [wava_decode_many(trellis, r) for r in batches])}, RUNS)
     ns_word, kappa = 1e9 / out["words_per_s"]["median"], out["kappa"]
     out |= {"ns_per_word": ns_word, "ns_per_kappa": ns_word / kappa[kappa["kind"]],
-            "layers": time_layers(trellis)}
+            "layers": time_layers(trellis, len(batches[0]))}
     return out
 
 

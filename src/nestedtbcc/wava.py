@@ -43,15 +43,19 @@ again.
 
 Temporaries (the [A/2, S, C] keys, their [A/2, S/2, C] pair minima and picks,
 and the backpointer buffer, each allocated once per call and reused by every
-section and sweep) grow with C, which is capped so they fit in _BUDGET_BYTES.
-The order is sweep-major: sweep v runs once per call over every word still
-active, in column blocks of that cap, and the backward bound sweep, each later
-sweep and the exact fallback each run once over the open words pooled from
-all blocks, so a few open words cost one small sweep, not one per block.  The
-[S, words] state that crosses sweeps (start metrics, the fallback's bound) is
-held per row group, sized from the same budget and never below one block;
-larger batches run in several groups.  Every word's computation is the same
-in any order.
+section and sweep; a block's [S, C] start keys and candidate arrays) grow with
+C, which is capped so that what a block holds fits in _BUDGET_BYTES.  A block's
+start keys are built in the key dtype, and a tailbiting candidate's start
+metric is read at its end state, where it starts.  The order is sweep-major:
+sweep v runs once per call over every word still active, in the fewest column
+blocks of that cap, of even widths (512 words at a cap of 348 run as 256 + 256,
+not 348 + 164), and the backward bound sweep, each later sweep and the exact
+fallback each run once over the open words pooled from all blocks, so a few
+open words cost one small sweep, not one per block.  The [S, words] state that
+crosses sweeps (start metrics, the fallback's bound) is held per row group,
+sized from the same budget and never below one block; larger batches run in
+the fewest groups, of even sizes.  Every word's computation is the same in any
+order.
 
 Stop rule: a word stops after sweep v when its best candidate distance equals
 the bound of an ML certificate, or after sweep V.  The first sweep starts from
@@ -200,10 +204,12 @@ class _Kernel:
         self.offset = np.zeros(0, np.int64)
 
     def columns(self) -> int:
-        """Columns per block so that one block's temporaries fit the budget."""
-        S, ell = self.trellis.S, self.trellis.ell
-        per_col = self.tab.key_col_bytes + 8 * (ell + 9 * S)   # keys, blocks, [S, C] metrics, bound
-        per_col += ell * (S >> 1)                                # one-byte backpointers
+        """Columns per block so that one forward block's temporaries fit the budget: the
+        sweep's keys, the intp blocks, `_forward`'s [S, C] arrays (three of the key dtype:
+        start keys, end metrics and origins; a bool mask; two int64 candidate arrays) and
+        the one-byte backpointers."""
+        S, ell, size = self.trellis.S, self.trellis.ell, np.dtype(self.tab.dtype).itemsize
+        per_col = self.tab.key_col_bytes + 8 * ell + S * (3 * size + 17) + ell * (S >> 1)
         return max(1, _BUDGET_BYTES // per_col)
 
     def group_rows(self) -> int:
@@ -367,23 +373,31 @@ def _two_phase_search(kern, r_ints, idx, lb, bp, best_u, best_out, best_dist):
     return improved
 
 
+def _width(rows: int, cap: int) -> int:
+    """Columns per block when rows run in the fewest blocks of at most cap columns, as
+    even as they go; at least 1."""
+    return max(1, -(-rows // max(1, -(-rows // cap))))
+
+
 def _forward(kern, r_ints, g, M, bp_buf, best_dist, best_u, best_out):
-    """One forward sweep of the rows g from start metrics M [S, len(g)], in column blocks
-    that share the backpointer buffer bp_buf [ell, S/2, step]: a block's tailbiting
-    candidates that beat best_dist are traced back before the next block overwrites it.
-    Returns the end metrics [S, len(g)]."""
-    S, ell, tab, step = kern.trellis.S, kern.trellis.ell, kern.tab, bp_buf.shape[2]
-    states, ends = np.arange(S)[:, None], np.empty(M.shape, np.int64)
+    """One forward sweep of the rows g from start metrics M [S, len(g)], in the fewest
+    column blocks that fit the backpointer buffer bp_buf [ell, S/2, cap], of even widths:
+    a block's tailbiting candidates that beat best_dist are traced back before the next
+    block overwrites it.  Returns the end metrics [S, len(g)]."""
+    S, ell, tab = kern.trellis.S, kern.trellis.ell, kern.tab
+    step = _width(len(g), bp_buf.shape[2])
+    states, ends = np.arange(S, dtype=tab.dtype)[:, None], np.empty(M.shape, np.int64)
     for lo in range(0, len(g), step):
         rows, M_blk = g[lo:lo + step], M[:, lo:lo + step]
         cols = np.arange(len(rows))
         bp = bp_buf.reshape(-1)[:ell * (S >> 1) * len(rows)].reshape(ell, S >> 1, len(rows))
-        end = kern.sweep(kern.r_cols(r_ints, rows),
-                         ((M_blk << tab.sh) | states).astype(tab.dtype), bp)
+        P = M_blk.astype(tab.dtype)
+        P <<= tab.sh
+        P |= states
+        end = kern.sweep(kern.r_cols(r_ints, rows), P, bp)
         Mend = np.add(end >> tab.sh, kern.offset, out=ends[:, lo:lo + step])
-        origin = (end & (S - 1)).astype(np.int64)
-        blockdist = Mend - np.take_along_axis(M_blk, origin, axis=0)
-        cand_dist = np.where(origin == states, blockdist, _LARGE)
+        # a candidate ends where it starts, so its start metric is M_blk at its end state
+        cand_dist = np.where((end & (S - 1)) == states, Mend - M_blk, _LARGE)
         s_tb = cand_dist.argmin(axis=0)
         d_tb = cand_dist[s_tb, cols]
         upd = np.flatnonzero(d_tb < best_dist[rows])
@@ -414,8 +428,8 @@ def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
     converged = np.zeros(B, dtype=bool)
     need = np.zeros(B, dtype=bool)
 
-    step, group = kern.columns(), kern.group_rows()
-    bp_buf = np.empty((ell, S >> 1, min(step, B)), dtype=np.uint8)
+    step, group = kern.columns(), _width(B, kern.group_rows())
+    bp_buf = np.empty((ell, S >> 1, _width(group, step)), dtype=np.uint8)
     for lo in range(0, B, group):
         g = np.arange(lo, min(lo + group, B))          # rows still active
         M = np.zeros((S, len(g)), dtype=np.int64)

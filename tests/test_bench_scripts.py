@@ -19,6 +19,7 @@ import pytest
 
 from nestedtbcc import wava
 from nestedtbcc.trellis import build_trellis
+from wava_spy import kernel_spies
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -77,11 +78,18 @@ def test_wava_sweep_times_every_layer(monkeypatch):
     monkeypatch.setattr(bench, "RUNS", 1)
     _, pair = bench.load_inputs()
     trellis = build_trellis(pair.vq_code)
-    layers = bench.time_layers(trellis)
+    layers = bench.time_layers(trellis, 4033)
     assert (trellis.S, trellis.ell) == (64, 32)
     # the criterion-9 quantizer keeps uint16 keys and never renormalises in 32 sections
     assert (layers["key_dtype"], layers["renorm_every"]) == ("uint16", 36)
     assert layers["block_columns"] == wava._Kernel(trellis).columns() > 3
+    # the layers are timed on the block that a decode of 4 033 words sweeps first: two
+    # row groups of at most 2 017 words, each in two blocks of at most 1 009
+    calls, spies = kernel_spies()
+    for name, spy in spies.items():
+        monkeypatch.setattr(wava._Kernel, name, spy)
+    wava.wava_decode_many(trellis, np.zeros((4033, trellis.N), dtype=np.uint8))
+    assert layers["call_columns"] == calls[0][1] == 1009
     for layer, per in (("forward", "ns_per_section_state_column"),
                        ("backward", "ns_per_section_state_column"),
                        ("constrained", "ns_per_section_state_column"),
@@ -111,7 +119,8 @@ def test_bench_wava_json_matches_the_code(monkeypatch):
     for fields in counted["codes"].values():
         assert {"kernel_calls_per_decode", "iter_hist", "backward_mean", "converged_share",
                 "fallback_share", "kappa", "layers"} <= set(fields)
-        assert set(fields["layers"]) == {"key_dtype", "renorm_every", "block_columns"}
+        assert set(fields["layers"]) == {"key_dtype", "renorm_every", "block_columns",
+                                         "call_columns"}
     assert {"fallback_rows_per_call", "two_phase", "exhaustive"} <= set(counted["fallback"]["pair_m6"])
     assert "fallback_rows" in counted["fallback"]["m8_k3"]
     assert _recorded(committed, counted) == counted

@@ -30,7 +30,8 @@ from nestedtbcc.keyagree import (
     reconstruct_cs,
     reconstruct_many,
 )
-from nestedtbcc.trellis import weight_enumerator
+from nestedtbcc.trellis import build_trellis, weight_enumerator
+from nestedtbcc.wava import wava_decode_many
 
 
 def vec(bits_arr) -> BitVector:
@@ -263,6 +264,24 @@ def test_batch_functions_reject_wrong_shapes():
         reconstruct(pair, BitVector.zeros(11), BitVector.zeros(4))
     with pytest.raises(ValueError, match="helper length 5 != K_vq - K_fec = 4"):
         reconstruct(pair, BitVector.zeros(12), BitVector.zeros(5))
+
+
+@pytest.mark.parametrize("make", [toy_pair_a, toy_pair_c])
+def test_empty_batches_return_empty_rows(make):
+    # a batch of no rows runs every batch path and returns arrays of no rows, with the
+    # widths and dtypes of a one-row batch
+    pair = make()
+
+    def outputs(B):
+        x = np.zeros((B, pair.N), dtype=np.uint8)
+        s, w, dist = enroll_many(pair, x)
+        res = wava_decode_many(build_trellis(pair.fec_code), x)
+        return [encode_many(pair.vq_code, np.zeros((B, pair.K_vq), dtype=np.uint8)), s, w, dist,
+                reconstruct_many(pair, x, w), res.msg_bits, res.cw_bits, res.distance,
+                res.iterations, res.converged, res.fallback]
+
+    for empty, one in zip(outputs(0), outputs(1), strict=True):
+        assert (empty.shape, empty.dtype) == ((0, *one.shape[1:]), one.dtype)
 
 
 def test_enroll_many_rejects_non_binary():

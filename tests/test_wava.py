@@ -259,8 +259,9 @@ def kernel_calls(monkeypatch):
 
 
 def test_small_byte_budget_gives_identical_results(monkeypatch, kernel_calls):
-    # a few KB forces many row groups and sweeps of a few columns
+    # a few KB forces many row groups, and blocks of 4 columns many blocks per sweep
     monkeypatch.setattr(wava, "_BUDGET_BYTES", 4096)
+    monkeypatch.setattr(wava._Kernel, "columns", lambda kern: 4)
     spilled, committed, search = [], [], wava._two_phase_search
 
     def spy(kern, r_ints, idx, lb, bp, *best):
@@ -277,7 +278,6 @@ def test_small_byte_budget_gives_identical_results(monkeypatch, kernel_calls):
         code = random_code(rng, m=2 + i % 3, k=k, n=max(k, 2), ell=6, freeze_prob=0.4)
         tr = build_trellis(code)
         kern = wava._Kernel(tr)
-        assert kern.columns() < 16
         grouped += 80 > kern.group_rows()
         kernel_calls.clear()
         _assert_same_as_reference(tr, _oracle_words(rng, code, 80), 1 + i % 4)
@@ -394,10 +394,10 @@ def _tie_words(rng, code, B):
 
 def test_fallback_matches_exhaustive(monkeypatch):
     rng = np.random.default_rng(10)
-    budget, swept, columns = wava._BUDGET_BYTES, 0, 0
+    width, swept, columns = wava._Kernel.columns, 0, 0
     for i in range(48):
         # every fourth case splits every sweep into blocks
-        monkeypatch.setattr(wava, "_BUDGET_BYTES", 4096 if i % 4 == 0 else budget)
+        monkeypatch.setattr(wava._Kernel, "columns", width if i % 4 else lambda kern: 7)
         m, k = 1 + (i // 3) % 6, 1 + i % 3
         code = random_code(rng, m=m, k=k, n=max(k, int(rng.integers(1, 4))),
                            ell=m + int(rng.integers(0, 4)), freeze_prob=0.4)
@@ -645,24 +645,66 @@ def test_renormalising_decodes_match_the_reference(monkeypatch, start_metrics):
     assert {"forward", "backward", "constrained"} <= set(start_metrics)
 
 
+def _perfbench_codes():
+    """The m=8 code and the criterion-9 pair's two codes of perfbench/inputs."""
+    inputs = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+    pair = pair_from_dict(json.loads((inputs / "pair_m6.json").read_text()))
+    return {"code_m8": code_from_dict(json.loads((inputs / "code_m8.json").read_text())),
+            "pair_m6_quantizer": pair.vq_code, "pair_m6_fec": pair.fec_code}
+
+
 def test_key_widths():
     # uint16 keys where the metric field holds m*n + 1 + n*every for some every >= m
     # (the perfbench codes: code_m8 renormalises 3 times a sweep, pair_m6 never in 32
     # sections), int32 for the paper-geometry m=8, k=3 quantizer; at the default budget
-    # a column block holds the per-pair backpointers and keys of this many words
-    inputs = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
-    pair = pair_from_dict(json.loads((inputs / "pair_m6.json").read_text()))
-    codes = {"code_m8": code_from_dict(json.loads((inputs / "code_m8.json").read_text())),
-             "pair_m6_quantizer": pair.vq_code, "pair_m6_fec": pair.fec_code,
-             "m8_k3": random_code(np.random.default_rng(18), m=8, k=3, n=3, ell=128)}
-    expect = {"code_m8": (np.uint16, 9, 34, 228), "pair_m6_quantizer": (np.uint16, 9, 36, 1149),
-              "pair_m6_fec": (np.uint16, 7, 164, None), "m8_k3": (np.int32, 11, None, None)}
+    # a column block holds what a forward sweep of this many words needs
+    codes = _perfbench_codes()
+    codes["m8_k3"] = random_code(np.random.default_rng(18), m=8, k=3, n=3, ell=128)
+    expect = {"code_m8": (np.uint16, 9, 34, 348), "pair_m6_quantizer": (np.uint16, 9, 36, 2016),
+              "pair_m6_fec": (np.uint16, 7, 164, 2818), "m8_k3": (np.int32, 11, None, None)}
     for name, (dtype, sh, every, columns) in expect.items():
         kern = wava._Kernel(build_trellis(codes[name]))
         assert (kern.tab.dtype, kern.tab.sh) == (dtype, sh), name
         assert every is None or kern.tab.every == every, name
         assert kern.tab.every >= kern.trellis.ell or dtype == np.uint16, name
         assert columns is None or kern.columns() == columns, name
+
+
+@pytest.mark.parametrize("name", ["code_m8", "pair_m6_quantizer"])
+def test_a_full_width_block_fits_the_budget(name):
+    # columns() counts what a forward block holds: a decode of columns() uniform words, one
+    # block that runs every sweep, the backward bound and the exact fallback, peaks within
+    # the budget plus the call's per-word arrays (the [S, words] state that group_rows()
+    # counts, and each word's bits, section ints, messages and codewords)
+    code = _perfbench_codes()[name]
+    tr = build_trellis(code)
+    C = wava._Kernel(tr).columns()
+    r = np.random.default_rng(19).integers(0, 2, (C, code.N), dtype=np.uint8)
+    wava_decode_many(tr, r[:1])                  # the cached tables are not per call
+    tracemalloc.start()
+    try:
+        res = wava_decode_many(tr, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.iterations.max() == 4 and res.fallback.any()
+    assert peak <= wava._BUDGET_BYTES + C * (40 * tr.S + 4 * tr.N)
+
+
+def test_a_512_word_m8_call_sweeps_two_even_blocks(kernel_calls):
+    # 512 words at 348 columns a block run as 256 + 256, not 348 + 164; each later sweep,
+    # and the backward bound, pools the rows that both blocks leave open
+    code = _perfbench_codes()["code_m8"]
+    rng = np.random.default_rng(20)
+    r = encode_many(code, rng.integers(0, 2, (512, code.K), dtype=np.uint8))
+    r ^= (rng.random(r.shape) < 0.0365).astype(np.uint8)
+    res = wava_decode_many(build_trellis(code), r)
+    forward = [c for k, c in kernel_calls if k == "forward"]
+    backward = [c for k, c in kernel_calls if k == "backward"]
+    assert forward[:2] == [256, 256] and len(forward) > 2 and len(backward) == 1
+    later = [int((res.iterations >= v).sum()) for v in range(2, wava.SWEEPS + 1)]
+    assert forward[2:] == [c for c in later if c]
+    assert len([k for k, _ in kernel_calls if k == "traceback"]) <= len(forward)
 
 
 @pytest.mark.parametrize("m, A, n, message", [
