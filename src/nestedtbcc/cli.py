@@ -379,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (design.DesignFailure, simulate.CalibrationError) as exc:
+    except design.DesignFailure as exc:
         print(f"design failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError, MemoryError) as exc:

@@ -67,18 +67,15 @@ from .simulate import (
     STREAM_FEC_CAND,
     STREAM_FREEZE,
     STREAM_VQ_CAND,
-    CalibrationError,
+    DesignFailure,
     StopRule,
+    TrialReport,
     _at_least_one,
     calibrate_pc,
     seed_key,
     simulate_distortion,
 )
 from .trellis import WeightSpectrum, free_distance, weight_enumerator
-
-
-class DesignFailure(RuntimeError):
-    """A search or budget step could not produce a usable code."""
 
 
 @dataclass(frozen=True)
@@ -216,20 +213,16 @@ def search_vq_extension(
     return VqSearchResult(best_dfree, best_afree, best, tuple(log))
 
 
-def _evenly_spaced_steps(ell: int, count: int) -> list[int]:
-    return sorted({(j * ell) // count for j in range(count)}) if count else []
-
-
-def _frozen_code(spec: EncoderSpec, ell: int, freeze_steps: Sequence[int]) -> TailbitingCode:
-    last = spec.k - 1
-    steps = set(freeze_steps)
-    frozen = [frozenset({last}) if t in steps else frozenset() for t in range(ell)]
-    return TailbitingCode(spec, FreezingSchedule(ell, tuple(frozen)))
+def _frozen_code(spec: EncoderSpec, ell: int, f: int) -> TailbitingCode:
+    """spec over ell sections with its last input frozen at the f steps (j*ell)//f, j < f;
+    f = 0 gives TailbitingCode.unfrozen(spec, ell), the same value."""
+    steps = {(j * ell) // f for j in range(f)}
+    frozen = tuple(frozenset({spec.k - 1}) if t in steps else frozenset() for t in range(ell))
+    return TailbitingCode(spec, FreezingSchedule(ell, frozen))
 
 
 @dataclass(frozen=True)
 class NestedDesignReport:
-    p_c_union: float
     p_c_sim: float
     q_max: float
     q_bar: float
@@ -274,14 +267,15 @@ def design_nested(
     ell = K_fec
     clock.append(time.perf_counter())
 
-    try:
-        p_c_sim, calib_log = calibrate_pc(
-            fec.code, target_pb, p_A, stop=stop, seed=key, workers=workers
-        )
-    except CalibrationError as exc:
-        raise DesignFailure(f"crossover calibration failed: {exc}") from exc
+    p_c_sim, calib_log = calibrate_pc(fec.code, target_pb, p_A, stop=stop, seed=key,
+                                      workers=workers)
     q_max = distortion_limit(p_c_sim, p_A)
     clock.append(time.perf_counter())
+
+    def q(spec: EncoderSpec, f: int, seed: tuple[int, ...]) -> TrialReport:
+        """The distortion of _frozen_code(spec, ell, f), the one probe of stages 3 and 4;
+        simulate_distortion is read from this module per call (perfbench wraps it here)."""
+        return simulate_distortion(_frozen_code(spec, ell, f), distortion_trials, seed, workers)
 
     # grow one input at a time until the measured distortion fits the budget
     spec = fec.code.spec
@@ -289,8 +283,7 @@ def design_nested(
     for k_target in range(2, n + 1):
         res = search_vq_extension(spec, k_target, w_max, seed=key + (k_target,))
         spec = res.spec
-        rep = simulate_distortion(TailbitingCode.unfrozen(spec, ell), distortion_trials,
-                                  key + (k_target,), workers)
+        rep = q(spec, 0, key + (k_target,))
         ext_log.append({
             "k": k_target, "d_free": res.d_free, "a_free": res.a_free,
             "q_bar": rep.estimate, "q_halfwidth": rep.confidence_halfwidth,
@@ -306,26 +299,19 @@ def design_nested(
 
     # freeze as many time steps of the last added input as the budget allows;
     # distortion grows as the codebook shrinks, so binary-search the boundary
-    def q_of(f: int) -> float:
-        c = _frozen_code(spec, ell, _evenly_spaced_steps(ell, f))
-        return simulate_distortion(
-            c, distortion_trials, key + (STREAM_FREEZE, f), workers
-        ).estimate
-
     lo, hi = 0, ell - 1
     q_bar = rep.estimate
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        qm = q_of(mid)
+        qm = q(spec, mid, key + (STREAM_FREEZE, mid)).estimate
         if qm <= q_max:
             lo, q_bar = mid, qm
         else:
             hi = mid - 1
-    final_code = _frozen_code(spec, ell, _evenly_spaced_steps(ell, lo))
+    final_code = _frozen_code(spec, ell, lo)
     clock.append(time.perf_counter())
 
     report = NestedDesignReport(
-        p_c_union=fec.p_c,
         p_c_sim=p_c_sim,
         q_max=q_max,
         q_bar=q_bar,

@@ -64,6 +64,10 @@ def _at_least_one(**values: int) -> None:
             raise ValueError(f"need {name} >= 1, got {value}")
 
 
+class DesignFailure(RuntimeError):
+    """A search, calibration or budget step could not produce a usable code."""
+
+
 @dataclass(frozen=True)
 class StopRule:
     """Stop at target_errors observed events or max_trials, whichever first."""
@@ -219,14 +223,6 @@ def simulate_end_to_end(
     return _error_rate(trial_fn, STREAM_E2E, stop, seed, workers)
 
 
-class CalibrationError(RuntimeError):
-    """The target block-error probability is not met even at p = p_A."""
-
-    def __init__(self, msg: str, log: list):
-        super().__init__(msg)
-        self.log = log
-
-
 def calibrate_pc(
     code: TailbitingCode,
     target_pb: float,
@@ -241,6 +237,7 @@ def calibrate_pc(
     A probe passes when the upper 95% bound of its estimate (rule of three
     when no errors were seen) is at most the target.  Each probe runs to
     target_errors or to a trial budget just large enough to certify a pass.
+    Raises DesignFailure when the probe at p_A fails.
     """
     if not 0.0 < target_pb < 1.0:
         raise ValueError(f"target_pb must be in (0, 1), got {target_pb}")
@@ -271,9 +268,8 @@ def calibrate_pc(
 
     lo, hi = p_A, 0.5
     if not probe(0, lo):
-        raise CalibrationError(
-            f"target P_B={target_pb} unreachable even at p_A={p_A}", log
-        )
+        raise DesignFailure(f"crossover calibration failed: target P_B={target_pb} "
+                            f"unreachable even at p_A={p_A}")
     if probe(1, hi):
         return hi, log
     for i in range(2, CALIBRATION_PROBES):

@@ -443,8 +443,9 @@ def wava_decode_many(trellis: TailbitingTrellis, r_bits: np.ndarray, *,
                 g1, perfect = g[open_], bound[open_] == 0
                 if len(open_):
                     lb = np.empty((S, len(open_)), dtype=np.int64)
-                    for o in range(0, len(open_), step):
-                        blk = open_[o:o + step]
+                    w = _width(len(open_), step)
+                    for o in range(0, len(open_), w):
+                        blk = open_[o:o + w]
                         lb[:, o:o + len(blk)] = kern.bound(kern.r_cols(r_ints, g[blk]),
                                                            Mend[:, blk])
                     bound[open_] = lb.min(axis=0)

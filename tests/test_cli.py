@@ -300,7 +300,7 @@ def test_invalid_input_exit_code(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("m", None), ("C", None), ("B_tilde", 3), ("frozen", [["a"]] * 4),
-    ("frozen", [[1.5]] * 4), ("m", 2.7),
+    ("frozen", [[1.5]] * 4), ("m", 2.7), ("frozen", [[2], [], [], []]),
 ])
 def test_malformed_code_and_pair_json_exit_code(tmp_path, toy_pair_file, field, value):
     d = json.loads((tmp_path / "pair.json").read_text())
@@ -319,7 +319,7 @@ def test_malformed_code_and_pair_json_exit_code(tmp_path, toy_pair_file, field, 
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error:")
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -480,13 +480,32 @@ def test_monte_carlo_commands_reject_zero_workers(tmp_path, toy_pair_file, capsy
     assert capsys.readouterr().err == "error: need workers >= 1, got 0\n"
 
 
-def test_design_failure_exit_code():
+CALIBRATION_FAILURE = ("design failure: crossover calibration failed: target P_B={} "
+                       "unreachable even at p_A=0.45\n")
+
+
+def test_design_failure_exit_code(capsys):
     rc = main([
         "design-nested", "--pa", "0.45", "--target-pb", "1e-6",
         "--kfec", "8", "--n", "2", "--m", "3", "--wmax", "4",
         "--max-trials", "2000", "--seed", "1",
     ])
     assert rc == 3
+    assert capsys.readouterr().err == CALIBRATION_FAILURE.format("1e-06")
+
+
+def test_evaluate_calibration_failure_exit_code(monkeypatch, capsys, toy_pair_file):
+    # evaluate calibrates from p_A = 0, where the probe always passes: start it at 0.45
+    calibrate = cli.simulate.calibrate_pc
+
+    def from_045(code, target_pb, p_A, stop, seed, workers):
+        return calibrate(code, target_pb, 0.45, stop, seed, workers)
+
+    monkeypatch.setattr(cli.simulate, "calibrate_pc", from_045)
+    assert main(["evaluate", "--pair", toy_pair_file, "--target-pb", "1e-9",
+                 "--max-trials", "500"]) == 3
+    assert capsys.readouterr().err == CALIBRATION_FAILURE.format("1e-09")
+
 
 
 def test_console_script_help():

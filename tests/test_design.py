@@ -20,7 +20,14 @@ from nestedtbcc.encoder import (
 )
 from nestedtbcc.gf2 import BitMatrix, sample_uniform_matrix
 from nestedtbcc.keyagree import pair_to_dict
-from nestedtbcc.simulate import STREAM_FEC_CAND, StopRule, seed_key, simulate_distortion
+from nestedtbcc.simulate import (
+    STREAM_FEC_CAND,
+    StopRule,
+    TrialReport,
+    calibrate_pc,
+    seed_key,
+    simulate_distortion,
+)
 from nestedtbcc.trellis import FreeDistanceReport, free_distance, weight_enumerator
 from search_fec_reference import reference_search_fec
 
@@ -220,8 +227,7 @@ def test_design_nested_toy_pipeline():
 
     # measured distortion within budget at 3 standard errors (budget holds
     # by construction; re-measure with a fresh seed)
-    fresh = simulate_distortion(pair.vq_code if report.frozen_steps == 0 else pair.vq_code,
-                                trials=2048, seed=777)
+    fresh = simulate_distortion(pair.vq_code, trials=2048, seed=777)
     assert fresh.estimate <= report.q_max + 3 * fresh.confidence_halfwidth
 
     # deterministic reproduction
@@ -257,6 +263,48 @@ def test_design_nested_budget_failure():
         )
 
 
+def test_design_nested_fails_when_rate_one_misses_the_budget(monkeypatch):
+    # every quantizer measures above any budget (q_max <= 0.5 at p_A = 0): stage 3
+    # extends to k_vq = n, then fails before any freeze probe
+    calibrated, probes = [], []
+
+    def calibrate(*args, **kwargs):
+        calibrated.append(calibrate_pc(*args, **kwargs))
+        return calibrated[-1]
+
+    def too_coarse(code, trials, seed, workers):
+        probes.append((code.spec.k, tuple(seed)))
+        assert code == TailbitingCode.unfrozen(code.spec, 16)
+        return TrialReport(0.75, trials, 0.75 * trials, 0.0, tuple(seed), 0.0)
+
+    monkeypatch.setattr(design, "calibrate_pc", calibrate)
+    monkeypatch.setattr(design, "simulate_distortion", too_coarse)
+    with pytest.raises(DesignFailure) as exc:
+        design_nested(p_A=0.0, target_pb=1e-2, K_fec=16, n=3, m=3, seed=42, w_max=8,
+                      stop=StopRule(max_trials=20_000), distortion_trials=64)
+    q_max = distortion_limit(calibrated[0][0], 0.0)
+    assert str(exc.value) == (f"distortion budget q_max={q_max:.6g} unreachable even at "
+                              "rate 1 (k_vq = n = 3); last measured q_bar=0.75")
+    assert probes == [(2, (42, 2)), (3, (42, 3))]     # no STREAM_FREEZE probe ran
+
+
+def test_frozen_code_is_one_family_from_the_unfrozen_code():
+    from nestedtbcc.design import _frozen_code
+    from nestedtbcc.trellis import build_trellis
+    from conftest import random_spec
+
+    spec, ell = random_spec(np.random.default_rng(3), m=2, k=3, n=3), 10
+    unfrozen = TailbitingCode.unfrozen(spec, ell)
+    assert _frozen_code(spec, ell, 0) == unfrozen
+    assert build_trellis(_frozen_code(spec, ell, 0)) is build_trellis(unfrozen)
+    for f in range(1, ell):
+        code = _frozen_code(spec, ell, f)
+        steps = [t for t, fs in enumerate(code.schedule.frozen) if fs]
+        assert steps == [(j * ell) // f for j in range(f)]
+        assert all(fs == {spec.k - 1} for fs in code.schedule.frozen if fs)
+        assert code.K == ell * spec.k - f
+
+
 def test_distortion_limit_budget_shape():
     assert distortion_limit(0.1, 0.0) == pytest.approx(0.1)
     assert distortion_limit(0.1, 0.05) == pytest.approx(0.05 / 0.9)
@@ -266,7 +314,7 @@ def test_freezing_preserves_extension_min_distance():
     # freezing only the last added input keeps every remaining codeword in
     # the extension code, so the frozen code's minimum nonzero weight cannot
     # drop below the extension's free distance (at generous section counts)
-    from nestedtbcc.design import _frozen_code, _evenly_spaced_steps
+    from nestedtbcc.design import _frozen_code
     from conftest import random_spec
 
     rng = np.random.default_rng(12)
@@ -281,7 +329,7 @@ def test_freezing_preserves_extension_min_distance():
         if full.a(0) != 1 or full.d_min() is None or full.d_min() < rep.d_free:
             continue  # wrap-around words below d_free: skip, nothing to preserve
         f = int(rng.integers(1, ell))
-        frozen = _frozen_code(spec, ell, _evenly_spaced_steps(ell, f))
+        frozen = _frozen_code(spec, ell, f)
         dmin = weight_enumerator(frozen).d_min()
         if dmin is not None:
             assert dmin >= rep.d_free

@@ -1,11 +1,12 @@
 import gc
+import re
 import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import all_messages, bits, codeword_set, random_code, random_spec
+from conftest import all_messages, bits, codeword_set, random_code, random_spec, toy_pair_a
 from encoder_reference import encode_reference, message_to_inputs
 from nestedtbcc import keyagree, wava
 from nestedtbcc.encoder import (
@@ -20,7 +21,7 @@ from nestedtbcc.encoder import (
     encode_tailbiting,
     fec_restriction,
 )
-from nestedtbcc.gf2 import BitMatrix, BitVector, sample_uniform_matrix
+from nestedtbcc.gf2 import BitMatrix, BitVector, Gf2ShapeError, sample_uniform_matrix
 from nestedtbcc.keyagree import NestedCodePair
 from nestedtbcc.trellis import build_trellis, weight_enumerator
 
@@ -262,6 +263,34 @@ def test_fec_restriction_equals_frozen_everything():
     )
     restricted = TailbitingCode.unfrozen(fec_restriction(spec), ell)
     assert codeword_set(frozen_all) == codeword_set(restricted)
+
+
+# field overrides of the toy pair's k=2 code (m=2, n=3, ell=4), each reaching one check
+MALFORMED_CODES = {
+    "m0": ({"m": 0, "B_tilde": [], "C": [[]] * 3}, "need m,k,n >= 1, got m=0 k=2 n=3"),
+    "n0": ({"n": 0, "C": [], "D_tilde": []}, "need m,k,n >= 1, got m=2 k=2 n=0"),
+    "B_tilde": ({"B_tilde": [[0]]}, "B_tilde must be 2x1, got (1, 1)"),
+    "C": ({"C": [[1, 0], [0, 1]]}, "C must be 3x2, got (2, 2)"),
+    "D_tilde": ({"D_tilde": [[1], [1]]}, "D_tilde must be 3x1, got (2, 1)"),
+    "ell0": ({"ell": 0, "frozen": []}, "need ell >= 1, got 0"),
+    "frozen_k": ({"frozen": [[2], [], [], []]}, "frozen indices [2] out of range for k=2 at t=0"),
+}
+
+
+@pytest.mark.parametrize("fields, message", MALFORMED_CODES.values(), ids=MALFORMED_CODES.keys())
+def test_malformed_code_dict_raises_its_check(fields, message):
+    # code_from_dict reads every --code and --pair file
+    d = {**code_to_dict(toy_pair_a().vq_code), **fields}
+    with pytest.raises(EncoderSpecError, match=f"^{re.escape(message)}$"):
+        code_from_dict(d)
+
+
+def test_append_input_column_checks_the_column_lengths():
+    spec = toy_pair_a().fec_code.spec   # m=2, n=3
+    with pytest.raises(Gf2ShapeError, match=r"^b_col length 3 != m=2$"):
+        append_input_column(spec, BitVector.zeros(3), BitVector.zeros(3))
+    with pytest.raises(Gf2ShapeError, match=r"^d_col length 2 != n=3$"):
+        append_input_column(spec, BitVector.zeros(2), BitVector.zeros(2))
 
 
 def test_code_json_round_trip(tmp_path):

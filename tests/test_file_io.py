@@ -4,7 +4,9 @@ fixtures.read_csv.  The batch path has one way in and one way out: the bits of
 every batch entry point pass encoder._bit_rows, and wava._forward does the
 decoder's only traceback.  The decoder's sweep cap V is set in one place:
 wava_decode_many's keyword (complexity_estimates models a given V, and the
-published table's rows record theirs)."""
+published table's rows record theirs).  The design probes distortion at one
+call site, and every search, calibration or budget failure is one class,
+simulate.DesignFailure, the one class of the CLI's exit code 3."""
 
 import argparse
 import ast
@@ -92,3 +94,21 @@ def test_one_sweep_cap_setting():
               if isinstance(a, argparse._SubParsersAction)]
     assert [name for name, p in sub.choices.items()
             if any("--v" in a.option_strings for a in p._actions)] == []
+
+
+def test_one_distortion_probe_in_the_design():
+    assert [f for f in _call_sites(None, "simulate_distortion")
+            if f.startswith("design.")] == ["design.design_nested"]
+
+
+def test_one_failure_class():
+    from nestedtbcc import design, simulate
+
+    assert simulate.DesignFailure is design.DesignFailure is nestedtbcc.DesignFailure
+    assert [f"{stem}.{top.name}" for stem, top in _tops() if isinstance(top, ast.ClassDef)
+            and top.name in ("DesignFailure", "CalibrationError")] == ["simulate.DesignFailure"]
+    (main,) = [top for stem, top in _tops() if stem == "cli" and getattr(top, "name", "") == "main"]
+    (exit_3,) = [h for node in ast.walk(main) if isinstance(node, ast.Try) for h in node.handlers
+                 if any(isinstance(r, ast.Return) and isinstance(r.value, ast.Constant)
+                        and r.value.value == 3 for r in h.body)]
+    assert ast.unparse(exit_3.type) == "design.DesignFailure"

@@ -21,7 +21,7 @@ from nestedtbcc.bounds import complexity_estimates, quantizer_converse_feasible,
 from nestedtbcc.encoder import encode_many
 from nestedtbcc.simulate import (
     CHUNK,
-    CalibrationError,
+    DesignFailure,
     StopRule,
     calibrate_pc,
     chunk_rng,
@@ -253,7 +253,8 @@ def test_calibration_returns_half_when_the_top_probe_passes(unit_toy):
 
 def test_calibration_failure_raises():
     pair = toy_pair_a()
-    with pytest.raises(CalibrationError):
+    with pytest.raises(DesignFailure, match=r"^crossover calibration failed: target "
+                       r"P_B=1e-09 unreachable even at p_A=0\.45$"):
         calibrate_pc(pair.fec_code, 1e-9, 0.45, stop=StopRule(max_trials=500), seed=8)
 
 

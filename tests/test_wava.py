@@ -320,6 +320,30 @@ def test_follow_up_sweeps_run_once_per_call(monkeypatch, kernel_calls):
     assert max(count("traceback")) <= step and not count("constrained")
 
 
+def test_the_backward_bound_sweep_runs_in_even_blocks(monkeypatch, kernel_calls):
+    # 10 open rows at a cap of 7 columns run as 5 + 5, not 7 + 3, like every other sweep
+    monkeypatch.setattr(wava._Kernel, "columns", lambda kern: 7)
+    rng = np.random.default_rng(12)
+    code = random_code(rng, m=4, k=1, n=3, ell=32)
+    tr = build_trellis(code)
+    r = encode_many(code, rng.integers(0, 2, (60, code.K), dtype=np.uint8))
+    r ^= (rng.random(r.shape) < 0.06).astype(np.uint8)
+    alone = []
+    for row in r:                   # a row is open when its own decode runs the backward sweep
+        kernel_calls.clear()
+        alone.append((wava_decode_many(tr, row[None]), "backward" in dict(kernel_calls)))
+    open_rows = [i for i, (_, o) in enumerate(alone) if o]
+    closed = [i for i, (_, o) in enumerate(alone) if not o]
+    assert len(open_rows) >= 10 and len(closed) >= 6
+    rows = sorted(open_rows[:10] + closed[:6])
+    kernel_calls.clear()
+    res = wava_decode_many(tr, r[rows])
+    assert [c for k, c in kernel_calls if k == "backward"] == [5, 5]
+    for j, i in enumerate(rows):    # every row decodes as it does alone
+        assert np.array_equal(res.msg_bits[j], alone[i][0].msg_bits[0])
+        assert res.iterations[j] == alone[i][0].iterations[0]
+
+
 def test_certified_rows_are_ml():
     # rows that stop before the reference decoder does, or converge where it did not,
     # decode to a nearest codeword
