@@ -29,7 +29,7 @@ from .encoder import (
     EncoderSpecError,
     FreezingSchedule,
     TailbitingCode,
-    append_input_column,
+    append_input_columns,
     encode_many,
     encode_tailbiting,
     fec_restriction,

@@ -59,7 +59,7 @@ from .encoder import (
     EncoderSpec,
     FreezingSchedule,
     TailbitingCode,
-    append_input_column,
+    append_input_columns,
 )
 from .gf2 import BitMatrix, sample_uniform_matrix
 from .keyagree import NestedCodePair
@@ -177,12 +177,6 @@ class VqSearchResult:
     candidate_log: tuple[tuple[int, int, float], ...]
 
 
-def _extend_spec(spec: EncoderSpec, b_block: BitMatrix, d_block: BitMatrix) -> EncoderSpec:
-    for j in range(b_block.ncols):
-        spec = append_input_column(spec, b_block.column(j), d_block.column(j))
-    return spec
-
-
 def search_vq_extension(
     parent: EncoderSpec, k_vq: int, w_max: int, seed: int | Sequence[int] = 0
 ) -> VqSearchResult:
@@ -194,7 +188,8 @@ def search_vq_extension(
     _at_least_one(w_max=w_max)
     key = seed_key(seed)
     cols = k_vq - parent.k
-    best = _extend_spec(parent, BitMatrix.zeros(parent.m, cols), BitMatrix.zeros(parent.n, cols))
+    best = append_input_columns(parent, BitMatrix.zeros(parent.m, cols),
+                                BitMatrix.zeros(parent.n, cols))
     best_dfree = 0
     best_afree = 0.0
     log: list[tuple[int, int, float]] = []
@@ -202,9 +197,9 @@ def search_vq_extension(
         rng = np.random.default_rng(key + (STREAM_VQ_CAND, w))
         b_block = sample_uniform_matrix(parent.m, cols, rng)
         d_block = sample_uniform_matrix(parent.n, cols, rng)
-        spec = _extend_spec(parent, b_block, d_block)
+        spec = append_input_columns(parent, b_block, d_block)
         rep = free_distance(spec)
-        a = math.inf if (rep.divergent or rep.a_free is None) else float(rep.a_free)
+        a = math.inf if rep.a_free is None else float(rep.a_free)
         log.append((w, rep.d_free, a))
         if rep.d_free > best_dfree or (rep.d_free == best_dfree and a < best_afree):
             best_dfree = rep.d_free

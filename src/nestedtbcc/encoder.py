@@ -270,18 +270,19 @@ def encode_many(code: TailbitingCode, messages: np.ndarray) -> np.ndarray:
     return _ints_to_bits(outs.T, spec.n)
 
 
-def append_input_column(spec: EncoderSpec, b_col: BitVector, d_col: BitVector) -> EncoderSpec:
-    """Add one input with taps (b_col, d_col): the old code becomes a subcode."""
-    if b_col.n != spec.m:
-        raise Gf2ShapeError(f"b_col length {b_col.n} != m={spec.m}")
-    if d_col.n != spec.n:
-        raise Gf2ShapeError(f"d_col length {d_col.n} != n={spec.n}")
-    def widen(mat: BitMatrix, col: BitVector) -> BitMatrix:  # col becomes the last column
-        return BitMatrix(tuple(w | col[r] << mat.ncols for r, w in enumerate(mat.row_words)),
-                         mat.ncols + 1)
+def append_input_columns(spec: EncoderSpec, b_block: BitMatrix, d_block: BitMatrix) -> EncoderSpec:
+    """Add c inputs whose taps are the columns of b_block (m x c) and d_block (n x c),
+    in column order: the old code becomes a subcode."""
+    c = b_block.ncols
+    if b_block.shape != (spec.m, c) or d_block.shape != (spec.n, c):
+        raise Gf2ShapeError(f"need b_block {spec.m}xc and d_block {spec.n}xc, "
+                            f"got {b_block.shape} and {d_block.shape}")
+    def widen(mat: BitMatrix, block: BitMatrix) -> BitMatrix:  # block's columns come last
+        return BitMatrix(tuple(w | b << mat.ncols for w, b in zip(mat.row_words, block.row_words)),
+                         mat.ncols + c)
 
-    return EncoderSpec(m=spec.m, k=spec.k + 1, n=spec.n, B_tilde=widen(spec.B_tilde, b_col),
-                       C=spec.C, D_tilde=widen(spec.D_tilde, d_col))
+    return EncoderSpec(m=spec.m, k=spec.k + c, n=spec.n, B_tilde=widen(spec.B_tilde, b_block),
+                       C=spec.C, D_tilde=widen(spec.D_tilde, d_block))
 
 
 def fec_restriction(spec: EncoderSpec) -> EncoderSpec:

@@ -237,10 +237,13 @@ def calibrate_pc(
     A probe passes when the upper 95% bound of its estimate (rule of three
     when no errors were seen) is at most the target.  Each probe runs to
     target_errors or to a trial budget just large enough to certify a pass.
-    Raises DesignFailure when the probe at p_A fails.
+    Raises ValueError for p_A outside [0, 0.5), and DesignFailure when the
+    probe at p_A fails or, at p_A = 0, when no probe passes.
     """
     if not 0.0 < target_pb < 1.0:
         raise ValueError(f"target_pb must be in (0, 1), got {target_pb}")
+    if not 0.0 <= p_A < 0.5:
+        raise ValueError(f"p_A must be in [0, 0.5), got {p_A}")
     key = seed_key(seed)
     log: list[dict] = []
     probe_stop = StopRule(
@@ -249,16 +252,8 @@ def calibrate_pc(
     )
 
     def probe(i: int, p: float) -> bool:
-        if p == 0.0:
-            # the decoder is idempotent on codewords: the error rate is exactly 0
-            log.append({"p": 0.0, "estimate": 0.0, "trials": 0, "errors": 0.0,
-                        "upper95": 0.0, "passed": True})
-            return True
         rep = simulate_fer(code, p, probe_stop, key + (STREAM_CALIBRATION, i), workers)
-        if rep.event_count > 0:
-            upper = rep.estimate + rep.confidence_halfwidth
-        else:
-            upper = 3.0 / rep.trials
+        upper = rep.estimate + rep.confidence_halfwidth if rep.event_count else 3.0 / rep.trials
         ok = upper <= target_pb
         log.append({
             "p": p, "estimate": rep.estimate, "trials": rep.trials,
@@ -267,7 +262,8 @@ def calibrate_pc(
         return ok
 
     lo, hi = p_A, 0.5
-    if not probe(0, lo):
+    # the decoder is idempotent on codewords: at p_A = 0 the error rate is exactly 0
+    if p_A > 0.0 and not probe(0, lo):
         raise DesignFailure(f"crossover calibration failed: target P_B={target_pb} "
                             f"unreachable even at p_A={p_A}")
     if probe(1, hi):
@@ -278,6 +274,9 @@ def calibrate_pc(
             lo = mid
         else:
             hi = mid
+    if lo == 0.0:  # p_A = 0 and no probe passed: hi is the smallest crossover probed
+        raise DesignFailure(f"crossover calibration failed: target P_B={target_pb} "
+                            f"unreachable even at p={hi}")
     return lo, log
 
 
@@ -301,7 +300,8 @@ def evaluate(
 ) -> dict:
     """The evaluation row of a nested pair, as the JSON fields of the CLI's
     evaluate (rates exact up to the float conversion, the rest simulated); the
-    complexity columns count the decoder's SWEEPS iterations."""
+    complexity columns count the decoder's SWEEPS iterations.  Raises
+    DesignFailure (the CLI's exit 3) when no probed crossover meets target_pb."""
     _at_least_one(distortion_trials=distortion_trials, workers=workers)
     n = pair.vq_code.spec.n
     m = pair.vq_code.spec.m

@@ -494,18 +494,12 @@ def test_design_failure_exit_code(capsys):
     assert capsys.readouterr().err == CALIBRATION_FAILURE.format("1e-06")
 
 
-def test_evaluate_calibration_failure_exit_code(monkeypatch, capsys, toy_pair_file):
-    # evaluate calibrates from p_A = 0, where the probe always passes: start it at 0.45
-    calibrate = cli.simulate.calibrate_pc
-
-    def from_045(code, target_pb, p_A, stop, seed, workers):
-        return calibrate(code, target_pb, 0.45, stop, seed, workers)
-
-    monkeypatch.setattr(cli.simulate, "calibrate_pc", from_045)
+def test_evaluate_calibration_failure_exit_code(capsys, toy_pair_file):
+    # evaluate calibrates from p_A = 0; 500 trials certify no crossover at 1e-9
     assert main(["evaluate", "--pair", toy_pair_file, "--target-pb", "1e-9",
                  "--max-trials", "500"]) == 3
-    assert capsys.readouterr().err == CALIBRATION_FAILURE.format("1e-09")
-
+    assert capsys.readouterr().err == ("design failure: crossover calibration failed: target "
+                                       "P_B=1e-09 unreachable even at p=0.001953125\n")
 
 
 def test_console_script_help():
@@ -600,6 +594,23 @@ def test_spectrum_csv_row_out_of_range_exit_code(tmp_path, row):
     d, a_d = row.split(",")
     assert proc.stderr.startswith("error:") and "needs d >= 0 and A_d > 0" in proc.stderr
     assert f"'d': '{d}', 'A_d': '{a_d}'" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    # a spectrum with only A_0 has nothing to bound
+    (["bound", "--pc", "0.1", "--spectrum"], "d,A_d\n0,1\n",
+     "spectrum has no nonzero-weight term"),
+    # a channel-bound header without rows, and a header no fixture has
+    (["region", "--pa", "0.0149", "--points", "3", "--fixture"], "p,mc,rcu\n",
+     "{}: expected header p,mc,rcu"),
+    (["region", "--pa", "0.0149", "--points", "3", "--fixture"], "p,x\n0.1,2\n",
+     "{}: unrecognized fixture header ['p', 'x']"),
+])
+def test_unusable_csv_exits_2_with_one_error_line(tmp_path, capsys, argv, content, message):
+    path = tmp_path / "in.csv"
+    path.write_text(content)
+    assert main([*argv, str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path)}\n"
 
 
 # Fuzzing the file readers: every call returns 0 or 2 and raises nothing.

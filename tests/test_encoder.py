@@ -14,7 +14,7 @@ from nestedtbcc.encoder import (
     EncoderSpecError,
     FreezingSchedule,
     TailbitingCode,
-    append_input_column,
+    append_input_columns,
     code_from_dict,
     code_to_dict,
     encode_many,
@@ -166,43 +166,46 @@ def test_encode_many_rejects_non_binary(unit_toy):
 
 
 def test_remove_then_append_restores_codewords():
-    # at k=2 the restriction drops the one helper input
+    # at k=2 the restriction drops the one helper input; its taps restore the spec
     rng = np.random.default_rng(11)
     spec = random_spec(rng, m=3, k=2, n=2)
-    col_b = spec.B_tilde.column(0)
-    col_d = spec.D_tilde.column(0)
-    rebuilt = append_input_column(fec_restriction(spec), col_b, col_d)
+    rebuilt = append_input_columns(fec_restriction(spec), spec.B_tilde, spec.D_tilde)
+    assert rebuilt == spec
     ell = 4
     assert codeword_set(TailbitingCode.unfrozen(rebuilt, ell)) == codeword_set(
         TailbitingCode.unfrozen(spec, ell)
     )
 
 
-def test_append_input_column_examples():
+def test_append_input_columns_examples():
     rng = np.random.default_rng(13)
     base = random_spec(rng, m=3, k=1, n=2)
     ell = 4
-    ext = append_input_column(
-        base,
-        BitVector.from_bits(rng.integers(0, 2, 3).tolist()),
-        BitVector.from_bits(rng.integers(0, 2, 2).tolist()),
-    )
+    ext = append_input_columns(base, sample_uniform_matrix(3, 1, rng),
+                               sample_uniform_matrix(2, 1, rng))
     assert ext.k == 2
     assert codeword_set(TailbitingCode.unfrozen(base, ell)) <= codeword_set(
         TailbitingCode.unfrozen(ext, ell)
     )
 
     # zero columns leave the codeword set unchanged (encoder non-injective)
-    zext = append_input_column(base, BitVector.zeros(3), BitVector.zeros(2))
+    zext = append_input_columns(base, BitMatrix.zeros(3, 2), BitMatrix.zeros(2, 2))
+    assert zext.k == 3
     assert codeword_set(TailbitingCode.unfrozen(zext, ell)) == codeword_set(
         TailbitingCode.unfrozen(base, ell)
     )
+    # no columns: the same spec
+    assert append_input_columns(base, BitMatrix.zeros(3, 0), BitMatrix.zeros(2, 0)) == base
+
+    # a block adds its columns in order, as one-column appends do
+    b1, d1 = BitMatrix.from_rows([[1], [0], [1]]), BitMatrix.from_rows([[0], [1]])
+    b2, d2 = BitMatrix.from_rows([[0], [1], [1]]), BitMatrix.from_rows([[1], [1]])
+    s12 = append_input_columns(append_input_columns(base, b1, d1), b2, d2)
+    assert s12 == append_input_columns(base, BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]),
+                                       BitMatrix.from_rows([[0, 1], [1, 1]]))
 
     # appends commute as codeword sets
-    b1, d1 = BitVector.from_bits([1, 0, 1]), BitVector.from_bits([0, 1])
-    b2, d2 = BitVector.from_bits([0, 1, 1]), BitVector.from_bits([1, 1])
-    s12 = append_input_column(append_input_column(base, b1, d1), b2, d2)
-    s21 = append_input_column(append_input_column(base, b2, d2), b1, d1)
+    s21 = append_input_columns(append_input_columns(base, b2, d2), b1, d1)
     assert codeword_set(TailbitingCode.unfrozen(s12, ell)) == codeword_set(
         TailbitingCode.unfrozen(s21, ell)
     )
@@ -274,6 +277,8 @@ MALFORMED_CODES = {
     "D_tilde": ({"D_tilde": [[1], [1]]}, "D_tilde must be 3x1, got (2, 1)"),
     "ell0": ({"ell": 0, "frozen": []}, "need ell >= 1, got 0"),
     "frozen_k": ({"frozen": [[2], [], [], []]}, "frozen indices [2] out of range for k=2 at t=0"),
+    "frozen_negative": ({"frozen": [[-1], [], [], []]},
+                        "input indices at t=0 must be positive integers: frozenset({-1})"),
 }
 
 
@@ -285,12 +290,15 @@ def test_malformed_code_dict_raises_its_check(fields, message):
         code_from_dict(d)
 
 
-def test_append_input_column_checks_the_column_lengths():
+def test_append_input_columns_checks_the_block_shapes():
     spec = toy_pair_a().fec_code.spec   # m=2, n=3
-    with pytest.raises(Gf2ShapeError, match=r"^b_col length 3 != m=2$"):
-        append_input_column(spec, BitVector.zeros(3), BitVector.zeros(3))
-    with pytest.raises(Gf2ShapeError, match=r"^d_col length 2 != n=3$"):
-        append_input_column(spec, BitVector.zeros(2), BitVector.zeros(2))
+    for b_block, d_block in [(BitMatrix.zeros(3, 1), BitMatrix.zeros(3, 1)),   # m rows
+                             (BitMatrix.zeros(2, 1), BitMatrix.zeros(2, 1)),   # n rows
+                             (BitMatrix.zeros(2, 1), BitMatrix.zeros(3, 2))]:  # c columns
+        message = (f"need b_block 2xc and d_block 3xc, "
+                   f"got {b_block.shape} and {d_block.shape}")
+        with pytest.raises(Gf2ShapeError, match=f"^{re.escape(message)}$"):
+            append_input_columns(spec, b_block, d_block)
 
 
 def test_code_json_round_trip(tmp_path):

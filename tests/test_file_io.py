@@ -6,7 +6,8 @@ decoder's only traceback.  The decoder's sweep cap V is set in one place:
 wava_decode_many's keyword (complexity_estimates models a given V, and the
 published table's rows record theirs).  The design probes distortion at one
 call site, and every search, calibration or budget failure is one class,
-simulate.DesignFailure, the one class of the CLI's exit code 3."""
+simulate.DesignFailure, the one class of the CLI's exit code 3.  Stage 2 builds
+each candidate encoder by one encoder.append_input_columns call."""
 
 import argparse
 import ast
@@ -99,6 +100,13 @@ def test_one_sweep_cap_setting():
 def test_one_distortion_probe_in_the_design():
     assert [f for f in _call_sites(None, "simulate_distortion")
             if f.startswith("design.")] == ["design.design_nested"]
+
+
+def test_one_widening_of_the_encoder():
+    assert sorted(set(_call_sites(None, "append_input_columns"))) == [
+        "design.search_vq_extension"]
+    assert [f"{stem}.{top.name}" for stem, top in _tops() if isinstance(top, ast.FunctionDef)
+            and top.name in ("_extend_spec", "append_input_column")] == []
 
 
 def test_one_failure_class():

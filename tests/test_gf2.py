@@ -76,6 +76,19 @@ def test_bitvector_basics():
         BitVector.from_bits([2])
 
 
+def test_bitvector_from_int_round_trips_with_from_bits():
+    # bit j of the word is element j
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 8, 65):
+        bits = rng.integers(0, 2, n).tolist()
+        word = sum(b << j for j, b in enumerate(bits))
+        assert BitVector.from_int(word, n) == BitVector.from_bits(bits)
+        assert BitVector.from_int(BitVector.from_bits(bits).word, n).to_numpy().tolist() == bits
+    for word, n in ((-1, 4), (1 << 4, 4), (1, 0)):
+        with pytest.raises(ValueError, match=rf"^word {word} does not fit in {n} bits$"):
+            BitVector.from_int(word, n)
+
+
 def test_bitvector_numpy_round_trip_matches_the_bitwise_definition():
     # to_numpy/from_numpy pack through bytes; bit j of the word is element j
     rng = np.random.default_rng(3)

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_spec, toy_pair_a
 from nestedtbcc import bounds, design, keyagree, simulate
 from nestedtbcc.encoder import encode_many
-from nestedtbcc.trellis import build_trellis, weight_enumerator
+from nestedtbcc.trellis import WeightSpectrum, build_trellis, weight_enumerator
 from nestedtbcc.wava import wava_decode_many
 
 PAIR = toy_pair_a()
@@ -26,6 +26,9 @@ CASES = {
     "search_fec-d_max-high": (lambda: design.search_fec(3, 2, 8, 1e-2, 4, d_max=25), "d_max"),
     "search_vq_extension-k_vq": (lambda: design.search_vq_extension(PARENT, 1, 4), "k_vq"),
     "search_vq_extension-w_max": (lambda: design.search_vq_extension(PARENT, 2, 0), "w_max"),
+    "design_nested-n": (lambda: design.design_nested(0.01, 1e-2, 8, 1, 2), "n"),
+    # trellis
+    "weight_enumerator-d_max": (lambda: weight_enumerator(PAIR.fec_code, PAIR.N + 1), "d_max"),
     # simulators
     "simulate_fer-p_c": (lambda: simulate.simulate_fer(PAIR.fec_code, 1.5), "p_c"),
     "simulate_end_to_end-p_A": (lambda: simulate.simulate_end_to_end(PAIR, -0.1), "p_A"),
@@ -33,10 +36,15 @@ CASES = {
         lambda: simulate.simulate_distortion(PAIR.vq_code, trials=0), "trials"),
     "calibrate_pc-target_pb": (
         lambda: simulate.calibrate_pc(PAIR.fec_code, 1.0, 0.01), "target_pb"),
+    "calibrate_pc-p_A-high": (lambda: simulate.calibrate_pc(PAIR.fec_code, 1e-2, 0.6), "p_A"),
+    "calibrate_pc-p_A-negative": (
+        lambda: simulate.calibrate_pc(PAIR.fec_code, 1e-2, -0.1), "p_A"),
     "StopRule-max_trials": (lambda: simulate.StopRule(0, 1), "max_trials"),
     # bounds
     "star-p": (lambda: bounds.star(1.5, 0.1), "p and x"),
     "union_bound_pb-p_c": (lambda: bounds.union_bound_pb(SPECTRUM, 0.6), "p_c"),
+    "union_bound_pb-spectrum": (
+        lambda: bounds.union_bound_pb(WeightSpectrum({0: 1}, 4, 12, 4), 0.1), "spectrum"),
     "solve_crossover-target_pb": (lambda: bounds.solve_crossover(SPECTRUM, 0.0), "target_pb"),
     "distortion_limit-p_A": (lambda: bounds.distortion_limit(0.5, 0.5), "p_A"),
     "gs_region_point-q": (lambda: bounds.gs_region_point(0.1, 0.6), "q"),

@@ -238,6 +238,12 @@ def test_cs_model_round_trip_and_pad_semantics():
         assert tuple(reconstruct_cs(pair, x, rec_flip) ^ s_prime) == (1, 0, 0, 0)
 
 
+def test_enroll_cs_checks_the_chosen_key_length():
+    pair = toy_pair_a()   # K_fec = 4
+    with pytest.raises(ValueError, match=r"^chosen key length 5 != K_fec=4$"):
+        enroll_cs(pair, BitVector.zeros(pair.N), BitVector.zeros(pair.K_fec + 1))
+
+
 def test_batch_functions_reject_wrong_shapes():
     pair = toy_pair_a()
     x = np.zeros((5, pair.N), dtype=np.uint8)

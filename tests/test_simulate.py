@@ -20,6 +20,7 @@ from nestedtbcc import wava
 from nestedtbcc.bounds import complexity_estimates, quantizer_converse_feasible, union_bound_pb
 from nestedtbcc.encoder import encode_many
 from nestedtbcc.simulate import (
+    CALIBRATION_PROBES,
     CHUNK,
     DesignFailure,
     StopRule,
@@ -248,7 +249,16 @@ def test_calibration_returns_half_when_the_top_probe_passes(unit_toy):
     # with probability 3/4, and an error rate of 3/4 passes a target of 0.99
     p_c, log = calibrate_pc(unit_toy, 0.99, 0.0, seed=1)
     assert p_c == 0.5
-    assert [(e["p"], e["passed"]) for e in log] == [(0.0, True), (0.5, True)]
+    assert [(e["p"], e["passed"]) for e in log] == [(0.5, True)]
+
+
+def test_calibration_from_zero_logs_only_probes_that_ran_trials():
+    # p_A = 0 passes unprobed (the decoder is exact on codewords): every logged
+    # probe simulated, at the top of the bracket and at each bisection point
+    p_c, log = calibrate_pc(toy_pair_a().fec_code, 1e-2, 0.0, seed=7)
+    assert len(log) == CALIBRATION_PROBES - 1
+    assert all(e["trials"] > 0 and e["p"] > 0.0 for e in log)
+    assert p_c == max(e["p"] for e in log if e["passed"])
 
 
 def test_calibration_failure_raises():
@@ -256,6 +266,14 @@ def test_calibration_failure_raises():
     with pytest.raises(DesignFailure, match=r"^crossover calibration failed: target "
                        r"P_B=1e-09 unreachable even at p_A=0\.45$"):
         calibrate_pc(pair.fec_code, 1e-9, 0.45, stop=StopRule(max_trials=500), seed=8)
+
+
+def test_calibration_from_zero_fails_when_no_probe_passes():
+    # 500 error-free trials certify at best 3/500: no crossover reaches 1e-9, and the
+    # error names the smallest crossover probed, 0.5 / 2^8, instead of returning 0.0
+    with pytest.raises(DesignFailure, match=r"^crossover calibration failed: target "
+                       r"P_B=1e-09 unreachable even at p=0\.001953125$"):
+        calibrate_pc(toy_pair_a().fec_code, 1e-9, 0.0, stop=StopRule(max_trials=500), seed=8)
 
 
 def test_derived_rate_fields_match_reference_arithmetic():
@@ -323,3 +341,12 @@ def test_fixture_overlay_parses_shipped_data():
     ])
     series = {s for s, _, _ in overlay}
     assert {"mc", "rcu", "pc_fer", "pc_rate_point", "tbcc_rate_point"} <= series
+
+
+def test_load_mc_rcu_checks_the_header(tmp_path):
+    from nestedtbcc.fixtures import load_mc_rcu
+
+    path = tmp_path / "bounds.csv"
+    path.write_text("p,fer,ber\n0.1,0.2,0.3\n")
+    with pytest.raises(ValueError, match=r": expected header p,mc,rcu$"):
+        load_mc_rcu(path)
