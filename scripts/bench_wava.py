@@ -23,11 +23,12 @@ constrained: the exact fallback's) and the tracebacks; these counts are
 deterministic, so they resolve a change to the call pattern that words/s
 cannot.  ``layers`` times a forward sweep with backpointers, the backward
 bound sweep, a sweep of (start state, word) columns and a traceback on one
-column block of uniform random words, in ns per (section, state, column), or
-per (section, column) for the traceback, and records the key dtype, the
-renormalisation interval (ell or more: never), the column cap of a block and
-the block width that a decode of one seed's words uses, at which the layers
-are timed.
+column block of uniform random words, and the forward sweep and the traceback
+on one column (``*_one_column``, the shape of a one-word enrollment or
+reconstruction), in ns per (section, state, column), or per (section, column)
+for a traceback.  It records the key dtype, the renormalisation interval (ell
+or more: never), the column cap of a block and the block width that a decode
+of one seed's words uses, at which the block layers are timed.
 
 ``fallback`` compares the two-phase exact fallback with the exhaustive search
 of ``tests/wava_fallback_reference.py``.  ``pair_m6`` replays with either
@@ -82,6 +83,7 @@ PAIR_WORDS = 1024
 M8_SEEDS = (0, 4, 9)
 M8_WORDS = 64
 KINDS = ("forward", "backward", "constrained", "traceback")
+LAYERS = KINDS + ("forward_one_column", "traceback_one_column")
 SEARCHES = {"two_phase": wava._two_phase_search,
             "exhaustive": lambda kern, r_ints, idx, lb, bp, *best:
                 exhaustive_constrained(kern, r_ints, idx, *best)}
@@ -166,27 +168,33 @@ def layer_params(kern, words: int) -> dict:
 
 def time_layers(trellis, words: int) -> dict:
     """The kernel's parameters and, per layer, the ms of one call on the first column
-    block of a decode of words rows, and ns per element."""
+    block of a decode of words rows, and ns per element; the forward sweep and the
+    traceback also on one column, as a one-word decode (enrollment, reconstruction) runs
+    them."""
     kern = wava._Kernel(trellis)
     out = layer_params(kern, words)
     S, ell, C = trellis.S, trellis.ell, out["call_columns"]
     rng = np.random.default_rng(LAYER_SEED)
     r_ints = rng.integers(0, 1 << trellis.n, (C, ell)).astype(np.uint8)
     cols = np.arange(C)
-    r_cols = kern.r_cols(r_ints, cols)
+    r_cols, r_one = kern.r_cols(r_ints, cols), kern.r_cols(r_ints, cols[:1])
     start = np.broadcast_to(np.arange(S)[:, None], (S, C)).astype(kern.tab.dtype)  # 0 | origin
-    bp = np.empty((ell, S // 2, C), dtype=np.uint8)     # one per state pair
+    bp, bp_one = (np.empty((ell, S // 2, c), dtype=np.uint8) for c in (C, 1))  # per state pair
     fwd = (kern.sweep(r_cols, start.copy(), bp) >> kern.tab.sh) + kern.offset
     ends, starts = fwd.argmin(axis=0), rng.integers(0, S, C)
+    kern.sweep(r_one, start[:, :1].copy(), bp_one)
     calls = {"forward": lambda: kern.sweep(r_cols, start.copy(), bp),
              "backward": lambda: kern.bound(r_cols, fwd),
              "constrained": lambda: kern.constrained(r_ints, cols, starts),
-             "traceback": lambda: kern.traceback(bp, ends, cols)}
+             "traceback": lambda: kern.traceback(bp, ends, cols),
+             "forward_one_column": lambda: kern.sweep(r_one, start[:, :1].copy(), bp_one),
+             "traceback_one_column": lambda: kern.traceback(bp_one, ends[:1], cols[:1])}
     for name, call in calls.items():
         call()                                          # buffers allocated before timing
         out[name] = _bench.median_of_runs(lambda: {"ms": 1e3 * _bench.seconds(call, REPS)}, RUNS)
-        per, count = (("ns_per_section_column", ell * C) if name == "traceback"
-                      else ("ns_per_section_state_column", ell * S * C))
+        width = 1 if name.endswith("_one_column") else C
+        per, count = (("ns_per_section_column", ell * width) if name.startswith("traceback")
+                      else ("ns_per_section_state_column", ell * S * width))
         out[name][per] = out[name]["ms"]["median"] * 1e6 / count
     return out
 
@@ -333,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name}: {p['words_per_s']['median']:.0f} words/s (spread "
               f"{p['words_per_s']['iqr_over_median']:.3f}), {p['sweeps_mean']:.3f} sweeps/word, "
               f"{p['ns_per_kappa']:.3f} ns/kappa_{p['kappa']['kind']}; layers " + ", ".join(
-                  f"{layer} {p['layers'][layer]['ms']['median']:.3f} ms" for layer in KINDS))
+                  f"{layer} {p['layers'][layer]['ms']['median']:.3f} ms" for layer in LAYERS))
     for name, p in out["fallback"].items():
         print(f"{name}: the two-phase fallback is {p['speedup']:.2f}x the exhaustive one")
     return 0

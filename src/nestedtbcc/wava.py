@@ -38,8 +38,11 @@ keeps one backpointer per state pair, [ell, S/2, C].  Traceback follows the
 pairs X = src >> 1 through the in-edges of each pair's even target, which
 the odd target shares but for the register bit of the input, and then flips
 that bit in one pass where the section's target (the next section's source)
-is odd.  It runs for all words at once; words that stopped are not swept
-again.
+is odd.  A traceback of at most _NARROW_TRACEBACK (16) columns walks each
+column in Python integers, reading the backpointers through a flat view; a
+wider one walks all its columns at once in numpy, whose per-section call cost
+would otherwise make a one-word traceback cost as much as a sweep.  Both walks
+fill the same path array.  Words that stopped are not swept again.
 
 Temporaries (the [A/2, S, C] keys, their [A/2, S/2, C] pair minima and picks,
 and the backpointer buffer, each allocated once per call and reused by every
@@ -111,6 +114,12 @@ _LARGE = 1 << 40
 _BUDGET_BYTES = 8 << 20
 # the sweep cap V, as in every TBCC row of the paper
 SWEEPS = 4
+# tracebacks of at most this many columns walk each column in Python integers, wider
+# ones all columns at once in numpy.  Per call on a 2-vCPU Xeon guest, numpy's walk
+# took 140-170 us at m=6 (k=1, and k=3 frozen) and 530-580 us at m=8 for 1 to 32
+# columns; the Python walk 15 / 100 / 140-240 / 200-330 us at m=6 and 30 / 355 /
+# 505 / 675 us at m=8 for 1 / 16 / 24 / 32 columns: the two cross near 24
+_NARROW_TRACEBACK = 16
 
 
 class BatchDecodeResult:
@@ -180,6 +189,8 @@ class _Tables:
             edges.append((view.in_src[0::2] << (trellis.k + n)) | (view.in_u[0::2] << n)
                          | view.in_out[0::2])
         self.edges = [edges[o] for o in self.order]   # traceback: packed src | u | out [S/2, A]
+        rows = [e.tolist() for e in edges]            # the same rows as Python ints, per section
+        self.edge_rows = [rows[o] for o in self.order]
         # buffers per column: the lut rows of a block, the [A/2, S] keys, their [A/2, S/2]
         # pair minima, and the [A/2, S] picks that sections of two or more classes reduce
         self.sizes = (A << n, A // 2 * S, A // 2 * half, A // 2 * S if A > 2 else 0)
@@ -316,14 +327,23 @@ class _Kernel:
     def traceback(self, bp: np.ndarray, s: np.ndarray, cols: np.ndarray):
         """Follow backpointers from state s[c] in column cols[c] of bp [ell, S/2, C];
         returns (start states, u_ints [c, ell], out_ints [c, ell])."""
-        k, n, edges, jmask = self.trellis.k, self.trellis.n, self.tab.edges, self.tab.jmask
-        ell = len(edges)
+        k, n, tab = self.trellis.k, self.trellis.n, self.tab
+        ell, jmask, shift = len(tab.edges), tab.jmask, k + n + 1
         path = np.empty((ell + 1, len(cols)), dtype=np.int64)
         path[ell] = s << (k + n)             # the last section's targets, as a source field
-        X = s >> 1
-        for t in range(ell - 1, -1, -1):
-            path[t] = edges[t][X, bp[t, X, cols] & jmask]
-            X = path[t] >> (k + n + 1)
+        if len(cols) <= _NARROW_TRACEBACK:   # per column in Python ints, off a flat view
+            H, C, E = self.trellis.S >> 1, bp.shape[2], tab.edge_rows
+            raw, walk = bp.reshape(-1).data, [0] * ell
+            for i, (x, c) in enumerate(zip((s >> 1).tolist(), cols.tolist())):
+                for t in range(ell - 1, -1, -1):
+                    x = walk[t] = E[t][x][raw[(t * H + x) * C + c] & jmask]
+                    x >>= shift
+                path[:ell, i] = walk
+        else:
+            X = s >> 1
+            for t in range(ell - 1, -1, -1):
+                path[t] = tab.edges[t][X, bp[t, X, cols] & jmask]
+                X = path[t] >> shift
         # each edge is its pair's even target's: an odd target flips the register bit of u
         u = ((path[:-1] >> n) & ((1 << k) - 1)) ^ ((path[1:] >> (k + n)) & 1)
         return path[0] >> (k + n), u.T, (path[:-1] & ((1 << n) - 1)).T

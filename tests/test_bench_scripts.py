@@ -90,10 +90,13 @@ def test_wava_sweep_times_every_layer(monkeypatch):
         monkeypatch.setattr(wava._Kernel, name, spy)
     wava.wava_decode_many(trellis, np.zeros((4033, trellis.N), dtype=np.uint8))
     assert layers["call_columns"] == calls[0][1] == 1009
+    # every layer, the one-column (one-word) forward sweep and traceback included
     for layer, per in (("forward", "ns_per_section_state_column"),
                        ("backward", "ns_per_section_state_column"),
                        ("constrained", "ns_per_section_state_column"),
-                       ("traceback", "ns_per_section_column")):
+                       ("traceback", "ns_per_section_column"),
+                       ("forward_one_column", "ns_per_section_state_column"),
+                       ("traceback_one_column", "ns_per_section_column")):
         ms = layers[layer]["ms"]
         assert len(ms["runs"]) == 1 and ms["iqr_over_median"] == 0 and layers[layer][per] > 0
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -19,7 +20,7 @@ from nestedtbcc.encoder import (
     encode_many,
 )
 from nestedtbcc.gf2 import BitMatrix, sample_uniform_matrix
-from nestedtbcc.keyagree import pair_to_dict
+from nestedtbcc.keyagree import pair_to_dict, save_pair
 from nestedtbcc.simulate import (
     STREAM_FEC_CAND,
     StopRule,
@@ -334,3 +335,13 @@ def test_freezing_preserves_extension_min_distance():
         if dmin is not None:
             assert dmin >= rep.d_free
         checked += 1
+
+
+@pytest.mark.slow
+def test_criterion_09_pair_file_is_pinned(tmp_path):
+    # the seeded-output ledger: a change that moves this digest declares it
+    pair, _ = design_nested(p_A=0.0149, target_pb=1e-3, K_fec=32, n=3, m=6, seed=2024,
+                            w_max=500)
+    sha256 = "51201c1dd36135da8cdc58117be62845e83ffbfdfe340f6aca166ab93afa1e26"
+    save_pair(pair, tmp_path / "pair.json")
+    assert hashlib.sha256((tmp_path / "pair.json").read_bytes()).hexdigest() == sha256

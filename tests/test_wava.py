@@ -477,6 +477,37 @@ def _assert_pair_bp(bp, bp_ref, jmask):
     assert np.array_equal(bp & jmask, bp_ref[:, 0::2] & jmask)
 
 
+def _traceback_cases():
+    """(trellis, kernel): a frozen k=3 code whose sections differ in in-edges per state,
+    an unfrozen k=1 code, and an m=8 code (S/2 = 128 state pairs)."""
+    rng = np.random.default_rng(15)
+    for m, k, n, ell, freeze in ((6, 3, 3, 12, 0.5), (5, 1, 2, 9, 0.0), (8, 1, 2, 10, 0.0)):
+        tr = build_trellis(random_code(rng, m=m, k=k, n=n, ell=ell, freeze_prob=freeze))
+        yield tr, wava._Kernel(tr)
+
+
+def test_narrow_traceback_matches_the_numpy_walk(monkeypatch):
+    # one forward sweep's backpointers over 48 columns, traced back from the same
+    # (state, column) sets by the Python-integer walk and by the numpy walk
+    degrees, rng = [], np.random.default_rng(16)
+    for tr, kern in _traceback_cases():
+        degrees.append({view.out_degree for view in tr.views})
+        S, C = tr.S, 48
+        bp = np.empty((tr.ell, S // 2, C), dtype=np.uint8)
+        P = np.arange(S, dtype=kern.tab.dtype)[:, None].repeat(C, axis=1)     # 0 | origin
+        kern.sweep(kern.r_cols(rng.integers(0, 1 << tr.n, (C, tr.ell)), np.arange(C)), P, bp)
+        for cols in (np.array([C - 1]), np.arange(16), np.arange(17) + 30,
+                     np.sort(rng.choice(C, 9, replace=False))):   # as _forward passes upd
+            s = rng.integers(0, S, len(cols))
+            walks = []
+            for narrow in (0, 1 << 20):
+                monkeypatch.setattr(wava, "_NARROW_TRACEBACK", narrow)
+                walks.append(kern.traceback(bp, s, cols))
+            for a, b in zip(*walks, strict=True):
+                assert np.array_equal(a, b)
+    assert len(degrees[0]) > 1 and degrees[1] == {2} and degrees[2] == {2}
+
+
 def _gather_cases():
     """(rng, trellis, kernel, int64 gather tables): random frozen codes, m 1-6 and k 1-3."""
     rng = np.random.default_rng(13)
