@@ -32,13 +32,7 @@ def _write_rows(path: str | None, header: list[str], rows) -> None:
     with _output(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([_fmt(v) for v in row] for row in rows)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
+        w.writerows([f"{v:.6g}" if isinstance(v, float) else str(v) for v in row] for row in rows)
 
 
 def _write_json(path: str | None, obj) -> None:
@@ -88,8 +82,7 @@ def cmd_design_vq(args) -> int:
     out = code_to_dict(code)
     out["provenance"] = {
         "seed": args.seed, "w_max": args.wmax, "parent": args.code,
-        "d_free": res.d_free,
-        "a_free": None if res.a_free == float("inf") else res.a_free,
+        "d_free": res.free.d_free, "a_free": res.free.a_free,
     }
     _write_json(args.out, out)
     return 0
@@ -155,6 +148,8 @@ def cmd_bound(args) -> int:
         grid = [float(p) for p in args.pc]
     else:
         lo, hi, num = args.pc_grid
+        if not (num >= 1 and num.is_integer()):
+            raise ValueError(f"--pc-grid COUNT must be a whole number >= 1, got {num:g}")
         grid = np.linspace(lo, hi, int(num)).tolist()
     rows = [(p, bounds.union_bound_pb(spectrum, p)) for p in grid]
     _write_rows(args.out, ["pc", "PB_UB"], rows)
@@ -249,6 +244,8 @@ def cmd_evaluate(args) -> int:
 def cmd_region(args) -> int:
     grid = np.linspace(args.q_min, args.q_max, args.points).tolist()
     if not args.aux and not args.fixture:
+        if args.blocklength is not None:
+            raise ValueError("--blocklength needs --aux or --fixture")
         _write_rows(args.out, ["q", "Rs", "Rw"], simulate.region_curve(args.pa, grid))
         return 0
     rows = [(name, x, y) for name, pts in
@@ -311,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="union bound from a spectrum CSV")
     p.add_argument("--spectrum", required=True)
-    p.add_argument("--pc", action="append", default=None, help="crossover (repeatable)")
-    p.add_argument("--pc-grid", nargs=3, type=float, metavar=("MIN", "MAX", "COUNT"),
-                   default=(0.01, 0.2, 20))
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--pc", action="append", default=None, help="crossover (repeatable)")
+    grid.add_argument("--pc-grid", nargs=3, type=float, metavar=("MIN", "MAX", "COUNT"),
+                      default=(0.01, 0.2, 20.0))
     _add_common(p)
     p.set_defaults(fn=cmd_bound)
 

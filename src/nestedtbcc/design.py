@@ -75,7 +75,7 @@ from .simulate import (
     seed_key,
     simulate_distortion,
 )
-from .trellis import WeightSpectrum, free_distance, weight_enumerator
+from .trellis import FreeDistanceReport, WeightSpectrum, free_distance, weight_enumerator
 
 
 @dataclass(frozen=True)
@@ -171,18 +171,25 @@ def search_fec(
 
 @dataclass(frozen=True)
 class VqSearchResult:
-    d_free: int
-    a_free: float  # inf when the winner's multiplicity diverges
+    """The winner's encoder and free_distance report; candidate_log holds (w, d_free,
+    a_free) in draw order, a_free None where it diverges or the candidate is degenerate."""
+
+    free: FreeDistanceReport
     spec: EncoderSpec
-    candidate_log: tuple[tuple[int, int, float], ...]
+    candidate_log: tuple[tuple[int, int, int | None], ...]
+
+
+def _rank(rep: FreeDistanceReport) -> tuple[int, float]:
+    """Stage 2's order: larger d_free, then smaller A_free, a divergent A_free last."""
+    return rep.d_free, -math.inf if rep.a_free is None else -rep.a_free
 
 
 def search_vq_extension(
     parent: EncoderSpec, k_vq: int, w_max: int, seed: int | Sequence[int] = 0
 ) -> VqSearchResult:
     """Random column-block search for a k_vq-input supercode of `parent` with
-    large free distance.  Keeps `parent` extended by zero columns when no
-    candidate reaches d_free >= 1."""
+    large free distance; a tie keeps the first candidate drawn.  Keeps `parent`
+    extended by zero columns when no candidate reaches d_free >= 1."""
     if k_vq <= parent.k:
         raise ValueError(f"need k_vq > k = {parent.k} of the parent, got {k_vq}")
     _at_least_one(w_max=w_max)
@@ -190,22 +197,18 @@ def search_vq_extension(
     cols = k_vq - parent.k
     best = append_input_columns(parent, BitMatrix.zeros(parent.m, cols),
                                 BitMatrix.zeros(parent.n, cols))
-    best_dfree = 0
-    best_afree = 0.0
-    log: list[tuple[int, int, float]] = []
+    best_rep = FreeDistanceReport(0, None, degenerate=True)  # the zero extension's report
+    log: list[tuple[int, int, int | None]] = []
     for w in range(1, w_max + 1):
         rng = np.random.default_rng(key + (STREAM_VQ_CAND, w))
         b_block = sample_uniform_matrix(parent.m, cols, rng)
         d_block = sample_uniform_matrix(parent.n, cols, rng)
         spec = append_input_columns(parent, b_block, d_block)
         rep = free_distance(spec)
-        a = math.inf if rep.a_free is None else float(rep.a_free)
-        log.append((w, rep.d_free, a))
-        if rep.d_free > best_dfree or (rep.d_free == best_dfree and a < best_afree):
-            best_dfree = rep.d_free
-            best_afree = a
-            best = spec
-    return VqSearchResult(best_dfree, best_afree, best, tuple(log))
+        log.append((w, rep.d_free, rep.a_free))
+        if _rank(rep) > _rank(best_rep):
+            best_rep, best = rep, spec
+    return VqSearchResult(best_rep, best, tuple(log))
 
 
 def _frozen_code(spec: EncoderSpec, ell: int, f: int) -> TailbitingCode:
@@ -245,10 +248,11 @@ def design_nested(
     """Full nested design: subcode search, crossover calibration, incremental
     quantizer extension, and last-input freezing refinement.
 
-    Every decode runs at the decoder's sweep cap, wava.SWEEPS.
-    Deterministic in (arguments, seed).  Raises ValueError for n < 2, which
-    leaves no input to add, and DesignFailure when the target is unreachable
-    or the distortion budget cannot be met at rate 1.
+    Every decode runs at the decoder's sweep cap, wava.SWEEPS; `workers` threads
+    run the distortion probes, and calibration runs serially.  Deterministic in
+    (arguments, seed).  Raises ValueError for n < 2, which leaves no input to
+    add, and DesignFailure when the target is unreachable or the distortion
+    budget cannot be met at rate 1.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 for a quantizer extension, got n={n}")
@@ -262,8 +266,7 @@ def design_nested(
     ell = K_fec
     clock.append(time.perf_counter())
 
-    p_c_sim, calib_log = calibrate_pc(fec.code, target_pb, p_A, stop=stop, seed=key,
-                                      workers=workers)
+    p_c_sim, calib_log = calibrate_pc(fec.code, target_pb, p_A, stop=stop, seed=key)
     q_max = distortion_limit(p_c_sim, p_A)
     clock.append(time.perf_counter())
 
@@ -280,7 +283,7 @@ def design_nested(
         spec = res.spec
         rep = q(spec, 0, key + (k_target,))
         ext_log.append({
-            "k": k_target, "d_free": res.d_free, "a_free": res.a_free,
+            "k": k_target, "d_free": res.free.d_free, "a_free": res.free.a_free,
             "q_bar": rep.estimate, "q_halfwidth": rep.confidence_halfwidth,
         })
         if rep.estimate <= q_max:

@@ -326,8 +326,9 @@ def code_from_dict(d: dict) -> TailbitingCode:
 
 
 def write_json(obj, fh) -> None:
-    """obj as JSON indented by two, then a newline: every JSON file the package writes."""
-    json.dump(obj, fh, indent=2)
+    """obj as strict JSON (a non-finite float is a ValueError) indented by two, then a
+    newline: every JSON file the package writes."""
+    json.dump(obj, fh, indent=2, allow_nan=False)
     fh.write("\n")
 
 

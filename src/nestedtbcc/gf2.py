@@ -82,9 +82,6 @@ class BitVector:
             raise Gf2ShapeError(f"length mismatch: {self.n} vs {other.n}")
         return BitVector(self.word ^ other.word, self.n)
 
-    def weight(self) -> int:
-        return bin(self.word).count("1")
-
     def to_numpy(self) -> np.ndarray:
         raw = np.frombuffer(self.word.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
         return np.unpackbits(raw, count=self.n, bitorder="little")
@@ -147,11 +144,6 @@ class BitMatrix:
         for i, w in enumerate(self.row_words):
             word |= ((w >> j) & 1) << i
         return BitVector(word, self.nrows)
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(
-            tuple(self.column(j).word for j in range(self.ncols)), self.nrows
-        )
 
     def to_lists(self) -> list[list[int]]:
         return [[(w >> j) & 1 for j in range(self.ncols)] for w in self.row_words]

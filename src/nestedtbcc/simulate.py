@@ -229,7 +229,6 @@ def calibrate_pc(
     p_A: float,
     stop: StopRule = StopRule(),
     seed: int | Sequence[int] = 0,
-    workers: int = 1,
 ) -> tuple[float, list[dict]]:
     """Largest probed crossover at which the code meets target_pb with 95%
     confidence, by bisection on [p_A, 0.5].
@@ -252,7 +251,7 @@ def calibrate_pc(
     )
 
     def probe(i: int, p: float) -> bool:
-        rep = simulate_fer(code, p, probe_stop, key + (STREAM_CALIBRATION, i), workers)
+        rep = simulate_fer(code, p, probe_stop, key + (STREAM_CALIBRATION, i))
         upper = rep.estimate + rep.confidence_halfwidth if rep.event_count else 3.0 / rep.trials
         ok = upper <= target_pb
         log.append({
@@ -298,14 +297,15 @@ def evaluate(
     distortion_trials: int = CHUNK,
     workers: int = 1,
 ) -> dict:
-    """The evaluation row of a nested pair, as the JSON fields of the CLI's
-    evaluate (rates exact up to the float conversion, the rest simulated); the
-    complexity columns count the decoder's SWEEPS iterations.  Raises
-    DesignFailure (the CLI's exit 3) when no probed crossover meets target_pb."""
+    """The evaluation row of a nested pair, as the JSON fields of the CLI's evaluate
+    (rates exact up to the float conversion, the rest simulated; `workers` threads run
+    the distortion run, calibration runs serially); the complexity columns count the
+    decoder's SWEEPS iterations.  Raises DesignFailure (the CLI's exit 3) when no
+    probed crossover meets target_pb."""
     _at_least_one(distortion_trials=distortion_trials, workers=workers)
     n = pair.vq_code.spec.n
     m = pair.vq_code.spec.m
-    p_c, _ = calibrate_pc(pair.fec_code, target_pb, 0.0, stop, seed, workers=workers)
+    p_c, _ = calibrate_pc(pair.fec_code, target_pb, 0.0, stop, seed)
     q_bar = simulate_distortion(pair.vq_code, distortion_trials, seed, workers).estimate
     r_vq, r_w, helper_bits, ratio = derived_rate_fields(pair.N, pair.K_fec, pair.K_vq)
     c_fec = complexity_estimates(pair.N, n, 1, m, SWEEPS)

@@ -68,15 +68,20 @@ def oracle_detours(spec: EncoderSpec, max_len: int = 64) -> tuple[int, int]:
     m, k, n = spec.m, spec.k, spec.n
     a_t = BitMatrix.from_rows([[int(i == j + 1) for i in range(m)] for j in range(m)])
     e1 = [int(i == 0) for i in range(m)]
-    b_t = BitMatrix.from_rows([e1] + spec.B_tilde.transpose().to_lists(), m)
-    c_t = spec.C.transpose()
-    d_t = BitMatrix.from_rows([[0] * n] + spec.D_tilde.transpose().to_lists(), n)
+
+    def columns(mat: BitMatrix) -> list[list[int]]:
+        return [list(mat.column(j)) for j in range(mat.ncols)]
+
+    b_t = BitMatrix.from_rows([e1] + columns(spec.B_tilde), m)
+    c_t = BitMatrix.from_rows(columns(spec.C), n)
+    d_t = BitMatrix.from_rows([[0] * n] + columns(spec.D_tilde), n)
     nu = 1 << k
     best = [None]
     count = [0]
 
     def weight(s: int, u: int) -> int:
-        return (gf2_vec_mat(BitVector(s, m), c_t) ^ gf2_vec_mat(BitVector(u, k), d_t)).weight()
+        out = gf2_vec_mat(BitVector(s, m), c_t) ^ gf2_vec_mat(BitVector(u, k), d_t)
+        return out.word.bit_count()
 
     def advance(s: int, u: int) -> int:
         return (gf2_vec_mat(BitVector(s, m), a_t) ^ gf2_vec_mat(BitVector(u, k), b_t)).word

@@ -543,6 +543,78 @@ def test_design_nested_cli_smoke(tmp_path, capsys):
     assert pair.K_vq > pair.K_fec == 8
 
 
+def _strict_json(text: str):
+    """The JSON value of text; Infinity, -Infinity and NaN raise."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_json_file_the_cli_writes_is_strict(tmp_path):
+    # design-vq at seed 2 and design-nested at seed 23 each keep a stage-2 winner
+    # whose A_free diverges: strict JSON has no Infinity, so it must read null
+    f = {name: str(tmp_path / f"{name}.json")
+         for name in ("fec", "vq", "pair", "fer", "dist", "e2e", "eval")}
+    stop = ["--max-trials", "2000", "--target-errors", "5"]
+    runs = [
+        ["design-fec", "--n", "3", "--m", "3", "--kfec", "8", "--target-pb", "1e-2",
+         "--wmax", "8", "--seed", "1", "--out", f["fec"]],
+        ["design-vq", "--code", f["fec"], "--kvq", "3", "--wmax", "8", "--seed", "2",
+         "--out", f["vq"]],
+        ["design-nested", "--pa", "0.0", "--target-pb", "1e-2", "--kfec", "8", "--n", "3",
+         "--m", "3", "--wmax", "16", "--max-trials", "50000", "--distortion-trials", "512",
+         "--seed", "23", "--out", f["pair"]],
+        ["sim-fer", "--code", f["fec"], "--pc", "0.05", *stop, "--out", f["fer"]],
+        ["sim-distortion", "--code", f["vq"], "--trials", "256", "--out", f["dist"]],
+        ["sim-e2e", "--pair", f["pair"], "--pa", "0.01", *stop, "--out", f["e2e"]],
+        ["evaluate", "--pair", f["pair"], "--target-pb", "0.1", *stop,
+         "--distortion-trials", "256", "--out", f["eval"]],
+    ]
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    writers = {name for name, p in sub.choices.items()
+               if "_write_json(" in inspect.getsource(p.get_default("fn"))}
+    assert {argv[0] for argv in runs} == writers
+    for argv in runs:
+        assert main(argv) == 0, argv
+    out = {name: _strict_json(Path(path).read_text()) for name, path in f.items()}
+    assert (out["vq"]["provenance"]["d_free"], out["vq"]["provenance"]["a_free"]) == (2, None)
+    assert [(e["d_free"], e["a_free"]) for e in out["pair"]["provenance"]["extensions"]] == [
+        (3, 2), (2, None)]
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["region", "--pa", "0.0149", "--points", "3", "--blocklength", "384"],
+     "error: --blocklength needs --aux or --fixture"),
+    (["bound", "--pc", "0.1", "--pc-grid", "0.01", "0.2", "3"],
+     "argument --pc-grid: not allowed with argument --pc"),
+    (["bound", "--pc-grid", "0.01", "0.2", "2.7"],
+     "error: --pc-grid COUNT must be a whole number >= 1, got 2.7"),
+    (["bound", "--pc-grid", "0.01", "0.2", "0"],
+     "error: --pc-grid COUNT must be a whole number >= 1, got 0"),
+], ids=["region-blocklength-alone", "bound-pc-and-pc-grid", "bound-fractional-count",
+        "bound-zero-count"])
+def test_an_argument_the_command_would_ignore_exits_2(tmp_path, capsys, argv, message):
+    # otherwise each argument is dropped without a word: region's q,Rs,Rw table
+    # has no block length, bound reads --pc before any grid, and a grid of 2.7
+    # points would be cut to 2 (of 0 points, to an empty table)
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text("d,A_d\n0,1\n4,3\n")
+    if argv[0] == "bound":
+        argv = [*argv, "--spectrum", str(spectrum)]
+    out = tmp_path / "out.csv"
+    assert _exit_code([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_every_option_reaches_its_handler():
     (sub,) = [a for a in cli.build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]

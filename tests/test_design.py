@@ -153,7 +153,7 @@ def test_search_fec_all_degenerate_fails():
     # m=1, n=1: half the draws are C=0; with w_max=1 and a seed that draws 0
     for seed in range(50):
         c = sample_uniform_matrix(1, 1, seed_key(seed) + (STREAM_FEC_CAND, 1))
-        if c.is_zero():
+        if not any(c.row_words):
             with pytest.raises(DesignFailure):
                 search_fec(1, 1, 4, 1e-2, 1, seed=seed)
             return
@@ -166,12 +166,15 @@ def test_search_vq_extension_deterministic_and_dominant():
     res = search_vq_extension(spec, 2, 40, seed=9)
     again = search_vq_extension(spec, 2, 40, seed=9)
     assert res.spec == again.spec
-    # the winner dominates every logged candidate in (d_free, -A_free) order
+    # the winner dominates every logged candidate in (d_free, -A_free) order, a
+    # divergent A_free (None) ranking below every finite one
+    def rank(d, a):
+        return d, -math.inf if a is None else -a
+
     for _, d, a in res.candidate_log:
-        assert (res.d_free, -res.a_free) >= (d, -a)
-    # independent recomputation of the winner's free distance
-    rep = free_distance(res.spec)
-    assert rep.d_free == res.d_free
+        assert rank(res.free.d_free, res.free.a_free) >= rank(d, a)
+    # the result holds free_distance's own report of the winner
+    assert res.free == free_distance(res.spec)
 
 
 def test_search_vq_extension_keeps_parent_as_subcode():
@@ -191,7 +194,7 @@ def test_search_vq_extension_without_a_usable_candidate_keeps_zero_columns(monke
     monkeypatch.setattr(design, "free_distance",
                         lambda s: FreeDistanceReport(0, None, degenerate=True))
     res = search_vq_extension(spec, 3, 5, seed=12)
-    assert (res.d_free, res.a_free) == (0, 0.0)
+    assert res.free == FreeDistanceReport(0, None, degenerate=True)
     assert len(res.candidate_log) == 5
     assert res.spec == EncoderSpec(m=3, k=3, n=2, B_tilde=BitMatrix.zeros(3, 2), C=spec.C,
                                    D_tilde=BitMatrix.zeros(2, 2))
@@ -342,6 +345,6 @@ def test_criterion_09_pair_file_is_pinned(tmp_path):
     # the seeded-output ledger: a change that moves this digest declares it
     pair, _ = design_nested(p_A=0.0149, target_pb=1e-3, K_fec=32, n=3, m=6, seed=2024,
                             w_max=500)
-    sha256 = "51201c1dd36135da8cdc58117be62845e83ffbfdfe340f6aca166ab93afa1e26"
+    sha256 = "77085d0081f3663455752443f3ed0a286ed9f3663c5e52fa8c2d03b29827fc5c"
     save_pair(pair, tmp_path / "pair.json")
     assert hashlib.sha256((tmp_path / "pair.json").read_bytes()).hexdigest() == sha256

@@ -1,7 +1,10 @@
 import gc
+import io
+import math
 import re
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +23,10 @@ from nestedtbcc.encoder import (
     encode_many,
     encode_tailbiting,
     fec_restriction,
+    write_json,
 )
 from nestedtbcc.gf2 import BitMatrix, BitVector, Gf2ShapeError, sample_uniform_matrix
-from nestedtbcc.keyagree import NestedCodePair
+from nestedtbcc.keyagree import NestedCodePair, load_pair
 from nestedtbcc.trellis import build_trellis, weight_enumerator
 
 
@@ -41,9 +45,9 @@ def test_step_examples():
 
 def test_encode_tailbiting_examples(unit_toy):
     assert tuple(encode_tailbiting(unit_toy, bits(1, 0))) == (0, 1)
-    assert encode_tailbiting(unit_toy, bits(0, 0)).weight() == 0
+    assert encode_tailbiting(unit_toy, bits(0, 0)).word == 0
     weights = sorted(
-        encode_tailbiting(unit_toy, BitVector.from_bits(m)).weight()
+        encode_tailbiting(unit_toy, BitVector.from_bits(m)).word.bit_count()
         for m in ([0, 0], [1, 0], [0, 1], [1, 1])
     )
     assert weights == [0, 1, 1, 2]
@@ -309,3 +313,13 @@ def test_code_json_round_trip(tmp_path):
     assert again == code
     msg = BitVector.from_bits(rng.integers(0, 2, code.K).tolist())
     assert encode_tailbiting(again, msg) == encode_tailbiting(code, msg)
+
+
+def test_write_json_refuses_non_finite_floats_and_readers_stay_lenient():
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            write_json({"x": value}, io.StringIO())
+    # a pair file written before the change holds "a_free": Infinity and still loads
+    old = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "pair_m6.json"
+    assert '"a_free": Infinity' in old.read_text()
+    assert load_pair(str(old)).K_vq == 77

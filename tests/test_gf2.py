@@ -70,8 +70,10 @@ def test_vec_mat_associativity(mats):
 def test_bitvector_basics():
     v = BitVector.from_bits([1, 0, 1, 1])
     assert len(v) == 4 and v[0] == 1 and v[1] == 0
-    assert v.weight() == 3
-    assert (v ^ v).weight() == 0
+    assert v.word.bit_count() == 3
+    assert (v ^ v).word == 0
+    assert repr(v) == "BitVector(1011)"
+    assert repr(BitMatrix.zeros(2, 3)) == "BitMatrix(2x3)"
     with pytest.raises(ValueError):
         BitVector.from_bits([2])
 
@@ -105,3 +107,27 @@ def test_bitvector_numpy_round_trip_matches_the_bitwise_definition():
                 pack(bad)
     with pytest.raises(ValueError, match=r"got \[0, 0\]$"):
         BitVector.from_numpy(np.zeros((2, 2), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: BitVector.zeros(-1), ValueError, "vector length must be >= 0, got -1"),
+    (lambda: BitVector(4, 2), ValueError, "invalid BitVector(word=4, n=2)"),
+    (lambda: BitVector.zeros(3)[3], IndexError, "index 3 out of range for length 3"),
+    (lambda: BitVector.zeros(3) ^ BitVector.zeros(2), Gf2ShapeError, "length mismatch: 3 vs 2"),
+    (lambda: BitMatrix.from_rows([]), ValueError, "ncols required for a matrix with zero rows"),
+    (lambda: BitMatrix.from_rows([[1, 0], [1]]), Gf2ShapeError,
+     "ragged rows: expected 2 columns, got 1"),
+    (lambda: BitMatrix.from_numpy(np.zeros(3)), Gf2ShapeError,
+     "expected 2-d array, got shape (3,)"),
+    (lambda: BitMatrix((), -1), ValueError, "ncols must be >= 0, got -1"),
+    (lambda: BitMatrix((4,), 2), ValueError, "row word 4 does not fit in 2 columns"),
+    (lambda: BitMatrix.zeros(2, 3).column(3), IndexError,
+     "column 3 out of range for shape (2, 3)"),
+    (lambda: sample_uniform_matrix(-1, 2, 0), ValueError, "shape must be nonnegative, got -1x2"),
+], ids=["vector-zeros-negative", "vector-word-too-wide", "vector-index", "vector-xor-lengths",
+        "matrix-no-rows-no-ncols", "matrix-ragged", "matrix-from-1d", "matrix-negative-ncols",
+        "matrix-row-too-wide", "matrix-column", "sample-negative-shape"])
+def test_bad_shapes_and_indices_raise(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and message in str(info.value)
